@@ -28,12 +28,10 @@ from .notation import (
     Region,
     RegionWord,
     Tuck,
-    Wind,
-    WindDir,
     parse_tw,
     tw_to_clr,
 )
-from .enumeration import depth1_sites, final_region_of, winding_strings
+from .enumeration import decorate, depth1_sites, final_region_of, winding_strings
 
 
 class NamingError(ValueError):
@@ -156,13 +154,7 @@ def knot_of(name: KnotName) -> KnotWord:
             f"tuck bits {name.tuck_bits} out of range: pattern has {len(sites)} internal sites"
         )
     chosen = {p for i, p in enumerate(sites) if name.tuck_bits & (1 << i)}
-    items = []
-    for position, ch in enumerate(windings, start=1):
-        items.append(Wind(WindDir(ch)))
-        if position in chosen:
-            items.append(Tuck(1))
-    items.append(Tuck(1))
-    return KnotWord(start=Region.LEFT, items=tuple(items))
+    return parse_tw(decorate(windings, chosen))
 
 
 def symmetry(knot: KnotWord) -> int:

@@ -1,10 +1,13 @@
 """Command-line interface.
 
 Exit codes: 0 success (and, for ``validate``, a valid knot); 1 invalid
-knot or failed check; 2 usage or parse errors.  Enumeration output is
-plain text by default, with ``--format jsonl`` / ``--format csv`` where
-a record stream makes sense.  The environment variable
-``TIEKNOT_MAX_WINDINGS`` caps enumeration sizes (default 13 moves).
+knot or failed check; 2 usage or parse errors, which include a
+``TIEKNOT_MAX_WINDINGS`` that is not an integer, a ``sample`` count
+outside 0..population and a negative ``series`` order.  Enumeration
+output is plain text by default, with ``--format jsonl`` /
+``--format csv`` where a record stream makes sense.  The environment
+variable ``TIEKNOT_MAX_WINDINGS`` caps enumeration sizes (default 13
+moves).
 """
 
 from __future__ import annotations
@@ -36,8 +39,16 @@ EXIT_INVALID = 1
 EXIT_USAGE = 2
 
 
+class UsageError(Exception):
+    """Input argparse cannot check; ``main`` reports it and exits 2."""
+
+
 def _max_moves_cap() -> int:
-    return int(os.environ.get("TIEKNOT_MAX_WINDINGS", "13"))
+    value = os.environ.get("TIEKNOT_MAX_WINDINGS", "13")
+    try:
+        return int(value)
+    except ValueError:
+        raise UsageError(f"TIEKNOT_MAX_WINDINGS must be an integer, got {value!r}") from None
 
 
 def _options_from(args) -> validity.ValidityOptions:
@@ -48,12 +59,6 @@ def _options_from(args) -> validity.ValidityOptions:
         max_tuck_depth=args.max_tuck_depth,
         max_moves=args.max_moves,
     )
-
-
-def _parse_knot_argument(args) -> KnotWord:
-    if args.clr is not None:
-        return clr_to_tw(parse_clr(args.clr))
-    return parse_tw(args.tw, Region(args.start))
 
 
 def _knot_record(knot: KnotWord) -> dict:
@@ -124,16 +129,12 @@ def _enumerate_knots(args):
     if args.klass == "fm":
         for text in enumeration.fm_knots(max_moves - 1):
             yield clr_to_tw(parse_clr(text))
-    elif args.klass == "single":
+    elif args.klass in ("single", "full"):
         opts = validity.ValidityOptions(
-            max_tuck_depth=1, allow_hidden_tucks=args.allow_hidden_tucks
+            max_tuck_depth=1 if args.klass == "single" else None,
+            allow_hidden_tucks=args.allow_hidden_tucks,
         )
-        for knot in enumeration.oracle_enumerate(max_moves - 1, opts):
-            yield knot
-    elif args.klass == "full":
-        opts = validity.ValidityOptions(max_tuck_depth=None)
-        for knot in enumeration.oracle_enumerate(max_moves - 1, opts):
-            yield knot
+        yield from enumeration.oracle_enumerate(max_moves - 1, opts)
     else:  # windings
         patterns = enumeration.winding_patterns(max_moves - 1)
         for region in (Region.LEFT, Region.RIGHT, Region.CENTER):
@@ -187,59 +188,38 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-_SERIES = {
-    # name -> (series factory, degree meaning)
-    "fm": (lambda order: grammars.count_by_size(grammars.fm_grammar(), order), "moves"),
-    "single": (
-        lambda order: grammars.count_by_size(grammars.single_tuck_tw_grammar(), order),
-        "moves",
-    ),
-    "r-final": (
-        lambda order: grammars.count_by_size(
-            grammars.single_tuck_clr_grammar(Region.RIGHT), order
-        ),
-        "moves",
-    ),
-    "l-final": (
-        lambda order: grammars.count_by_size(
-            grammars.single_tuck_clr_grammar(Region.LEFT), order
-        ),
-        "moves",
-    ),
-    "c-final": (
-        lambda order: grammars.count_by_size(
-            grammars.single_tuck_clr_grammar(Region.CENTER), order
-        ),
-        "moves",
-    ),
-    "full": (
-        lambda order: grammars.count_by_size(grammars.full_grammar(), order),
-        "windings",
-    ),
-    "windings-r": (
-        lambda order: genfunc.expand(genfunc.parse_rational("z^3/(1-z-2z^2)"), order + 1),
-        "moves",
-    ),
-    "windings-l": (
-        lambda order: genfunc.expand(
-            genfunc.parse_rational("2z^4/((1-2z)(1+z))"), order + 1
-        ),
-        "moves",
-    ),
-    "windings-c": (
-        lambda order: genfunc.expand(genfunc.parse_rational("z^3/(1-z-2z^2)"), order + 1),
-        "moves",
-    ),
+# Counting series from a grammar: name -> grammar factory.  The full
+# grammar's degree counts windings, every other series' degree moves.
+_GRAMMAR_SERIES = {
+    "fm": grammars.fm_grammar,
+    "single": grammars.single_tuck_tw_grammar,
+    "r-final": lambda: grammars.single_tuck_clr_grammar(Region.RIGHT),
+    "l-final": lambda: grammars.single_tuck_clr_grammar(Region.LEFT),
+    "c-final": lambda: grammars.single_tuck_clr_grammar(Region.CENTER),
+    "full": grammars.full_grammar,
+}
+
+# Winding patterns by final region, as closed forms in moves; the right-
+# and center-final patterns are equinumerous.
+_RC_WINDINGS = "z^3/(1-z-2z^2)"
+_CLOSED_FORM_SERIES = {
+    "windings-r": _RC_WINDINGS,
+    "windings-l": "2z^4/((1-2z)(1+z))",
+    "windings-c": _RC_WINDINGS,
 }
 
 
 def cmd_series(args) -> int:
-    factory, degree = _SERIES[args.which]
-    series = factory(args.order)
-    series = series.truncate(args.order + 1)
-    print(", ".join(str(c) for c in series))
+    if args.order < 0:
+        raise UsageError(f"series order must be >= 0, got {args.order}")
+    if args.which in _CLOSED_FORM_SERIES:
+        rational = genfunc.parse_rational(_CLOSED_FORM_SERIES[args.which])
+        series = genfunc.expand(rational, args.order + 1)
+    else:
+        series = grammars.count_by_size(_GRAMMAR_SERIES[args.which](), args.order)
+    print(", ".join(str(c) for c in series.truncate(args.order + 1)))
     if args.verbose:
-        print(f"# degree counts {degree}")
+        print(f"# degree counts {'windings' if args.which == 'full' else 'moves'}")
     return EXIT_OK
 
 
@@ -249,39 +229,41 @@ def _resolve_knot(args) -> KnotWord:
         if named is not None:
             return named.tw
         return catalog.knot_of(catalog.KnotName.parse(args.name))
-    return _parse_knot_argument(args)
+    if args.clr is not None:
+        return clr_to_tw(parse_clr(args.clr))
+    return parse_tw(args.tw, Region(args.start))
+
+
+def _print_about_knot(args, describe) -> int:
+    """Print ``describe(knot)`` for the knot the arguments give, or a
+    one-line error when the knot or its description cannot be made."""
+    try:
+        text = str(describe(_resolve_knot(args)))
+    except ValueError as exc:  # NotationError, NamingError, invalid knots
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    print(text)
+    return EXIT_OK
+
+
+def _aesthetics(knot: KnotWord) -> str:
+    return (
+        f"symmetry {catalog.symmetry(knot)}\n"
+        f"balance {catalog.balance(knot)}\n"
+        f"final {final_region(knot).value} ({classify_final(knot).value})"
+    )
 
 
 def cmd_name(args) -> int:
-    try:
-        knot = _resolve_knot(args)
-        print(catalog.name_of(knot))
-    except (NotationError, catalog.NamingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    return EXIT_OK
+    return _print_about_knot(args, catalog.name_of)
 
 
 def cmd_instructions(args) -> int:
-    try:
-        knot = _resolve_knot(args)
-        print(render_instructions(knot))
-    except (NotationError, catalog.NamingError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    return EXIT_OK
+    return _print_about_knot(args, render_instructions)
 
 
 def cmd_aesthetics(args) -> int:
-    try:
-        knot = _resolve_knot(args)
-    except (NotationError, catalog.NamingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    print(f"symmetry {catalog.symmetry(knot)}")
-    print(f"balance {catalog.balance(knot)}")
-    print(f"final {final_region(knot).value} ({classify_final(knot).value})")
-    return EXIT_OK
+    return _print_about_knot(args, _aesthetics)
 
 
 def cmd_sample(args) -> int:
@@ -289,6 +271,11 @@ def cmd_sample(args) -> int:
     knots = enumeration.oracle_enumerate(
         max_moves - 1, validity.ValidityOptions(max_tuck_depth=1)
     )
+    if not 0 <= args.count <= len(knots):
+        raise UsageError(
+            f"sample count must be between 0 and {len(knots)} (the single-tuck knots "
+            f"of at most {max_moves} moves), got {args.count}"
+        )
     rng = random.Random(args.seed)
     for index in sorted(rng.sample(range(len(knots)), args.count)):
         knot = knots[index]
@@ -375,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("series", help="print a counting series")
-    p.add_argument("which", choices=sorted(_SERIES))
+    p.add_argument("which", choices=sorted([*_GRAMMAR_SERIES, *_CLOSED_FORM_SERIES]))
     p.add_argument("order", type=int)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_series)
@@ -424,6 +411,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except BrokenPipeError:
         return EXIT_OK
 

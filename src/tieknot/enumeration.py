@@ -29,10 +29,20 @@ window) that the language does not contain.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import astuple, dataclass
 from typing import Dict, Iterable, Iterator, List, Tuple
 
-from .notation import KnotWord, Region, canonicalize_tw, parse_tw
+from .notation import (
+    KnotWord,
+    Region,
+    WindDir,
+    canonicalize_tw,
+    parse_tw,
+    sort_key,
+    step_region,
+    tw_to_clr,
+)
 from .validity import DEFAULT_OPTIONS, ValidityOptions, tuck_parity_ok
 
 
@@ -42,10 +52,9 @@ def winding_strings(length: int) -> Iterator[str]:
         yield "".join(combo)
 
 
-def final_region_of(windings: str, start: Region = Region.LEFT) -> Region:
-    net = windings.count("T") - windings.count("W")
-    order = ("L", "C", "R")
-    return Region(order[(order.index(start.value) + net) % 3])
+def final_region_of(text: str, start: Region = Region.LEFT) -> Region:
+    """Final region of winding text; tucks and apostrophes are ignored."""
+    return step_region(start, WindDir.T, text.count("T") - text.count("W"))
 
 
 def depth1_sites(windings: str, opts: ValidityOptions = DEFAULT_OPTIONS) -> List[int]:
@@ -89,32 +98,23 @@ def single_tuck_knots(
             for chosen in itertools.chain.from_iterable(
                 itertools.combinations(internal, k) for k in range(len(internal) + 1)
             ):
-                sites = set(chosen)
-                parts = []
-                for position, ch in enumerate(w, start=1):
-                    parts.append(ch)
-                    if position in sites:
-                        parts.append("U")
-                parts.append("U")
-                yield "".join(parts)
+                yield decorate(w, set(chosen))
+
+
+def decorate(windings: str, sites) -> str:
+    """Winding text with a depth-1 tuck after each winding position in
+    ``sites`` (1-based) and the closing tuck after the last winding."""
+    parts = [ch + "U" if p in sites else ch for p, ch in enumerate(windings, start=1)]
+    return "".join(parts) + "U"
 
 
 def fm_knots(max_windings: int) -> Iterator[str]:
     """Classical knots as region strings: center-final winding patterns
     carrying exactly the final tuck, walked from L."""
-    order = ("L", "C", "R")
     for n in range(2, max_windings + 1):
         for w in winding_strings(n):
-            if w[-1] != w[-2]:
-                continue
-            if final_region_of(w) is not Region.CENTER:
-                continue
-            at = 0
-            walk = ["L"]
-            for ch in w:
-                at = (at + (1 if ch == "T" else -1)) % 3
-                walk.append(order[at])
-            yield "".join(walk) + "U"
+            if w[-1] == w[-2] and final_region_of(w) is Region.CENTER:
+                yield _tw_text_to_clr(w + "U")
 
 
 # ---------------------------------------------------------------------------
@@ -245,17 +245,12 @@ def oracle_enumerate(
         raise NotImplementedError(
             "only depth cap 1 and unlimited depth are enumerable"
         )
-    texts.sort(key=lambda pair: (pair[0], _text_key(pair[1])))
+    texts.sort(key=lambda pair: (pair[0], sort_key(pair[1])))
     return [parse_tw(text) for _, text in texts]
 
 
 def _winding_count(text: str) -> int:
     return sum(1 for c in text if c in "TW")
-
-
-def _text_key(text: str):
-    order = {"T": 0, "W": 1, "U": 2, "'": 3}
-    return [order[c] for c in text]
 
 
 # ---------------------------------------------------------------------------
@@ -283,35 +278,10 @@ class CensusRow:
     )
 
     def csv_line(self) -> str:
-        return ",".join(
-            str(v)
-            for v in (
-                self.winding_count,
-                self.move_count,
-                self.left_windings,
-                self.right_windings,
-                self.center_windings,
-                self.left_knots,
-                self.right_knots,
-                self.center_knots,
-                self.single_tuck_knots,
-                self.total_knots,
-            )
-        )
+        return ",".join(map(str, astuple(self)))
 
     def to_dict(self) -> dict:
-        return {
-            "windings": self.winding_count,
-            "moves": self.move_count,
-            "left_windings": self.left_windings,
-            "right_windings": self.right_windings,
-            "center_windings": self.center_windings,
-            "left_knots": self.left_knots,
-            "right_knots": self.right_knots,
-            "center_knots": self.center_knots,
-            "single_tuck_knots": self.single_tuck_knots,
-            "total_knots": self.total_knots,
-        }
+        return dict(zip(self.CSV_HEADER.split(","), astuple(self)))
 
 
 def census(max_windings: int = 12, include_full: bool = True) -> List[CensusRow]:
@@ -321,45 +291,30 @@ def census(max_windings: int = 12, include_full: bool = True) -> List[CensusRow]
     from the direct enumerators; the total column is the arbitrary-depth
     language and can be skipped when only the single-tuck side matters.
     """
-    patterns = winding_patterns(max_windings)
-    per_region_windings = {
-        region: {} for region in (Region.LEFT, Region.RIGHT, Region.CENTER)
-    }
-    per_region_knots = {
-        region: {} for region in (Region.LEFT, Region.RIGHT, Region.CENTER)
-    }
-    for region, strings in patterns.items():
+    # Pattern and knot tallies keyed by (final region, winding count).
+    windings, knots = Counter(), Counter()
+    for region, strings in winding_patterns(max_windings).items():
         for w in strings:
             n = len(w)
-            per_region_windings[region][n] = per_region_windings[region].get(n, 0) + 1
-            internal = [p for p in depth1_sites(w) if p < n]
-            per_region_knots[region][n] = (
-                per_region_knots[region].get(n, 0) + 2 ** len(internal)
-            )
+            windings[region, n] += 1
+            knots[region, n] += 2 ** len([p for p in depth1_sites(w) if p < n])
     full = full_language(max_windings) if include_full else {}
-    rows = []
-    for n in range(2, max_windings + 1):
-        left_w = per_region_windings[Region.LEFT].get(n, 0)
-        right_w = per_region_windings[Region.RIGHT].get(n, 0)
-        center_w = per_region_windings[Region.CENTER].get(n, 0)
-        left_k = per_region_knots[Region.LEFT].get(n, 0)
-        right_k = per_region_knots[Region.RIGHT].get(n, 0)
-        center_k = per_region_knots[Region.CENTER].get(n, 0)
-        rows.append(
-            CensusRow(
-                winding_count=n,
-                move_count=n + 1,
-                left_windings=left_w,
-                right_windings=right_w,
-                center_windings=center_w,
-                left_knots=left_k,
-                right_knots=right_k,
-                center_knots=center_k,
-                single_tuck_knots=left_k + right_k + center_k,
-                total_knots=len(full.get(n, ())) if include_full else 0,
-            )
+    L, R, C = Region.LEFT, Region.RIGHT, Region.CENTER
+    return [
+        CensusRow(
+            winding_count=n,
+            move_count=n + 1,
+            left_windings=windings[L, n],
+            right_windings=windings[R, n],
+            center_windings=windings[C, n],
+            left_knots=knots[L, n],
+            right_knots=knots[R, n],
+            center_knots=knots[C, n],
+            single_tuck_knots=knots[L, n] + knots[R, n] + knots[C, n],
+            total_knots=len(full.get(n, ())),
         )
-    return rows
+        for n in range(2, max_windings + 1)
+    ]
 
 
 def hidden_tuck_counts(max_windings: int) -> Dict[int, int]:
@@ -448,7 +403,7 @@ def cross_check(max_moves: int = 13, full_max_windings: int = 12) -> CrossCheckR
         direct = [
             _tw_text_to_clr(text)
             for text in single_tuck_knots(max_moves - 1)
-            if final_region_of(_windings_of(text)) is region
+            if final_region_of(text) is region
         ]
         lines.append(
             _compare_sets(
@@ -507,11 +462,5 @@ def cross_check(max_moves: int = 13, full_max_windings: int = 12) -> CrossCheckR
     return CrossCheckReport(tuple(lines))
 
 
-def _windings_of(text: str) -> str:
-    return "".join(c for c in text if c in "TW")
-
-
 def _tw_text_to_clr(text: str) -> str:
-    from .notation import tw_to_clr
-
     return tw_to_clr(parse_tw(text)).serialize()

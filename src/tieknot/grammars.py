@@ -34,10 +34,11 @@ suite verifies against a grammar-free enumeration oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional, Union
 
 from .genfunc import Series
-from .notation import Region
+from .notation import Region, sort_key
 
 
 class GrammarError(ValueError):
@@ -167,16 +168,6 @@ def count_by_size(grammar: Grammar, max_size: int) -> Series:
                 f"zero-weight cycle: counts at size {size} do not stabilise"
             )
     return Series(tuple(counts[grammar.start]))
-
-
-_TW_ORDER = {"T": 0, "W": 1, "U": 2, "'": 3}
-_CLR_ORDER = {"L": 0, "C": 1, "R": 2, "U": 3, "'": 4}
-
-
-def sort_key(text: str):
-    """Order strings by the alphabet T<W<U<' (or L<C<R<U for region words)."""
-    table = _CLR_ORDER if any(c in "LCR" for c in text) else _TW_ORDER
-    return [table[c] for c in text]
 
 
 def generate(grammar: Grammar, max_size: int) -> list:
@@ -393,6 +384,7 @@ class Automaton:
     accepting: frozenset
     transitions: tuple  # (state, label, state)
 
+    @cached_property
     def _expanded(self):
         # Single-symbol edge map plus epsilon edges, with chain states
         # for every multi-symbol label.
@@ -410,7 +402,7 @@ class Automaton:
         return edges, epsilon
 
     def accepts(self, text: str) -> bool:
-        edges, epsilon = self._expanded()
+        edges, epsilon = self._expanded
 
         def closure(states):
             stack = list(states)

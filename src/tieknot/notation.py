@@ -117,6 +117,32 @@ class Tuck:
 KnotItem = Union[Wind, Tuck]
 
 
+def _net_turns(windings: tuple) -> int:
+    """Net turnwise steps #T - #W of a tuple of winding directions."""
+    return windings.count(WindDir.T) - windings.count(WindDir.W)
+
+
+_SORT_TABLE = str.maketrans("TWLCRU'", "0123456")
+
+
+def sort_key(text: str) -> str:
+    """Order knot text by the alphabet T<W<U<' (L<C<R<U<' for region words)."""
+    return text.translate(_SORT_TABLE)
+
+
+def _serialize(items) -> str:
+    """Items as text, with an apostrophe between two adjacent tucks."""
+    parts = []
+    previous_tuck = False
+    for item in items:
+        is_tuck = isinstance(item, Tuck)
+        if is_tuck and previous_tuck:
+            parts.append("'")
+        parts.append(str(item))
+        previous_tuck = is_tuck
+    return "".join(parts)
+
+
 @dataclass(frozen=True)
 class KnotMetrics:
     """Size measures of a knot word.
@@ -183,29 +209,21 @@ class KnotWord:
         return tuple(out)
 
     def metrics(self) -> KnotMetrics:
-        windings = self.winding_count
+        windings = self.windings
         tucks = [i.depth for i in self.items if isinstance(i, Tuck)]
-        net = sum(1 if d is WindDir.T else -1 for d in self.windings) % 3
         return KnotMetrics(
-            winding_count=windings,
-            move_count=windings + 1,
-            symbol_count=windings + sum(tucks),
+            winding_count=len(windings),
+            move_count=len(windings) + 1,
+            symbol_count=len(windings) + sum(tucks),
             tuck_count=len(tucks),
             max_tuck_depth=max(tucks, default=0),
-            net_turn=net,
+            net_turn=_net_turns(windings) % 3,
         )
 
     def serialize(self) -> str:
         """Canonical text: winds as letters, tucks as U runs, adjacent
         tucks separated by a single apostrophe."""
-        parts = []
-        previous_tuck = False
-        for item in self.items:
-            if isinstance(item, Tuck) and previous_tuck:
-                parts.append("'")
-            parts.append(str(item))
-            previous_tuck = isinstance(item, Tuck)
-        return "".join(parts)
+        return _serialize(self.items)
 
     def __str__(self):
         return self.serialize()
@@ -241,14 +259,7 @@ class RegionWord:
         return tuple(v.region for v in self.visits)
 
     def serialize(self) -> str:
-        parts = []
-        previous_tuck = False
-        for item in self.items:
-            if isinstance(item, Tuck) and previous_tuck:
-                parts.append("'")
-            parts.append(str(item))
-            previous_tuck = isinstance(item, Tuck)
-        return "".join(parts)
+        return _serialize(self.items)
 
     def __str__(self):
         return self.serialize()
@@ -446,8 +457,7 @@ def mirror(knot: KnotWord) -> KnotWord:
 
 def final_region(knot: KnotWord) -> Region:
     """Where the blade ends up: start advanced by #T - #W turnwise steps."""
-    net = sum(1 if d is WindDir.T else -1 for d in knot.windings)
-    return _CYCLE[(_CYCLE_INDEX[knot.start] + net) % 3]
+    return step_region(knot.start, WindDir.T, _net_turns(knot.windings))
 
 
 class FinalClass(str, Enum):
@@ -462,16 +472,18 @@ class FinalClass(str, Enum):
     MODERN_L = "Modern-L"
 
 
+_FINAL_CLASS = {
+    Region.CENTER: FinalClass.CLASSICAL_C,
+    Region.RIGHT: FinalClass.MODERN_R,
+    Region.LEFT: FinalClass.MODERN_L,
+}
+
+
 def classify_final(knot: KnotWord) -> FinalClass:
-    """Classify by the residue of #W - #T mod 3 (start must be L)."""
+    """Classify by the final region (start must be L)."""
     if knot.start is not Region.LEFT:
         raise ValueError("classification assumes the canonical start region L")
-    residue = sum(-1 if d is WindDir.T else 1 for d in knot.windings) % 3
-    return {
-        2: FinalClass.CLASSICAL_C,
-        1: FinalClass.MODERN_R,
-        0: FinalClass.MODERN_L,
-    }[residue]
+    return _FINAL_CLASS[final_region(knot)]
 
 
 _DIRECTION_WORD = {WindDir.T: "turnwise", WindDir.W: "widdershins"}
@@ -493,24 +505,18 @@ def render_instructions(knot: KnotWord) -> str:
         first = report.violations[0]
         raise ValueError(f"not a valid knot: [{first.rule}] {first.message}")
 
-    oriented = infer_orientations(tw_to_clr(knot))
-    visit_orientations = [v.orientation for v in oriented.visits]
+    visits = infer_orientations(tw_to_clr(knot)).visits
 
     lines = []
-    step = 0
-    region = knot.start
     winding_index = 0  # completed windings; visit 0 is the start itself
-    for item in knot.items:
-        step += 1
+    for step, item in enumerate(knot.items, start=1):
         if isinstance(item, Wind):
-            target = step_region(region, item.direction)
+            source, target = visits[winding_index], visits[winding_index + 1]
             winding_index += 1
-            orientation = visit_orientations[winding_index]
             lines.append(
-                f"{step}. From {region.name.lower()}, wind {_DIRECTION_WORD[item.direction]} "
-                f"to {target.name.lower()}, passing {_ORIENTATION_WORD[orientation]}."
+                f"{step}. From {source.region.name.lower()}, wind {_DIRECTION_WORD[item.direction]} "
+                f"to {target.region.name.lower()}, passing {_ORIENTATION_WORD[target.orientation]}."
             )
-            region = target
         else:
             bow = "the previous bow" if item.depth == 1 else f"the bow made {2 * item.depth} windings ago"
             lines.append(f"{step}. Tuck the blade under {bow}.")

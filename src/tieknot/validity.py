@@ -27,11 +27,14 @@ from typing import Optional, Sequence
 
 from .notation import (
     KnotWord,
+    NotationError,
     Region,
     RegionWord,
     Tuck,
     WindDir,
+    clr_to_tw,
     final_region,
+    infer_orientations,
 )
 
 RULE_NO_REPEAT = "T1"
@@ -224,8 +227,6 @@ def validate_clr(word: RegionWord, opts: ValidityOptions = DEFAULT_OPTIONS) -> V
     violation, elsewhere a T2 violation.  Without a tuck only mutual
     alternation between the marks themselves can be checked.
     """
-    from .notation import NotationError, clr_to_tw, infer_orientations
-
     violations = []
     previous_region = None
     for index, item in enumerate(word.items):

@@ -203,9 +203,7 @@ def test_criterion_9_property_suites(single_tuck_members_13, full_members_12, fu
     for text, moves in single_tuck_members_13.items():
         knot = parse_tw(text)
         assert mirror(mirror(knot)) == knot
-        by_region[enumeration.final_region_of(enumeration._windings_of(text))].add(
-            (moves, text)
-        )
+        by_region[enumeration.final_region_of(text)].add((moves, text))
     assert {(m, t.translate(swap)) for m, t in by_region[Region.CENTER]} == by_region[Region.RIGHT]
 
     # Round trips on every enumerated knot, both notations.  Arbitrary-

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tieknot.cli import main
 
 
@@ -143,6 +145,34 @@ def test_aesthetics_command(capsys):
     code, out, _ = run(capsys, "aesthetics", "--tw", "TTTWWTTUTTWWU")
     assert code == 0
     assert "symmetry 0" in out and "balance 3" in out and "Modern-L" in out
+
+
+def test_aesthetics_non_canonical_start_is_one_line_error(capsys):
+    code, out, err = run(capsys, "aesthetics", "--tw", "WWU", "--start", "R")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["census", "--no-full"], "abc"),
+        (["enumerate", "--class", "fm", "--count"], "abc"),
+        (["sample", "30000"], None),
+        (["sample", "-1", "--max-windings", "6"], None),
+        (["series", "full", "-1"], None),
+    ],
+    ids=["env-census", "env-enumerate", "sample-too-many", "sample-negative", "series-negative"],
+)
+def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("TIEKNOT_MAX_WINDINGS", env)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "Traceback" not in out + err
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_instructions_by_name(capsys):

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from tieknot import grammars as G
-from tieknot.notation import Region
+from tieknot.notation import Region, sort_key
 
 THE_TWENTY = {
     "TTTTU", "TTWWU", "TWTTU", "TWWWU",
@@ -96,7 +96,7 @@ def test_counts_match_generation_buckets():
 def test_generate_order_is_deterministic():
     members = G.generate(G.single_tuck_tw_grammar(), 5)
     assert members[:6] == ["TTU", "WWU", "TTTU", "TWWU", "WTTU", "WWWU"]
-    assert members == sorted(members, key=lambda s: (len([c for c in s if c in "TW"]) + 1, G.sort_key(s)))
+    assert members == sorted(members, key=lambda s: (len([c for c in s if c in "TW"]) + 1, sort_key(s)))
 
 
 def test_generate_empty_bound():

@@ -17,8 +17,10 @@ from tieknot.notation import (
     parse_clr,
     parse_tw,
     render_instructions,
+    sort_key,
     tw_to_clr,
 )
+from tieknot.enumeration import final_region_of
 
 TRINITY = "TWWWTTTUTTU"
 ELDREDGE = "TTTWWTTUTTWWU"
@@ -240,3 +242,33 @@ def test_conversion_round_trip(knot):
 def test_clr_serialization_round_trip(knot):
     word = tw_to_clr(knot)
     assert parse_clr(word.serialize()) == word
+
+
+@given(knot_words, st.sampled_from(list(Region)))
+def test_final_region_of_text_matches_final_region(knot, start):
+    text = knot.serialize()
+    assert final_region_of(text, start) is final_region(parse_tw(text, start))
+
+
+@given(knot_words)
+def test_classify_final_matches_residue_formula(knot):
+    text = knot.serialize()
+    residue = (text.count("W") - text.count("T")) % 3
+    expected = {2: "Classical-C", 1: "Modern-R", 0: "Modern-L"}[residue]
+    assert classify_final(knot).value == expected
+
+
+TW_ORDER = {"T": 0, "W": 1, "U": 2, "'": 3}
+CLR_ORDER = {"L": 0, "C": 1, "R": 2, "U": 3, "'": 4}
+
+
+@given(knot_words, knot_words)
+def test_sort_key_matches_per_alphabet_order(first, second):
+    pairs = (
+        (first.serialize(), second.serialize(), TW_ORDER),
+        (tw_to_clr(first).serialize(), tw_to_clr(second).serialize(), CLR_ORDER),
+    )
+    for a, b, order in pairs:
+        old_a, old_b = [order[c] for c in a], [order[c] for c in b]
+        assert (sort_key(a) < sort_key(b)) == (old_a < old_b)
+        assert (sort_key(a) == sort_key(b)) == (a == b)
