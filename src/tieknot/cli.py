@@ -2,10 +2,10 @@
 
 Exit codes: 0 success (and, for ``validate``, a valid knot); 1 invalid
 knot or failed check; 2 usage or parse errors, which include a
-``TIEKNOT_MAX_WINDINGS`` that is not an integer, a ``sample`` count
-outside 0..population and a negative ``series`` order.  Enumeration
-output is plain text by default, with ``--format jsonl`` /
-``--format csv`` where a record stream makes sense.  The environment
+``TIEKNOT_MAX_WINDINGS`` that is not an integer of at least 3, a
+``sample`` count outside 0..population and a negative ``series`` order.
+Enumeration output is plain text by default, with ``--format jsonl``
+/ ``--format csv`` where a record stream makes sense.  The environment
 variable ``TIEKNOT_MAX_WINDINGS`` caps enumeration sizes (default 13
 moves).
 """
@@ -13,6 +13,7 @@ moves).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -46,9 +47,12 @@ class UsageError(Exception):
 def _max_moves_cap() -> int:
     value = os.environ.get("TIEKNOT_MAX_WINDINGS", "13")
     try:
-        return int(value)
+        cap = int(value)
     except ValueError:
-        raise UsageError(f"TIEKNOT_MAX_WINDINGS must be an integer, got {value!r}") from None
+        cap = None
+    if cap is None or cap < 3:
+        raise UsageError(f"TIEKNOT_MAX_WINDINGS must be an integer >= 3 (moves), got {value!r}")
+    return cap
 
 
 def _options_from(args) -> validity.ValidityOptions:
@@ -323,6 +327,12 @@ def _add_knot_arguments(parser, with_name=False):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it unchanged)."""
+    return _parser()
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tieknot", description="Tie-knot notation, validity, enumeration and naming."
     )
@@ -336,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-tuck-depth", type=int, default=None)
     p.add_argument("--max-moves", type=int, default=13)
     p.add_argument("--format", choices=["plain", "json"], default="plain")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("convert", help="convert between the notations")
     p.add_argument("string")
@@ -344,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--annotate", action="store_true", help="add i/o marks to region text")
     p.add_argument("--mirror", action="store_true", help="reflect the knot first")
     p.add_argument("--start", default="L", choices=["L", "C", "R"])
-    p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("enumerate", help="list all knots of a language")
     p.add_argument("--class", dest="klass", default="single",
@@ -359,46 +367,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-hidden-tucks", action="store_true")
     p.add_argument("--progress", action="store_true",
                    help="report bucket completion on stderr")
-    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("series", help="print a counting series")
     p.add_argument("which", choices=sorted([*_GRAMMAR_SERIES, *_CLOSED_FORM_SERIES]))
     p.add_argument("order", type=int)
     p.add_argument("--verbose", action="store_true")
-    p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("name", help="name a knot")
     _add_knot_arguments(p, with_name=True)
-    p.set_defaults(func=cmd_name)
 
     p = sub.add_parser("instructions", help="print tying steps")
     _add_knot_arguments(p, with_name=True)
-    p.set_defaults(func=cmd_instructions)
 
     p = sub.add_parser("aesthetics", help="symmetry and balance of a knot")
     _add_knot_arguments(p, with_name=True)
-    p.set_defaults(func=cmd_aesthetics)
 
     p = sub.add_parser("sample", help="draw random single-tuck knots")
     p.add_argument("count", type=int)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-windings", type=int, default=13)
     p.add_argument("--format", choices=["plain", "jsonl"], default="plain")
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("census", help="the knot census table")
     p.add_argument("--max-windings", type=int, default=13)
     p.add_argument("--format", choices=["plain", "jsonl", "csv"], default="plain")
     p.add_argument("--no-full", action="store_true",
                    help="skip the arbitrary-depth total column")
-    p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("crosscheck", help="compare enumerators against grammars")
     p.add_argument("--max-windings", type=int, default=13,
                    help="winding-length bound for the single-tuck checks")
-    p.add_argument("--full-windings", type=int, default=12,
-                   help="winding-count bound for the arbitrary-depth check")
-    p.set_defaults(func=cmd_crosscheck)
+    p.add_argument("--full-windings", type=int, default=13,
+                   help="winding-count bound for the arbitrary-depth check (default 13)")
 
     return parser
 
@@ -410,7 +410,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        # The handler is looked up on each call rather than stored in the
+        # once-built parser, so a rebound ``cmd_*`` function takes effect.
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

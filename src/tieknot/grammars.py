@@ -26,16 +26,17 @@ full                      T,W = 1; U,' = 0         windings (moves - 1)
 ========================  =======================  ======================
 
 :func:`count_by_size` counts by dynamic programming over (nonterminal,
-size); :func:`generate` walks all derivations up to a size bound.  For
-unambiguous grammars the two agree bucket by bucket, which the test
-suite verifies against a grammar-free enumeration oracle.
+size); :func:`generate` builds each nonterminal's members size by size
+from those tables.  For unambiguous grammars the two agree bucket by
+bucket, which the test suite verifies against a grammar-free
+enumeration oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterator, Optional, Union
+from functools import cache, cached_property
+from typing import Optional, Union
 
 from .genfunc import Series
 from .notation import Region, sort_key
@@ -86,20 +87,6 @@ class Grammar:
                             f"nonterminal {item.name!r} used in {name!r} is undefined"
                         )
 
-    @property
-    def nonterminals(self):
-        return set(self.productions)
-
-    @property
-    def terminals(self):
-        return {
-            item.symbol
-            for alternatives in self.productions.values()
-            for alternative in alternatives
-            for item in alternative
-            if isinstance(item, T)
-        }
-
     def to_text(self) -> str:
         """One production per line in a plain BNF-like form."""
         lines = []
@@ -127,6 +114,11 @@ def count_by_size(grammar: Grammar, max_size: int) -> Series:
     zero-weight productions would make counts diverge and is reported as
     an error.
     """
+    return Series(tuple(_count_tables(grammar, max_size)[grammar.start]))
+
+
+def _count_tables(grammar: Grammar, max_size: int) -> dict:
+    """``counts[name][size]``: derivations of each nonterminal per size."""
     names = sorted(grammar.productions)
     counts = {name: [0] * (max_size + 1) for name in names}
 
@@ -167,7 +159,7 @@ def count_by_size(grammar: Grammar, max_size: int) -> Series:
             raise GrammarError(
                 f"zero-weight cycle: counts at size {size} do not stabilise"
             )
-    return Series(tuple(counts[grammar.start]))
+    return counts
 
 
 def generate(grammar: Grammar, max_size: int) -> list:
@@ -181,38 +173,44 @@ def generate(grammar: Grammar, max_size: int) -> list:
 
 
 def generate_with_sizes(grammar: Grammar, max_size: int) -> dict:
-    """Like :func:`generate` but returns the mapping member -> size."""
-    count_by_size(grammar, max_size)
-    sizes = {}
-    for text, size in _derivations(grammar, max_size):
-        known = sizes.get(text)
-        if known is None:
-            sizes[text] = size
-        else:
-            assert known == size, f"member {text!r} derived at two sizes"
-    return sizes
+    """Like :func:`generate` but returns the mapping member -> size.
 
+    The members of each nonterminal at each exact size are built once,
+    splitting sizes only where the counting tables are nonzero (the
+    recursive method of Nijenhuis and Wilf).
+    """
+    counts = _count_tables(grammar, max_size)
 
-def _derivations(grammar: Grammar, max_size: int) -> Iterator[tuple]:
-    def walk(items, budget):
+    @cache
+    def members(name, size):
+        # Every derivation of `name` at exactly `size`, as text.
+        return [text for alt in grammar.productions[name] for text in expand(alt, size)]
+
+    def expand(items, size):
+        # Every derivation of the item sequence at exactly `size`.
         if not items:
-            yield "", 0
-            return
+            return [""] if size == 0 else []
         head, rest = items[0], items[1:]
         if isinstance(head, T):
-            if head.weight <= budget:
-                for text, size in walk(rest, budget - head.weight):
-                    yield head.symbol + text, size + head.weight
-        else:
-            for left, left_size in derive(head.name, budget):
-                for text, size in walk(rest, budget - left_size):
-                    yield left + text, left_size + size
+            if head.weight > size:
+                return []
+            return [head.symbol + tail for tail in expand(rest, size - head.weight)]
+        out = []
+        row = counts[head.name]
+        for sub in range(size + 1):
+            if row[sub]:
+                tails = expand(rest, size - sub)
+                if tails:
+                    out += [left + tail for left in members(head.name, sub) for tail in tails]
+        return out
 
-    def derive(name, budget):
-        for alternative in grammar.productions[name]:
-            yield from walk(alternative, budget)
-
-    yield from derive(grammar.start, max_size)
+    sizes = {}
+    for size in range(max_size + 1):
+        for text in members(grammar.start, size):
+            known = sizes.setdefault(text, size)
+            assert known == size, f"member {text!r} derived at two sizes"
+    members.cache_clear()  # the two closures form a cycle; free the lists now
+    return sizes
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,9 @@
 
 Each test prints one PASS line (run with ``pytest -s`` to see them all);
 any failure is a hard test failure -- all comparisons are exact integer
-or byte equality, no tolerances.  Set TIEKNOT_EXTENDED=1 to extend the
-arbitrary-depth cross-check from 12 to 13 windings (about a minute).
+or byte equality, no tolerances.  The arbitrary-depth cross-check runs
+to 13 windings.
 """
-
-import os
-
-import pytest
 
 from tieknot import catalog, enumeration, genfunc, grammars
 from tieknot.notation import (
@@ -20,7 +16,6 @@ from tieknot.notation import (
     parse_tw,
     tw_to_clr,
 )
-EXTENDED = os.environ.get("TIEKNOT_EXTENDED") == "1"
 
 
 def ok(message):
@@ -83,8 +78,6 @@ def test_criterion_3_full_counts(full_members_12, full_oracle_12):
 
 
 def test_criterion_3_extended_to_13_windings():
-    if not EXTENDED:
-        pytest.skip("set TIEKNOT_EXTENDED=1 for the 13-winding run")
     series = grammars.count_by_size(grammars.full_grammar(), 13)
     assert series[13] == 404784
     members = grammars.generate_with_sizes(grammars.full_grammar(), 13)

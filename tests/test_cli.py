@@ -158,12 +158,16 @@ def test_aesthetics_non_canonical_start_is_one_line_error(capsys):
     "argv, env",
     [
         (["census", "--no-full"], "abc"),
+        (["census", "--no-full"], "-3"),
         (["enumerate", "--class", "fm", "--count"], "abc"),
         (["sample", "30000"], None),
         (["sample", "-1", "--max-windings", "6"], None),
         (["series", "full", "-1"], None),
     ],
-    ids=["env-census", "env-enumerate", "sample-too-many", "sample-negative", "series-negative"],
+    ids=[
+        "env-census", "env-census-negative", "env-enumerate",
+        "sample-too-many", "sample-negative", "series-negative",
+    ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, argv, env):
     if env is not None:

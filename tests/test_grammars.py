@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -83,14 +84,26 @@ def test_full_twenty_at_four_windings():
 def test_counts_match_generation_buckets():
     for grammar, bound in [
         (G.fm_grammar(), 9),
-        (G.single_tuck_tw_grammar(), 9),
-        (G.single_tuck_clr_grammar(Region.LEFT), 9),
-        (G.full_grammar(), 8),
+        (G.single_tuck_tw_grammar(), 13),
+        (G.single_tuck_clr_grammar(Region.LEFT), 13),
+        (G.single_tuck_clr_grammar(Region.RIGHT), 13),
+        (G.single_tuck_clr_grammar(Region.CENTER), 13),
+        (G.full_grammar(), 13),
     ]:
         series = G.count_by_size(grammar, bound)
-        sizes = G.generate_with_sizes(grammar, bound)
-        for size in range(bound + 1):
-            assert series[size] == sum(1 for s in sizes.values() if s == size)
+        buckets = Counter(G.generate_with_sizes(grammar, bound).values())
+        assert [buckets[size] for size in range(bound + 1)] == list(series)
+
+
+def test_ambiguous_grammar_yields_each_member_once():
+    # "xxx" derives two ways (x.xx and xx.x); the count sees both.
+    x = G.T("x")
+    pairs = G.Grammar(
+        start="s", productions={"s": ((G.N("a"), G.N("a")),), "a": ((x,), (x, x))}
+    )
+    assert list(G.count_by_size(pairs, 4)) == [0, 0, 1, 2, 1]
+    assert G.generate_with_sizes(pairs, 4) == {"xx": 2, "xxx": 3, "xxxx": 4}
+    assert G.generate(pairs, 4) == ["xx", "xxx", "xxxx"]
 
 
 def test_generate_order_is_deterministic():
@@ -110,6 +123,8 @@ def test_zero_weight_cycle_detected():
     )
     with pytest.raises(G.GrammarError):
         G.count_by_size(loop, 3)
+    with pytest.raises(G.GrammarError):
+        G.generate_with_sizes(loop, 3)
 
 
 def test_undefined_nonterminal_rejected():
