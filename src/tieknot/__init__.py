@@ -15,7 +15,6 @@ from .notation import (
     RegionWord,
     Tuck,
     Visit,
-    Wind,
     WindDir,
     canonicalize_tw,
     classify_final,

@@ -111,7 +111,7 @@ def name_of(knot: KnotWord) -> KnotName:
     if not knot.items or not isinstance(knot.items[-1], Tuck):
         raise NamingError("only knots ending in a tuck are named")
 
-    windings = "".join(d.value for d in knot.windings)
+    windings = "".join(knot.windings)
     n = len(windings)
     rank = pattern_rank(windings)  # raises when there is no final site
     if (n, 1) not in knot.tucks:
@@ -191,12 +191,18 @@ def registry(extra_path: Optional[str] = None) -> List[NamedKnot]:
     The registry file is tab-separated: common name, start region,
     winding text.  Lines starting with ``#`` are comments.
     """
-    text = resources.files("tieknot").joinpath("data/registry.tsv").read_text()
-    knots = list(_parse_registry(text))
+    knots = list(_shipped_registry())
     if extra_path is not None:
         with open(extra_path, encoding="utf-8") as handle:
             knots.extend(_parse_registry(handle.read()))
     return knots
+
+
+@lru_cache(maxsize=None)
+def _shipped_registry() -> tuple:
+    """The package's own registry, read and parsed once per process."""
+    text = resources.files("tieknot").joinpath("data/registry.tsv").read_text()
+    return tuple(_parse_registry(text))
 
 
 def _parse_registry(text: str):

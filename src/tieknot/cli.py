@@ -272,17 +272,17 @@ def cmd_aesthetics(args) -> int:
 
 def cmd_sample(args) -> int:
     max_moves = min(args.max_windings, _max_moves_cap())
-    knots = enumeration.oracle_enumerate(
-        max_moves - 1, validity.ValidityOptions(max_tuck_depth=1)
-    )
-    if not 0 <= args.count <= len(knots):
+    # Ordered by (moves, text) like the enumeration oracle's list, so a
+    # seed draws the same knots; only the knots drawn are parsed.
+    texts = grammars.generate(grammars.single_tuck_tw_grammar(), max_moves)
+    if not 0 <= args.count <= len(texts):
         raise UsageError(
-            f"sample count must be between 0 and {len(knots)} (the single-tuck knots "
+            f"sample count must be between 0 and {len(texts)} (the single-tuck knots "
             f"of at most {max_moves} moves), got {args.count}"
         )
     rng = random.Random(args.seed)
-    for index in sorted(rng.sample(range(len(knots)), args.count)):
-        knot = knots[index]
+    for index in sorted(rng.sample(range(len(texts)), args.count)):
+        knot = parse_tw(texts[index])
         if args.format == "jsonl":
             print(json.dumps(_knot_record(knot)))
         else:

@@ -1,8 +1,13 @@
 """Brute-force enumeration of knots, census tables, and cross-checks.
 
-Everything here is built without the grammar module so the two sides
-can referee each other: winding strings are enumerated directly and
-decorated with tucks according to the validity rules.
+The enumerators here are built without the grammar module so the two
+sides can referee each other: winding strings are enumerated directly
+and decorated with tucks according to the validity rules.  Two places
+use the grammars: :func:`cross_check`, which compares the two sides,
+and the total column of :func:`census`, which only needs the
+arbitrary-depth counts and takes them from the grammar's counting
+series (the cross-check and the test suite hold that series to the
+structural enumeration).
 
 Three enumerators cover the language families:
 
@@ -33,6 +38,7 @@ from collections import Counter
 from dataclasses import astuple, dataclass
 from typing import Dict, Iterable, Iterator, List, Tuple
 
+from . import grammars
 from .notation import (
     KnotWord,
     Region,
@@ -288,8 +294,9 @@ def census(max_windings: int = 12, include_full: bool = True) -> List[CensusRow]
     """The knot census by winding count (2 windings = 3 moves, up).
 
     Winding-pattern counts and per-final-region single-tuck counts come
-    from the direct enumerators; the total column is the arbitrary-depth
-    language and can be skipped when only the single-tuck side matters.
+    from the direct enumerators; the total column counts the
+    arbitrary-depth language with the full grammar's counting series and
+    can be skipped when only the single-tuck side matters.
     """
     # Pattern and knot tallies keyed by (final region, winding count).
     windings, knots = Counter(), Counter()
@@ -298,7 +305,8 @@ def census(max_windings: int = 12, include_full: bool = True) -> List[CensusRow]
             n = len(w)
             windings[region, n] += 1
             knots[region, n] += 2 ** len([p for p in depth1_sites(w) if p < n])
-    full = full_language(max_windings) if include_full else {}
+    if include_full:
+        totals = grammars.count_by_size(grammars.full_grammar(), max_windings)
     L, R, C = Region.LEFT, Region.RIGHT, Region.CENTER
     return [
         CensusRow(
@@ -311,7 +319,7 @@ def census(max_windings: int = 12, include_full: bool = True) -> List[CensusRow]
             right_knots=knots[R, n],
             center_knots=knots[C, n],
             single_tuck_knots=knots[L, n] + knots[R, n] + knots[C, n],
-            total_knots=len(full.get(n, ())),
+            total_knots=totals[n] if include_full else 0,
         )
         for n in range(2, max_windings + 1)
     ]
@@ -377,8 +385,6 @@ def cross_check(max_moves: int = 13, full_max_windings: int = 13) -> CrossCheckR
     length; the arbitrary-depth check is bounded by winding count
     separately since its language grows about ten-fold every two windings.
     """
-    from . import grammars
-
     lines = []
 
     fm_limit = min(max_moves, 9)

@@ -15,10 +15,20 @@ is the inverse.  ``U`` tucks the blade under a bow laid earlier: a run
 of k consecutive ``U`` characters is a single depth-k tuck going under
 the bow made 2k windings ago.  Distinct tucks at the same point are
 separated by ``'``.
+
+Item model.  A :class:`KnotWord` holds a start region and a tuple of
+items, each a :class:`WindDir` member (a winding, which is itself the
+one-letter string ``"T"`` or ``"W"``) or a :class:`Tuck`.  The word
+checks its items once, on construction, and records its windings and
+its ``(position, depth)`` tucks in the same walk; every derived view
+reads those two tuples.  A :class:`RegionWord` holds :class:`Visit` and
+:class:`Tuck` items.  Both notations share one reader for U runs and
+apostrophes and differ only in their letters.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
@@ -91,16 +101,6 @@ def mirror_direction(direction: WindDir) -> WindDir:
 
 
 @dataclass(frozen=True)
-class Wind:
-    """One winding move of the active blade."""
-
-    direction: WindDir
-
-    def __str__(self):
-        return self.direction.value
-
-
-@dataclass(frozen=True)
 class Tuck:
     """A single tuck under the bow made ``2 * depth`` windings ago."""
 
@@ -114,7 +114,7 @@ class Tuck:
         return "U" * self.depth
 
 
-KnotItem = Union[Wind, Tuck]
+KnotItem = Union[WindDir, Tuck]
 
 
 def _net_turns(windings: tuple) -> int:
@@ -170,27 +170,30 @@ class KnotWord:
     items: tuple = ()
 
     def __post_init__(self):
-        position = 0
+        windings, tucks = [], []
         for item in self.items:
-            if isinstance(item, Wind):
-                position += 1
+            if isinstance(item, WindDir):
+                windings.append(item)
             elif isinstance(item, Tuck):
-                if position == 0:
+                if not windings:
                     raise NotationError("tuck before any winding")
+                tucks.append((len(windings), item.depth))
             else:
                 raise TypeError(f"not a knot item: {item!r}")
+        object.__setattr__(self, "_windings", tuple(windings))
+        object.__setattr__(self, "_tucks", tuple(tucks))
 
     @property
     def windings(self) -> tuple:
-        return tuple(i.direction for i in self.items if isinstance(i, Wind))
+        return self._windings
 
     @property
     def winding_count(self) -> int:
-        return sum(1 for i in self.items if isinstance(i, Wind))
+        return len(self._windings)
 
     @property
     def move_count(self) -> int:
-        return self.winding_count + 1
+        return len(self._windings) + 1
 
     @property
     def tucks(self) -> tuple:
@@ -199,24 +202,17 @@ class KnotWord:
         The position of a tuck is the index (1-based) of the winding it
         immediately follows; several tucks may share a position.
         """
-        out = []
-        position = 0
-        for item in self.items:
-            if isinstance(item, Wind):
-                position += 1
-            else:
-                out.append((position, item.depth))
-        return tuple(out)
+        return self._tucks
 
     def metrics(self) -> KnotMetrics:
-        windings = self.windings
-        tucks = [i.depth for i in self.items if isinstance(i, Tuck)]
+        windings = self._windings
+        depths = [depth for _, depth in self._tucks]
         return KnotMetrics(
             winding_count=len(windings),
             move_count=len(windings) + 1,
-            symbol_count=len(windings) + sum(tucks),
-            tuck_count=len(tucks),
-            max_tuck_depth=max(tucks, default=0),
+            symbol_count=len(windings) + sum(depths),
+            tuck_count=len(depths),
+            max_tuck_depth=max(depths, default=0),
             net_turn=_net_turns(windings) % 3,
         )
 
@@ -265,6 +261,38 @@ class RegionWord:
         return self.serialize()
 
 
+def _read_items(text: str, tokens: re.Pattern, letters: dict, letter_name: str) -> tuple:
+    """Items of knot text in either notation; whitespace is dropped.
+
+    ``tokens`` splits the text into U runs, letters and single other
+    characters; ``letters`` maps each letter token to its item.  A run of
+    k consecutive ``U`` becomes one depth-k tuck and needs a preceding
+    letter (``letter_name`` names it in the error); an apostrophe
+    separates two tucks at one point, so it must sit between two ``U``
+    characters.  Errors carry the index in the whitespace-free text.
+    """
+    text = "".join(text.split())
+    items = []
+    for match in tokens.finditer(text):
+        symbol, index = match.group(), match.start()
+        if symbol[0] == "U":
+            if not items:
+                raise NotationError(f"tuck before any {letter_name}", index)
+            items.append(Tuck(len(symbol)))
+        elif symbol == "'":
+            if text[index - 1 : index] != "U" or text[index + 1 : index + 2] != "U":
+                raise NotationError("' must sit between two U characters", index)
+        elif symbol in letters:
+            items.append(letters[symbol])
+        else:
+            raise NotationError(f"unexpected character {symbol!r}", index)
+    return tuple(items)
+
+
+_TW_TOKENS = re.compile(r"U+|.", re.DOTALL)
+_TW_LETTERS = {d.value: d for d in WindDir}
+
+
 def parse_tw(text: str, start: Region = Region.LEFT) -> KnotWord:
     """Parse winding notation into a :class:`KnotWord`.
 
@@ -276,31 +304,7 @@ def parse_tw(text: str, start: Region = Region.LEFT) -> KnotWord:
     preceding winding.  The empty string parses to an empty word (which
     is not by itself a valid knot).
     """
-    text = "".join(text.split())
-    items = []
-    run = 0
-    seen_winding = False
-    for index, ch in enumerate(text):
-        if ch == "U":
-            if not seen_winding:
-                raise NotationError("tuck before any winding", index)
-            run += 1
-        elif ch == "'":
-            if run == 0 or index + 1 >= len(text) or text[index + 1] != "U":
-                raise NotationError("' must sit between two U characters", index)
-            items.append(Tuck(run))
-            run = 0
-        elif ch in ("T", "W"):
-            if run:
-                items.append(Tuck(run))
-                run = 0
-            items.append(Wind(WindDir(ch)))
-            seen_winding = True
-        else:
-            raise NotationError(f"unexpected character {ch!r}", index)
-    if run:
-        items.append(Tuck(run))
-    return KnotWord(start=start, items=tuple(items))
+    return KnotWord(start=start, items=_read_items(text, _TW_TOKENS, _TW_LETTERS, "winding"))
 
 
 def canonicalize_tw(text: str) -> str:
@@ -325,6 +329,13 @@ def canonicalize_tw(text: str) -> str:
     return "".join(kept)
 
 
+_CLR_TOKENS = re.compile(r"U+|[LCR][io]?|.", re.DOTALL)
+_CLR_LETTERS = {
+    str(visit): visit
+    for visit in (Visit(r, o) for r in Region for o in (None, *Orientation))
+}
+
+
 def parse_clr(text: str) -> RegionWord:
     """Parse region notation into a :class:`RegionWord`.
 
@@ -333,40 +344,7 @@ def parse_clr(text: str) -> RegionWord:
     :func:`parse_tw`; whitespace is dropped.  Adjacency violations (a
     repeated region) are a matter for validation, not parsing.
     """
-    text = "".join(text.split())
-    items = []
-    run = 0
-    seen_visit = False
-    index = 0
-    while index < len(text):
-        ch = text[index]
-        if ch == "U":
-            if not seen_visit:
-                raise NotationError("tuck before any region visit", index)
-            run += 1
-            index += 1
-        elif ch == "'":
-            if run == 0 or index + 1 >= len(text) or text[index + 1] != "U":
-                raise NotationError("' must sit between two U characters", index)
-            items.append(Tuck(run))
-            run = 0
-            index += 1
-        elif ch in ("L", "C", "R"):
-            if run:
-                items.append(Tuck(run))
-                run = 0
-            orientation = None
-            if index + 1 < len(text) and text[index + 1] in ("i", "o"):
-                orientation = Orientation(text[index + 1])
-                index += 1
-            items.append(Visit(Region(ch), orientation))
-            seen_visit = True
-            index += 1
-        else:
-            raise NotationError(f"unexpected character {ch!r}", index)
-    if run:
-        items.append(Tuck(run))
-    return RegionWord(items=tuple(items))
+    return RegionWord(items=_read_items(text, _CLR_TOKENS, _CLR_LETTERS, "region visit"))
 
 
 def infer_orientations(word: RegionWord) -> RegionWord:
@@ -411,11 +389,11 @@ def tw_to_clr(knot: KnotWord) -> RegionWord:
     items = [Visit(knot.start)]
     region = knot.start
     for item in knot.items:
-        if isinstance(item, Wind):
-            region = step_region(region, item.direction)
-            items.append(Visit(region))
-        else:
+        if isinstance(item, Tuck):
             items.append(item)
+        else:
+            region = step_region(region, item)
+            items.append(Visit(region))
     return RegionWord(items=tuple(items))
 
 
@@ -438,20 +416,14 @@ def clr_to_tw(word: RegionWord) -> KnotWord:
             continue
         if item.region == region:
             raise NotationError(f"repeated region {region.value} has no winding direction")
-        if step_region(region, WindDir.T) == item.region:
-            items.append(Wind(WindDir.T))
-        else:
-            items.append(Wind(WindDir.W))
+        items.append(WindDir.T if step_region(region, WindDir.T) == item.region else WindDir.W)
         region = item.region
     return KnotWord(start=start, items=tuple(items))
 
 
 def mirror(knot: KnotWord) -> KnotWord:
     """The mirror-image knot: start reflected, T and W exchanged."""
-    items = tuple(
-        Wind(mirror_direction(i.direction)) if isinstance(i, Wind) else i
-        for i in knot.items
-    )
+    items = tuple(i if isinstance(i, Tuck) else mirror_direction(i) for i in knot.items)
     return KnotWord(start=mirror_region(knot.start), items=items)
 
 
@@ -510,11 +482,11 @@ def render_instructions(knot: KnotWord) -> str:
     lines = []
     winding_index = 0  # completed windings; visit 0 is the start itself
     for step, item in enumerate(knot.items, start=1):
-        if isinstance(item, Wind):
+        if isinstance(item, WindDir):
             source, target = visits[winding_index], visits[winding_index + 1]
             winding_index += 1
             lines.append(
-                f"{step}. From {source.region.name.lower()}, wind {_DIRECTION_WORD[item.direction]} "
+                f"{step}. From {source.region.name.lower()}, wind {_DIRECTION_WORD[item]} "
                 f"to {target.region.name.lower()}, passing {_ORIENTATION_WORD[target.orientation]}."
             )
         else:

@@ -137,3 +137,29 @@ def test_registry_extension_file(tmp_path):
     extra.write_text("Onassis test\tL\tTTU\n")
     names = [k.common_name for k in C.registry(str(extra))]
     assert names == ["Eldredge", "Trinity", "Onassis test"]
+
+
+def test_shipped_registry_is_parsed_once(monkeypatch, tmp_path):
+    parsed = []
+
+    def counting_parse(text):
+        parsed.append(text)
+        return original(text)
+
+    original = C._parse_registry
+    monkeypatch.setattr(C, "_parse_registry", counting_parse)
+    C._shipped_registry.cache_clear()
+    assert C.lookup("Trinity").tw.serialize() == "TWWWTTTUTTU"
+    assert C.lookup("Eldredge") is not None
+    assert len(parsed) == 1
+
+    # Each call hands out its own list; an extra file is read every time.
+    first = C.registry()
+    first.clear()
+    assert len(C.registry()) == 2
+    extra = tmp_path / "more.tsv"
+    extra.write_text("Onassis test\tL\tTTU\n")
+    assert C.lookup("Onassis test", str(extra)) is not None
+    extra.write_text("Onassis test\tL\tTTUTTU\n")
+    assert C.lookup("Onassis test", str(extra)).tw.serialize() == "TTUTTU"
+    assert len(parsed) == 3

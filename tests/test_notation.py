@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,7 +9,6 @@ from tieknot.notation import (
     Orientation,
     Region,
     Tuck,
-    Wind,
     WindDir,
     classify_final,
     clr_to_tw,
@@ -207,15 +208,33 @@ def _assemble(windings, tucks):
         position = 1 + offset % n
         by_position.setdefault(position, []).append(depth)
     for position, ch in enumerate(windings, start=1):
-        items.append(Wind(WindDir(ch)))
+        items.append(WindDir(ch))
         for depth in by_position.get(position, ()):
             items.append(Tuck(depth))
     return KnotWord(items=tuple(items))
 
 
+def _tucks_in(text):
+    """(position, depth) of every U run, the position counting the windings before it."""
+    return tuple(
+        (len(re.sub("[U']", "", text[: run.start()])), len(run.group()))
+        for run in re.finditer("U+", text)
+    )
+
+
 @given(knot_words)
 def test_serialize_parse_round_trip(knot):
-    assert parse_tw(knot.serialize(), knot.start) == knot
+    text = knot.serialize()
+    assert parse_tw(text, knot.start) == knot
+    # The views stored at construction agree with the text.
+    assert "".join(knot.windings) == text.replace("U", "").replace("'", "")
+    assert knot.tucks == _tucks_in(text)
+
+
+def test_knot_word_items_are_wind_dirs_and_tucks():
+    with pytest.raises(TypeError):
+        KnotWord(items=("T",))
+    assert KnotWord(items=(WindDir.T, WindDir.T, Tuck(1))).serialize() == "TTU"
 
 
 @given(knot_words)
