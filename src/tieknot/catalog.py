@@ -9,6 +9,16 @@ from the start of the knot) is tucked.  The Trinity, for instance,
 tucks the 2nd of its pattern's internal sites, so its name ends in .2;
 the Eldredge tucks the 3rd of four, ending in .4.
 
+Ranks are computed, not looked up.  A winding pattern is a T/W stem
+followed by its last letter again, and one table counts the patterns of
+each length by net turn (#T - #W) mod 3, which fixes the final region.
+A rank adds up the classes of shorter patterns and, at each W of the
+stem, the same-class patterns that put a T there instead; unranking
+makes the same comparisons letter by letter (the recursive counting
+method of Nijenhuis & Wilf, *Combinatorial Algorithms*, 1978).  Both
+cost O(windings) table reads, so every rank names a knot that can be
+built, however large the rank.
+
 Pattern ranks depend only on this library's canonical order, so they
 are stable here but not comparable to anyone else's published indices;
 the tuck-bits component is canonical.
@@ -16,7 +26,8 @@ the tuck-bits component is canonical.
 
 from __future__ import annotations
 
-import itertools
+import re
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -28,10 +39,12 @@ from .notation import (
     Region,
     RegionWord,
     Tuck,
+    WindDir,
     parse_tw,
+    step_region,
     tw_to_clr,
 )
-from .enumeration import decorate, depth1_sites, final_region_of, winding_strings
+from .enumeration import decorate, depth1_sites, final_region_of
 
 
 class NamingError(ValueError):
@@ -59,39 +72,75 @@ class KnotName:
 
     @classmethod
     def parse(cls, text: str) -> "KnotName":
-        try:
-            head, bits = text.split(".", 1)
-            region, index = head.split("-", 1)
-            if bits and not bits.isdigit():
-                raise ValueError
-            return cls(Region(region), int(index), int(bits))
-        except ValueError as exc:
-            raise NamingError(f"not a knot name: {text!r}") from exc
+        """The name ``str`` spells as ``text``; any other spelling is refused."""
+        match = _NAME.fullmatch(text)
+        if match is not None:
+            region, index, bits, extension = match.groups()
+            try:
+                return cls(Region(region), int(index), int(bits), extension)
+            except ValueError:  # a number past Python's int-to-string digit limit
+                pass
+        raise NamingError(f"not a knot name: {text!r}")
+
+
+# Exactly the names ``KnotName.__str__`` writes: ASCII digits, no signs,
+# separators or leading zeros.
+_NAME = re.compile(r"([LCR])-([1-9][0-9]*)\.(0|[1-9][0-9]*)((?:\+p[1-9][0-9]*d[1-9][0-9]*)*)")
+
+# The final region of winding text is its start L stepped by the net
+# turn #T - #W; patterns are classed by that turn mod 3.
+_TURN_OF_REGION = {step_region(Region.LEFT, WindDir.T, turn): turn for turn in range(3)}
+
+# _PATTERNS[m][t]: winding patterns of m windings (a T/W stem, then its
+# last letter again) whose net turn is t mod 3.  Row 2 holds TT (turn 2)
+# and WW (turn -2 = 1); a T put in front of a pattern turns it by 1 more
+# and a W by 1 less, which gives each longer row from the one before.
+# Row 1 serves the rank walks: after a stem's final T only its repeat
+# can follow, turning by 1.
+_PATTERNS = [(0, 0, 0), (0, 1, 0), (0, 1, 1)]
+_GROWING = threading.Lock()  # two threads growing at once would append a row twice
+
+
+def _table(length: int) -> list:
+    """The counting table, grown to cover patterns of ``length`` windings."""
+    if len(_PATTERNS) <= length:
+        with _GROWING:
+            while len(_PATTERNS) <= length:
+                a, b, c = _PATTERNS[-1]
+                _PATTERNS.append((b + c, c + a, a + b))
+    return _PATTERNS
 
 
 @lru_cache(maxsize=None)
-def _pattern_class(region: Region, length: int) -> tuple:
-    """Winding patterns of one length and final region, alphabetical."""
-    return tuple(
-        w
-        for w in winding_strings(length)
-        if w[-1] == w[-2] and final_region_of(w) is region
-    )
-
-
-@lru_cache(maxsize=None)
-def _patterns_before(region: Region, length: int) -> int:
-    return sum(len(_pattern_class(region, m)) for m in range(2, length))
+def _patterns_before(turn: int, length: int) -> int:
+    return sum(row[turn] for row in _table(length)[2:length])
 
 
 def pattern_rank(windings: str) -> int:
     """1-based rank of a winding pattern within its final-region class,
-    ordered by length then alphabetically (T < W)."""
+    ordered by length then alphabetically (T < W).
+
+    The rank counts the shorter patterns of the class and, at each W of
+    the stem, the same-class patterns that agree up to there and put a
+    T in its place: O(windings) reads of the counting table.
+    """
     n = len(windings)
     if n < 2 or windings[-1] != windings[-2]:
         raise NamingError("not a winding pattern: no final depth-1 tuck site")
-    region = final_region_of(windings)
-    return _patterns_before(region, n) + _pattern_class(region, n).index(windings) + 1
+    turn = (n - 2 * windings.count("W")) % 3  # #T - #W
+    table = _table(n)
+    rank = _patterns_before(turn, n) + 1
+    # The patterns with a T in place of a W are that T, then a pattern of
+    # the ``rest`` windings after it turning by ``need``.
+    need, rest = turn - 1, n - 1
+    for letter in windings[:-1]:
+        if letter == "W":
+            rank += table[rest][need % 3]
+            need += 1
+        else:
+            need -= 1
+        rest -= 1
+    return rank
 
 
 def name_of(knot: KnotWord) -> KnotName:
@@ -136,18 +185,37 @@ def name_of(knot: KnotWord) -> KnotName:
 def knot_of(name: KnotName) -> KnotWord:
     """The knot a name denotes (inverse of :func:`name_of`).
 
-    Only the pure single-depth form (no extension) is constructible.
+    The pattern is unranked from the counting table: the class sizes
+    give its length, then each stem letter is a T while the rank left to
+    skip is below the number of patterns that put a T there, O(windings)
+    reads in all.  Only the pure single-depth form (no extension) is
+    constructible.
     """
     if name.extension:
         raise NamingError("names with deep-tuck extensions are not constructible")
+    turn = _TURN_OF_REGION[name.region]
     remaining = name.pattern_index - 1
-    for length in itertools.count(2):
-        group = _pattern_class(name.region, length)
-        if remaining < len(group):
-            windings = group[remaining]
-            break
-        remaining -= len(group)
-    n = len(windings)
+    # Fewer than 2^(k-1) patterns have under k windings (2^(m-1) have m),
+    # so the pattern has at least as many windings as ``remaining`` bits.
+    n = max(2, remaining.bit_length())
+    remaining -= _patterns_before(turn, n)
+    table = _table(n)
+    while remaining >= table[n][turn]:
+        remaining -= table[n][turn]
+        n += 1
+        if n == len(table):
+            _table(n)
+    stem, need = [], turn - 1  # as in pattern_rank
+    for rest in range(n - 1, 0, -1):
+        with_t = table[rest][need % 3]  # the patterns with a T here
+        if remaining < with_t:
+            stem.append("T")
+            need -= 1
+        else:
+            remaining -= with_t
+            stem.append("W")
+            need += 1
+    windings = "".join(stem) + stem[-1]
     sites = [p for p in depth1_sites(windings) if p < n]
     if name.tuck_bits >= (1 << len(sites)):
         raise NamingError(

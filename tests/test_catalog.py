@@ -1,10 +1,15 @@
-import os
+import itertools
+import random
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tieknot import catalog as C
+from tieknot import cli, genfunc
 from tieknot.notation import Region, mirror, parse_tw
-from tieknot.enumeration import oracle_enumerate
+from tieknot.enumeration import decorate, depth1_sites, final_region_of, oracle_enumerate
 from tieknot.validity import ValidityOptions
 
 TRINITY = parse_tw("TWWWTTTUTTU")
@@ -63,12 +68,80 @@ def test_knot_of_inverts_name_of_to_10_windings():
         assert C.knot_of(name) == knot
 
 
-@pytest.mark.skipif(
-    os.environ.get("TIEKNOT_EXTENDED") != "1",
-    reason="set TIEKNOT_EXTENDED=1 for the 13-move exhaustive run",
-)
 def test_knot_of_inverts_name_of_exhaustive():
     for knot in oracle_enumerate(12, ValidityOptions(max_tuck_depth=1)):
+        assert C.knot_of(C.name_of(knot)) == knot
+
+
+def _listed_classes(max_windings):
+    """Referee: list every T/W string and keep the winding patterns (last
+    two windings equal), by final region, in (length, alphabet) order."""
+    classes = {region: [] for region in Region}
+    for n in range(2, max_windings + 1):
+        for letters in itertools.product("TW", repeat=n):
+            w = "".join(letters)
+            if w[-1] == w[-2]:
+                classes[final_region_of(w)].append(w)
+    return classes
+
+
+def test_pattern_rank_matches_listing_to_14_windings():
+    for region, patterns in _listed_classes(14).items():
+        for rank, windings in enumerate(patterns, start=1):
+            assert C.pattern_rank(windings) == rank, windings
+            knot = C.knot_of(C.KnotName(region, rank, 0))
+            assert "".join(knot.windings) == windings
+
+
+@pytest.mark.parametrize("region", list(Region))
+def test_class_sizes_match_closed_forms_to_order_60(region):
+    form = cli._CLOSED_FORM_SERIES[f"windings-{region.value.lower()}"]
+    series = genfunc.expand(genfunc.parse_rational(form), 61)  # degree counts moves
+    turn = C._TURN_OF_REGION[region]
+    table = C._table(59)
+    sizes = [table[moves - 1][turn] if moves >= 3 else 0 for moves in range(61)]
+    assert list(series) == sizes
+
+
+def test_counting_table_grows_once_under_threads(monkeypatch):
+    monkeypatch.setattr(C, "_PATTERNS", [(0, 0, 0), (0, 1, 0), (0, 1, 1)])
+    start = threading.Barrier(8)
+
+    def grow(length):
+        start.wait(timeout=10)
+        C._table(length)
+
+    threads = [threading.Thread(target=grow, args=(2000 + i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    table = C._PATTERNS
+    assert len(table) == 2008
+    assert all(row == (b + c, c + a, a + b) for (a, b, c), row in zip(table[2:], table[3:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(Region)), st.integers(min_value=1, max_value=10**30))
+def test_knot_of_names_back_to_any_rank(region, index):
+    name = C.KnotName(region, index, 0)
+    assert C.name_of(C.knot_of(name)) == name
+
+
+def test_knot_of_inverts_name_of_for_long_knots():
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(17, 60)
+        stem = "".join(rng.choice("TW") for _ in range(n - 1))
+        windings = stem + stem[-1]
+        sites = [p for p in depth1_sites(windings) if p < n]
+        knot = parse_tw(decorate(windings, {p for p in sites if rng.random() < 0.5}))
         assert C.knot_of(C.name_of(knot)) == knot
 
 
@@ -92,6 +165,41 @@ def test_name_parse_round_trip():
     name = C.KnotName.parse("L-110.2")
     assert (name.region, name.pattern_index, name.tuck_bits) == (Region.LEFT, 110, 2)
     assert str(name) == "L-110.2"
+
+
+def test_name_parse_reads_back_every_printed_name():
+    from tieknot.enumeration import full_language
+
+    extended = 0
+    for members in full_language(9, canonical=True).values():
+        for text in members:
+            try:
+                name = C.name_of(parse_tw(text))
+            except C.NamingError:
+                continue
+            assert C.KnotName.parse(str(name)) == name
+            extended += bool(name.extension)
+    assert extended > 100
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["L-1_0.0", "L-+5.0", "L- 5.0", "L-1.\u0663", "L-\u0665.0", "L-01.0", "L-1.00",
+     "L-1.0 ", "L-1.0+p4", "L-1.0+p04d2", "l-1.0", "L-1", "L1.0", "L--1.0", "R-0.0"],
+)
+def test_name_parse_refuses_other_spellings(text):
+    with pytest.raises(C.NamingError, match="not a knot name"):
+        C.KnotName.parse(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="LCRQ-.+pd0123456789_ \u0663", max_size=14))
+def test_name_parse_accepts_only_what_str_writes(text):
+    try:
+        name = C.KnotName.parse(text)
+    except C.NamingError:
+        return
+    assert str(name) == text
 
 
 def test_tuck_bits_enumerate_the_pattern():

@@ -1,4 +1,7 @@
 import json
+import signal
+import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -177,6 +180,64 @@ def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, argv, env):
     assert "Traceback" not in out + err
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@contextmanager
+def _wall_bound(seconds):
+    """Raise in the body, rather than hang, once ``seconds`` of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "argv, codes",
+    [
+        (["name", "--name", "L-1000000000000.0"], {0}),
+        (["name", "--tw", "TW" * 14 + "TTU"], {0}),  # 30 windings
+        (["instructions", "--name", "L-1000000000000.0"], {1}),  # over the 13-move cap
+        (["name", "--name", "L-" + "7" * 4000 + ".0"], {0, 1}),
+    ],
+    ids=["name-large-rank", "name-30-windings", "instructions-large-rank", "name-4000-digits"],
+)
+def test_naming_answers_in_bounded_time(capsys, argv, codes):
+    start = time.perf_counter()
+    with _wall_bound(2):
+        code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert code in codes
+    assert "Traceback" not in out + err
+    assert len((out + err).splitlines()) == 1
+    if code == 0:
+        assert err == ""
+        if argv[1] == "--name":
+            assert out == argv[2] + "\n"  # the name reads back unchanged
+    else:
+        assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("text", ["L-1_0.0", "L-+5.0", "L- 5.0", "L-1.\u0663"])
+def test_name_other_spellings_are_refused(capsys, text):
+    code, out, err = run(capsys, "name", "--name", text)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: not a knot name: {text!r}\n"
+
+
+def test_deep_tuck_name_reads_back(capsys):
+    code, out, _ = run(capsys, "name", "--tw", "TWTTU'UU")
+    assert (code, out) == (0, "R-3.0+p4d2\n")
+    code, out, err = run(capsys, "name", "--name", "R-3.0+p4d2")
+    assert code == 1 and out == ""
+    assert err == "error: names with deep-tuck extensions are not constructible\n"
 
 
 def test_instructions_by_name(capsys):
