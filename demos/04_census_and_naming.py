@@ -12,7 +12,6 @@ from tieknot import (
     parse_tw,
     registry,
     symmetry,
-    winding_patterns,
 )
 from tieknot.catalog import KnotName
 from tieknot.enumeration import CensusRow
@@ -28,9 +27,9 @@ print("totals: single-tuck", sum(r.single_tuck_knots for r in rows),
 
 # 4,094 winding patterns anchor those knots, split almost evenly by
 # final region (left-final ones lack the two shortest lengths).
-patterns = winding_patterns(12)
-print("\nwinding patterns:", {r.value: len(v) for r, v in patterns.items()},
-      "total", sum(len(v) for v in patterns.values()))
+patterns = {region: sum(getattr(r, f"{column}_windings") for r in rows)
+            for region, column in (("L", "left"), ("R", "right"), ("C", "center"))}
+print("\nwinding patterns:", patterns, "total", sum(patterns.values()))
 
 # Names: pattern rank within the final-region class, then a bit mask of
 # internal tucks.  The registry ships the two celebrated thin-blade knots.

@@ -56,7 +56,6 @@ from .enumeration import (
     full_language,
     hidden_tuck_counts,
     oracle_enumerate,
-    winding_patterns,
 )
 from .catalog import (
     KnotName,

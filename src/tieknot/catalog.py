@@ -11,13 +11,14 @@ the Eldredge tucks the 3rd of four, ending in .4.
 
 Ranks are computed, not looked up.  A winding pattern is a T/W stem
 followed by its last letter again, and one table counts the patterns of
-each length by net turn (#T - #W) mod 3, which fixes the final region.
-A rank adds up the classes of shorter patterns and, at each W of the
-stem, the same-class patterns that put a T there instead; unranking
-makes the same comparisons letter by letter (the recursive counting
-method of Nijenhuis & Wilf, *Combinatorial Algorithms*, 1978).  Both
-cost O(windings) table reads, so every rank names a knot that can be
-built, however large the rank.
+each length, and those shorter, by net turn (#T - #W) mod 3, which
+fixes the final region; :mod:`tieknot.enumeration` owns that table and
+its census reads it too.  A rank adds up the shorter patterns of the
+class and, at each W of the stem, the same-class patterns that put a T
+there instead; :func:`pattern_of` unranks by the same comparisons
+letter by letter (the recursive counting method of Nijenhuis & Wilf,
+*Combinatorial Algorithms*, 1978).  Both cost O(windings) table reads,
+so every rank names a knot that can be built, however large the rank.
 
 Pattern ranks depend only on this library's canonical order, so they
 are stable here but not comparable to anyone else's published indices;
@@ -26,8 +27,9 @@ the tuck-bits component is canonical.
 
 from __future__ import annotations
 
+import math
 import re
-import threading
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -39,12 +41,10 @@ from .notation import (
     Region,
     RegionWord,
     Tuck,
-    WindDir,
     parse_tw,
-    step_region,
     tw_to_clr,
 )
-from .enumeration import decorate, depth1_sites, final_region_of
+from .enumeration import TURN_OF_REGION, decorate, depth1_sites, final_region_of, pattern_table
 
 
 class NamingError(ValueError):
@@ -68,7 +68,16 @@ class KnotName:
             raise NamingError("tuck bits must be nonnegative")
 
     def __str__(self):
-        return f"{self.region.value}-{self.pattern_index}.{self.tuck_bits}{self.extension}"
+        try:
+            return f"{self.region.value}-{self.pattern_index}.{self.tuck_bits}{self.extension}"
+        except ValueError:  # a number past Python's int-to-string digit limit
+            number = max(self.pattern_index, self.tuck_bits)
+            what = "pattern rank" if number == self.pattern_index else "tuck-bit number"
+            digits = math.floor((number.bit_length() - 1) * math.log10(2)) + 1
+            digits += number >= 10**digits  # the estimate is at most one short
+            limit = sys.get_int_max_str_digits()
+            message = f"a name whose {what} has {digits} digits cannot be printed (at most {limit})"
+            raise NamingError(message) from None
 
     @classmethod
     def parse(cls, text: str) -> "KnotName":
@@ -87,35 +96,6 @@ class KnotName:
 # separators or leading zeros.
 _NAME = re.compile(r"([LCR])-([1-9][0-9]*)\.(0|[1-9][0-9]*)((?:\+p[1-9][0-9]*d[1-9][0-9]*)*)")
 
-# The final region of winding text is its start L stepped by the net
-# turn #T - #W; patterns are classed by that turn mod 3.
-_TURN_OF_REGION = {step_region(Region.LEFT, WindDir.T, turn): turn for turn in range(3)}
-
-# _PATTERNS[m][t]: winding patterns of m windings (a T/W stem, then its
-# last letter again) whose net turn is t mod 3.  Row 2 holds TT (turn 2)
-# and WW (turn -2 = 1); a T put in front of a pattern turns it by 1 more
-# and a W by 1 less, which gives each longer row from the one before.
-# Row 1 serves the rank walks: after a stem's final T only its repeat
-# can follow, turning by 1.
-_PATTERNS = [(0, 0, 0), (0, 1, 0), (0, 1, 1)]
-_GROWING = threading.Lock()  # two threads growing at once would append a row twice
-
-
-def _table(length: int) -> list:
-    """The counting table, grown to cover patterns of ``length`` windings."""
-    if len(_PATTERNS) <= length:
-        with _GROWING:
-            while len(_PATTERNS) <= length:
-                a, b, c = _PATTERNS[-1]
-                _PATTERNS.append((b + c, c + a, a + b))
-    return _PATTERNS
-
-
-@lru_cache(maxsize=None)
-def _patterns_before(turn: int, length: int) -> int:
-    return sum(row[turn] for row in _table(length)[2:length])
-
-
 def pattern_rank(windings: str) -> int:
     """1-based rank of a winding pattern within its final-region class,
     ordered by length then alphabetically (T < W).
@@ -128,14 +108,14 @@ def pattern_rank(windings: str) -> int:
     if n < 2 or windings[-1] != windings[-2]:
         raise NamingError("not a winding pattern: no final depth-1 tuck site")
     turn = (n - 2 * windings.count("W")) % 3  # #T - #W
-    table = _table(n)
-    rank = _patterns_before(turn, n) + 1
+    table = pattern_table(n)  # rows of (count, shorter) by turn
+    rank = table[n][1][turn] + 1
     # The patterns with a T in place of a W are that T, then a pattern of
     # the ``rest`` windings after it turning by ``need``.
     need, rest = turn - 1, n - 1
     for letter in windings[:-1]:
         if letter == "W":
-            rank += table[rest][need % 3]
+            rank += table[rest][0][need % 3]
             need += 1
         else:
             need -= 1
@@ -166,7 +146,7 @@ def name_of(knot: KnotWord) -> KnotName:
     if (n, 1) not in knot.tucks:
         raise NamingError("no final depth-1 tuck to anchor the pattern name")
 
-    sites = [p for p in depth1_sites(windings) if p < n]
+    sites = depth1_sites(windings)[:-1]  # all but the final site
     shallow = {p for p, depth in knot.tucks if depth == 1 and p < n}
     stray = shallow - set(sites)
     if stray:
@@ -182,32 +162,28 @@ def name_of(knot: KnotWord) -> KnotName:
     return KnotName(final_region_of(windings), rank, bits, extension)
 
 
-def knot_of(name: KnotName) -> KnotWord:
-    """The knot a name denotes (inverse of :func:`name_of`).
+def pattern_of(region: Region, rank: int) -> str:
+    """The winding pattern of 1-based ``rank`` in ``region``'s class
+    (inverse of :func:`pattern_rank`).
 
-    The pattern is unranked from the counting table: the class sizes
-    give its length, then each stem letter is a T while the rank left to
-    skip is below the number of patterns that put a T there, O(windings)
-    reads in all.  Only the pure single-depth form (no extension) is
-    constructible.
+    The class's running totals give the pattern's length, then each stem
+    letter is a T while the rank left to skip is below the number of
+    patterns that put a T there: O(windings) reads of the counting table.
     """
-    if name.extension:
-        raise NamingError("names with deep-tuck extensions are not constructible")
-    turn = _TURN_OF_REGION[name.region]
-    remaining = name.pattern_index - 1
+    if rank < 1:
+        raise NamingError("pattern ranks are 1-based")
+    turn = TURN_OF_REGION[region]
+    remaining = rank - 1
     # Fewer than 2^(k-1) patterns have under k windings (2^(m-1) have m),
     # so the pattern has at least as many windings as ``remaining`` bits.
     n = max(2, remaining.bit_length())
-    remaining -= _patterns_before(turn, n)
-    table = _table(n)
-    while remaining >= table[n][turn]:
-        remaining -= table[n][turn]
+    while pattern_table(n + 1)[n + 1][1][turn] <= remaining:  # the class to n windings
         n += 1
-        if n == len(table):
-            _table(n)
+    table = pattern_table(n)  # rows of (count, shorter) by turn
+    remaining -= table[n][1][turn]
     stem, need = [], turn - 1  # as in pattern_rank
     for rest in range(n - 1, 0, -1):
-        with_t = table[rest][need % 3]  # the patterns with a T here
+        with_t = table[rest][0][need % 3]  # the patterns with a T here
         if remaining < with_t:
             stem.append("T")
             need -= 1
@@ -215,8 +191,20 @@ def knot_of(name: KnotName) -> KnotWord:
             remaining -= with_t
             stem.append("W")
             need += 1
-    windings = "".join(stem) + stem[-1]
-    sites = [p for p in depth1_sites(windings) if p < n]
+    return "".join(stem) + stem[-1]
+
+
+def knot_of(name: KnotName) -> KnotWord:
+    """The knot a name denotes (inverse of :func:`name_of`).
+
+    The winding pattern comes from :func:`pattern_of`, O(windings) reads
+    of the counting table.  Only the pure single-depth form (no
+    extension) is constructible.
+    """
+    if name.extension:
+        raise NamingError("names with deep-tuck extensions are not constructible")
+    windings = pattern_of(name.region, name.pattern_index)
+    sites = depth1_sites(windings)[:-1]  # all but the final site
     if name.tuck_bits >= (1 << len(sites)):
         raise NamingError(
             f"tuck bits {name.tuck_bits} out of range: pattern has {len(sites)} internal sites"

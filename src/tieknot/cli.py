@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import random
@@ -139,11 +140,13 @@ def _enumerate_knots(args):
             allow_hidden_tucks=args.allow_hidden_tucks,
         )
         yield from enumeration.oracle_enumerate(max_moves - 1, opts)
-    else:  # windings
-        patterns = enumeration.winding_patterns(max_moves - 1)
+    else:  # windings: each class unranked in rank order, one pattern at a time
         for region in (Region.LEFT, Region.RIGHT, Region.CENTER):
-            for w in sorted(patterns[region], key=lambda s: (len(s), s)):
-                yield parse_tw(w)
+            for rank in itertools.count(1):
+                windings = catalog.pattern_of(region, rank)
+                if len(windings) >= max_moves:
+                    break
+                yield parse_tw(windings)
 
 
 def cmd_enumerate(args) -> int:

@@ -2,12 +2,11 @@
 
 The enumerators here are built without the grammar module so the two
 sides can referee each other: winding strings are enumerated directly
-and decorated with tucks according to the validity rules.  Two places
-use the grammars: :func:`cross_check`, which compares the two sides,
-and the total column of :func:`census`, which only needs the
-arbitrary-depth counts and takes them from the grammar's counting
-series (the cross-check and the test suite hold that series to the
-structural enumeration).
+and decorated with tucks according to the validity rules.  The census
+lists nothing: it reads the winding patterns' counting table
+(:func:`pattern_table`, which :mod:`tieknot.catalog` ranks names with)
+and the grammars' counting series, and :func:`cross_check` compares
+the enumerators with the grammars.
 
 Three enumerators cover the language families:
 
@@ -34,7 +33,7 @@ window) that the language does not contain.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+import threading
 from dataclasses import astuple, dataclass
 from typing import Dict, Iterable, Iterator, List, Tuple
 
@@ -77,15 +76,29 @@ def depth1_sites(windings: str, opts: ValidityOptions = DEFAULT_OPTIONS) -> List
     return out
 
 
-def winding_patterns(max_windings: int) -> Dict[Region, List[str]]:
-    """All winding patterns (strings ending on a depth-1 tuck site) with
-    at most ``max_windings`` windings, keyed by final region."""
-    out = {Region.LEFT: [], Region.RIGHT: [], Region.CENTER: []}
-    for n in range(2, max_windings + 1):
-        for w in winding_strings(n):
-            if w[-1] == w[-2]:
-                out[final_region_of(w)].append(w)
-    return out
+# The final region of winding text is its start L stepped by the net
+# turn #T - #W; winding patterns are classed by that turn mod 3.
+TURN_OF_REGION = {step_region(Region.LEFT, WindDir.T, turn): turn for turn in range(3)}
+
+# _PATTERNS[m] = (count, shorter): count[t] is the number of winding
+# patterns of m windings (a T/W stem, then its last letter again) whose
+# net turn is t mod 3, and shorter[t] the number of 2..m-1 windings.
+# Row 2 counts TT (turn 2) and WW (turn -2 = 1); a T put in front of a
+# pattern turns it by 1 more and a W by 1 less, which gives each longer
+# row from the one before.  Row 1 serves the rank walks: after a stem's
+# final T only its repeat can follow, turning by 1.
+_PATTERNS = [((0, 0, 0), (0, 0, 0)), ((0, 1, 0), (0, 0, 0)), ((0, 1, 1), (0, 0, 0))]
+_GROWING = threading.Lock()  # two threads growing at once would append a row twice
+
+
+def pattern_table(length: int) -> list:
+    """The winding-pattern counting table, grown to cover ``length`` windings."""
+    if len(_PATTERNS) <= length:
+        with _GROWING:
+            while len(_PATTERNS) <= length:
+                (a, b, c), (x, y, z) = _PATTERNS[-1]
+                _PATTERNS.append(((b + c, c + a, a + b), (x + a, y + b, z + c)))
+    return _PATTERNS
 
 
 def single_tuck_knots(
@@ -293,36 +306,28 @@ class CensusRow:
 def census(max_windings: int = 12, include_full: bool = True) -> List[CensusRow]:
     """The knot census by winding count (2 windings = 3 moves, up).
 
-    Winding-pattern counts and per-final-region single-tuck counts come
-    from the direct enumerators; the total column counts the
-    arbitrary-depth language with the full grammar's counting series and
-    can be skipped when only the single-tuck side matters.
+    Every column is read from a counting table, so nothing is listed:
+    the winding-pattern columns from :func:`pattern_table` by each final
+    region's turn, the per-region knot columns from the region-final
+    single-tuck grammars at n + 1 moves, and the total column from the
+    full grammar's counting series, which can be skipped when only the
+    single-tuck side matters.
     """
-    # Pattern and knot tallies keyed by (final region, winding count).
-    windings, knots = Counter(), Counter()
-    for region, strings in winding_patterns(max_windings).items():
-        for w in strings:
-            n = len(w)
-            windings[region, n] += 1
-            knots[region, n] += 2 ** len([p for p in depth1_sites(w) if p < n])
+    patterns = pattern_table(max_windings)
+    regions = (Region.LEFT, Region.RIGHT, Region.CENTER)  # the column order
+    knots = [
+        grammars.count_by_size(grammars.single_tuck_clr_grammar(region), max_windings + 1)
+        for region in regions
+    ]
     if include_full:
         totals = grammars.count_by_size(grammars.full_grammar(), max_windings)
-    L, R, C = Region.LEFT, Region.RIGHT, Region.CENTER
-    return [
-        CensusRow(
-            winding_count=n,
-            move_count=n + 1,
-            left_windings=windings[L, n],
-            right_windings=windings[R, n],
-            center_windings=windings[C, n],
-            left_knots=knots[L, n],
-            right_knots=knots[R, n],
-            center_knots=knots[C, n],
-            single_tuck_knots=knots[L, n] + knots[R, n] + knots[C, n],
-            total_knots=totals[n] if include_full else 0,
-        )
-        for n in range(2, max_windings + 1)
-    ]
+    rows = []
+    for n in range(2, max_windings + 1):
+        windings = [patterns[n][0][TURN_OF_REGION[region]] for region in regions]
+        per_region = [series[n + 1] for series in knots]
+        total = totals[n] if include_full else 0
+        rows.append(CensusRow(n, n + 1, *windings, *per_region, sum(per_region), total))
+    return rows
 
 
 def hidden_tuck_counts(max_windings: int) -> Dict[int, int]:

@@ -6,6 +6,8 @@ or byte equality, no tolerances.  The arbitrary-depth cross-check runs
 to 13 windings.
 """
 
+from dataclasses import astuple
+
 from tieknot import catalog, enumeration, genfunc, grammars
 from tieknot.notation import (
     Region,
@@ -102,13 +104,20 @@ def test_criterion_4_the_twenty_strings(full_members_12):
     ok("criterion 4: the 20 four-winding knots match byte for byte")
 
 
-def test_criterion_5_winding_patterns(census_12):
-    patterns = enumeration.winding_patterns(12)
-    assert len(patterns[Region.LEFT]) == 1364
-    assert len(patterns[Region.RIGHT]) == 1365
-    assert len(patterns[Region.CENTER]) == 1365
-    assert sum(len(v) for v in patterns.values()) == 4094
-    assert sum(len(v) for v in enumeration.winding_patterns(11).values()) == 2046
+def test_criterion_5_winding_patterns(census_12, listed_classes):
+    listed = listed_classes(12)
+    columns = {
+        Region.LEFT: sum(row.left_windings for row in census_12),
+        Region.RIGHT: sum(row.right_windings for row in census_12),
+        Region.CENTER: sum(row.center_windings for row in census_12),
+    }
+    for patterns in ({r: len(v) for r, v in listed.items()}, columns):
+        assert patterns[Region.LEFT] == 1364
+        assert patterns[Region.RIGHT] == 1365
+        assert patterns[Region.CENTER] == 1365
+        assert sum(patterns.values()) == 4094
+    assert sum(len(v) for v in listed_classes(11).values()) == 2046
+    assert sum(sum(astuple(row)[2:5]) for row in census_12[:-1]) == 2046
     for column in ("left_knots", "right_knots", "center_knots"):
         assert sum(getattr(row, column) for row in census_12) == 8294
     ok("criterion 5: winding patterns 1,364/1,365/1,365 (4,094; 2,046 to 12 moves); 8,294 knots per region")

@@ -1,13 +1,11 @@
-import itertools
 import random
-import sys
-import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tieknot import catalog as C
 from tieknot import cli, genfunc
+from tieknot import enumeration as E
 from tieknot.notation import Region, mirror, parse_tw
 from tieknot.enumeration import decorate, depth1_sites, final_region_of, oracle_enumerate
 from tieknot.validity import ValidityOptions
@@ -73,22 +71,11 @@ def test_knot_of_inverts_name_of_exhaustive():
         assert C.knot_of(C.name_of(knot)) == knot
 
 
-def _listed_classes(max_windings):
-    """Referee: list every T/W string and keep the winding patterns (last
-    two windings equal), by final region, in (length, alphabet) order."""
-    classes = {region: [] for region in Region}
-    for n in range(2, max_windings + 1):
-        for letters in itertools.product("TW", repeat=n):
-            w = "".join(letters)
-            if w[-1] == w[-2]:
-                classes[final_region_of(w)].append(w)
-    return classes
-
-
-def test_pattern_rank_matches_listing_to_14_windings():
-    for region, patterns in _listed_classes(14).items():
+def test_pattern_rank_matches_listing_to_14_windings(listed_classes):
+    for region, patterns in listed_classes(14).items():
         for rank, windings in enumerate(patterns, start=1):
             assert C.pattern_rank(windings) == rank, windings
+            assert C.pattern_of(region, rank) == windings
             knot = C.knot_of(C.KnotName(region, rank, 0))
             assert "".join(knot.windings) == windings
 
@@ -96,35 +83,14 @@ def test_pattern_rank_matches_listing_to_14_windings():
 @pytest.mark.parametrize("region", list(Region))
 def test_class_sizes_match_closed_forms_to_order_60(region):
     form = cli._CLOSED_FORM_SERIES[f"windings-{region.value.lower()}"]
-    series = genfunc.expand(genfunc.parse_rational(form), 61)  # degree counts moves
-    turn = C._TURN_OF_REGION[region]
-    table = C._table(59)
-    sizes = [table[moves - 1][turn] if moves >= 3 else 0 for moves in range(61)]
-    assert list(series) == sizes
-
-
-def test_counting_table_grows_once_under_threads(monkeypatch):
-    monkeypatch.setattr(C, "_PATTERNS", [(0, 0, 0), (0, 1, 0), (0, 1, 1)])
-    start = threading.Barrier(8)
-
-    def grow(length):
-        start.wait(timeout=10)
-        C._table(length)
-
-    threads = [threading.Thread(target=grow, args=(2000 + i,)) for i in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    table = C._PATTERNS
-    assert len(table) == 2008
-    assert all(row == (b + c, c + a, a + b) for (a, b, c), row in zip(table[2:], table[3:]))
+    series = list(genfunc.expand(genfunc.parse_rational(form), 61))  # degree counts moves
+    turn = E.TURN_OF_REGION[region]
+    table = E.pattern_table(60)
+    sizes = [table[moves - 1][0][turn] if moves >= 3 else 0 for moves in range(61)]
+    assert series == sizes
+    # The running totals count the class's patterns of fewer windings.
+    for windings in range(2, 61):
+        assert table[windings][1][turn] == sum(series[: windings + 1])
 
 
 @settings(max_examples=300, deadline=None)
@@ -159,6 +125,15 @@ def test_knot_of_range_checks():
         C.KnotName.parse("R-0.0")
     with pytest.raises(C.NamingError):
         C.KnotName.parse("Trinity")
+
+
+def test_name_too_long_to_print_says_how_long():
+    with pytest.raises(C.NamingError, match="pattern rank has 5001 digits"):
+        str(C.KnotName(Region.LEFT, 10**5000, 0))
+    with pytest.raises(C.NamingError, match="tuck-bit number has 4400 digits"):
+        str(C.KnotName(Region.LEFT, 1, 10**4400 - 1))
+    with pytest.raises(C.NamingError, match="1-based"):
+        C.pattern_of(Region.LEFT, 0)
 
 
 def test_name_parse_round_trip():

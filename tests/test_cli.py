@@ -1,5 +1,7 @@
+import io
 import json
 import signal
+import sys
 import time
 from contextlib import contextmanager
 
@@ -222,6 +224,44 @@ def test_naming_answers_in_bounded_time(capsys, argv, codes):
             assert out == argv[2] + "\n"  # the name reads back unchanged
     else:
         assert out == "" and err.startswith("error:")
+
+
+def test_name_too_long_to_print_is_one_line_error(capsys):
+    # About 14,400 windings: the pattern rank has more digits than an int prints.
+    with _wall_bound(2):
+        code, out, err = run(capsys, "name", "--tw", "TW" * 7200 + "TTU")
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert err == "error: a name whose pattern rank has 4335 digits cannot be printed (at most 4300)\n"
+
+
+def test_census_answers_in_bounded_time_past_the_default_cap(capsys, monkeypatch):
+    monkeypatch.setenv("TIEKNOT_MAX_WINDINGS", "61")
+    with _wall_bound(2):
+        code, out, err = run(capsys, "census", "--max-windings", "61", "--format", "csv")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 1 + 59  # header + windings 2..60
+    assert lines[-1].startswith(f"60,61,{(2 ** 59 - 1) // 3},")
+
+
+class _OneLineStdout(io.StringIO):
+    """A pipe whose reader leaves after the first line."""
+
+    def write(self, text):
+        if "\n" in self.getvalue():
+            raise BrokenPipeError
+        return super().write(text)
+
+
+def test_enumerate_windings_streams_its_first_pattern(monkeypatch):
+    monkeypatch.setenv("TIEKNOT_MAX_WINDINGS", "40")
+    stdout = _OneLineStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    with _wall_bound(2):
+        code = main(["enumerate", "--class", "windings", "--max-windings", "40"])
+    assert code == 0
+    assert stdout.getvalue() == "TTT\n"  # the first left-final pattern
 
 
 @pytest.mark.parametrize("text", ["L-1_0.0", "L-+5.0", "L- 5.0", "L-1.\u0663"])

@@ -1,3 +1,8 @@
+import sys
+import threading
+from collections import Counter
+from dataclasses import astuple, replace
+
 from tieknot import enumeration as E
 from tieknot import grammars as G
 from tieknot.notation import Region, parse_tw, sort_key
@@ -32,37 +37,51 @@ def test_every_single_tuck_knot_validates():
         assert validate(parse_tw(text)).valid, text
 
 
-def test_winding_patterns_small():
-    patterns = E.winding_patterns(2)
+def test_winding_patterns_small(listed_classes):
+    patterns = listed_classes(2)
     assert patterns[Region.RIGHT] == ["TT"]
     assert patterns[Region.CENTER] == ["WW"]
     assert patterns[Region.LEFT] == []
+    (row,) = E.census(2, include_full=False)
+    assert (row.left_windings, row.right_windings, row.center_windings) == (0, 1, 1)
 
 
-def test_winding_pattern_totals():
-    patterns = E.winding_patterns(12)
-    assert len(patterns[Region.LEFT]) == 1364
-    assert len(patterns[Region.RIGHT]) == 1365
-    assert len(patterns[Region.CENTER]) == 1365
-    to_11 = E.winding_patterns(11)
-    assert sum(len(v) for v in to_11.values()) == 2046
-    assert all(len(v) == 682 for v in to_11.values())
+def _census_windings(rows):
+    """Winding patterns per final region, summed over census rows."""
+    return {
+        Region.LEFT: sum(r.left_windings for r in rows),
+        Region.RIGHT: sum(r.right_windings for r in rows),
+        Region.CENTER: sum(r.center_windings for r in rows),
+    }
 
 
-def test_winding_pattern_counts_run_through_powers_of_two():
-    patterns = E.winding_patterns(10)
+def test_winding_pattern_totals(listed_classes):
+    for counts in ({r: len(v) for r, v in listed_classes(12).items()},
+                   _census_windings(E.census(12, include_full=False))):
+        assert counts[Region.LEFT] == 1364
+        assert counts[Region.RIGHT] == 1365
+        assert counts[Region.CENTER] == 1365
+    for counts in ({r: len(v) for r, v in listed_classes(11).items()},
+                   _census_windings(E.census(11, include_full=False))):
+        assert sum(counts.values()) == 2046
+        assert all(count == 682 for count in counts.values())
+
+
+def test_winding_pattern_counts_run_through_powers_of_two(listed_classes):
     by_length = {}
-    for strings in patterns.values():
+    for strings in listed_classes(10).values():
         for w in strings:
             by_length[len(w)] = by_length.get(len(w), 0) + 1
-    for n in range(2, 11):
+    for row in E.census(10, include_full=False):
+        n = row.winding_count
         assert by_length[n] == 2 ** (n - 1)
+        assert row.left_windings + row.right_windings + row.center_windings == 2 ** (n - 1)
 
 
-def test_mirror_bijection_on_patterns():
+def test_mirror_bijection_on_patterns(listed_classes):
     # Swapping T and W maps center-final patterns onto right-final ones
     # and left-final patterns onto themselves, preserving length.
-    patterns = E.winding_patterns(13)
+    patterns = listed_classes(13)
     swap = str.maketrans("TW", "WT")
     center = set(patterns[Region.CENTER])
     right = set(patterns[Region.RIGHT])
@@ -100,6 +119,67 @@ def test_census_csv_shape(census_12):
     line = census_12[0].csv_line()
     assert line.count(",") == E.CensusRow.CSV_HEADER.count(",")
     assert set(census_12[0].to_dict()) == set(E.CensusRow.CSV_HEADER.split(","))
+
+
+def _listed_census(listed_classes, max_windings):
+    """Referee census by listing: each listed pattern adds 2 to the power
+    of its internal depth-1 sites to its region's knot column."""
+    rows = {n: {"windings": Counter(), "knots": Counter()} for n in range(2, max_windings + 1)}
+    for region, patterns in listed_classes(max_windings).items():
+        for w in patterns:
+            n = len(w)
+            rows[n]["windings"][region] += 1
+            rows[n]["knots"][region] += 2 ** len([p for p in E.depth1_sites(w) if p < n])
+    regions = (Region.LEFT, Region.RIGHT, Region.CENTER)
+    return [
+        (n, n + 1, *(row["windings"][r] for r in regions), *(row["knots"][r] for r in regions),
+         sum(row["knots"].values()))
+        for n, row in rows.items()
+    ]
+
+
+def test_table_census_matches_listed_census_to_16_windings(listed_classes):
+    listed = _listed_census(listed_classes, 16)
+    for include_full in (False, True):
+        rows = E.census(16, include_full=include_full)
+        assert [astuple(row)[:-1] for row in rows] == listed
+    table = E.pattern_table(16)  # the windings columns are its rows, by turn
+    for row in rows:
+        count = table[row.winding_count][0]
+        assert (row.left_windings, row.right_windings, row.center_windings) == tuple(
+            count[E.TURN_OF_REGION[region]] for region in (Region.LEFT, Region.RIGHT, Region.CENTER)
+        )
+    totals = G.count_by_size(G.full_grammar(), 16)
+    assert [row.total_knots for row in rows] == [totals[n] for n in range(2, 17)]
+    for n in (2, 3, 5, 11, 12):
+        assert E.census(n) == rows[: n - 1]
+        assert E.census(n, include_full=False) == [replace(r, total_knots=0) for r in rows[: n - 1]]
+    assert E.census(1) == E.census(0) == []
+
+
+def test_pattern_table_grows_once_under_threads(monkeypatch):
+    monkeypatch.setattr(E, "_PATTERNS", list(E._PATTERNS[:3]))
+    start = threading.Barrier(8)
+
+    def grow(length):
+        start.wait(timeout=10)
+        E.pattern_table(length)
+
+    threads = [threading.Thread(target=grow, args=(2000 + i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    table = E._PATTERNS
+    assert len(table) == 2008
+    for ((a, b, c), (x, y, z)), row in zip(table[2:], table[3:]):
+        assert row == ((b + c, c + a, a + b), (x + a, y + b, z + c))
 
 
 def test_full_language_matches_grammar(full_members_12, full_oracle_12):
