@@ -10,15 +10,14 @@ tucks the 2nd of its pattern's internal sites, so its name ends in .2;
 the Eldredge tucks the 3rd of four, ending in .4.
 
 Ranks are computed, not looked up.  A winding pattern is a T/W stem
-followed by its last letter again, and one table counts the patterns of
-each length, and those shorter, by net turn (#T - #W) mod 3, which
-fixes the final region; :mod:`tieknot.enumeration` owns that table and
-its census reads it too.  A rank adds up the shorter patterns of the
-class and, at each W of the stem, the same-class patterns that put a T
-there instead; :func:`pattern_of` unranks by the same comparisons
-letter by letter (the recursive counting method of Nijenhuis & Wilf,
-*Combinatorial Algorithms*, 1978).  Both cost O(windings) table reads,
-so every rank names a knot that can be built, however large the rank.
+followed by its last letter again; :mod:`tieknot.enumeration` counts
+the patterns of each length, and those shorter, by net turn (#T - #W)
+mod 3, which fixes the final region, in closed form.  A rank adds up the
+shorter patterns of the class and, at each W of the stem, the same-class
+patterns that put a T there instead; :func:`pattern_of` unranks by the
+same comparisons letter by letter (the recursive counting method of
+Nijenhuis & Wilf, *Combinatorial Algorithms*, 1978).  Both take
+O(windings) steps and keep nothing, so any rank names a buildable knot.
 
 Pattern ranks depend only on this library's canonical order, so they
 are stable here but not comparable to anyone else's published indices;
@@ -44,7 +43,8 @@ from .notation import (
     parse_tw,
     tw_to_clr,
 )
-from .enumeration import TURN_OF_REGION, decorate, depth1_sites, final_region_of, pattern_table
+from .enumeration import PATTERN_SKEW, TURN_OF_REGION, patterns_below
+from .enumeration import decorate, depth1_sites, final_region_of
 
 
 class NamingError(ValueError):
@@ -102,24 +102,25 @@ def pattern_rank(windings: str) -> int:
 
     The rank counts the shorter patterns of the class and, at each W of
     the stem, the same-class patterns that agree up to there and put a
-    T in its place: O(windings) reads of the counting table.
+    T in its place: O(windings) steps.
     """
     n = len(windings)
     if n < 2 or windings[-1] != windings[-2]:
         raise NamingError("not a winding pattern: no final depth-1 tuck site")
     turn = (n - 2 * windings.count("W")) % 3  # #T - #W
-    table = pattern_table(n)  # rows of (count, shorter) by turn
-    rank = table[n][1][turn] + 1
-    # The patterns with a T in place of a W are that T, then a pattern of
-    # the ``rest`` windings after it turning by ``need``.
-    need, rest = turn - 1, n - 1
-    for letter in windings[:-1]:
+    rank = patterns_below(n, turn) + 1
+    # A T in place of a W is followed by pattern_count(rest, need) patterns, (2^(rest-1) +
+    # PATTERN_SKEW[at]) / 3 with at = 4 need + 3 rest (mod 6): down at a T, up at a W.
+    at, power = 4 * (turn - 1) + 3 * (n - 1), 1 << (n - 2)
+    for letter in windings[:-2]:
         if letter == "W":
-            rank += table[rest][0][need % 3]
-            need += 1
+            rank += (power + PATTERN_SKEW[at % 6]) // 3
+            at += 1
         else:
-            need -= 1
-        rest -= 1
+            at -= 1
+        power >>= 1
+    if windings[-2] == "W" and at % 3 == 1:  # a last T is followed by its repeat, turning 1
+        rank += 1
     return rank
 
 
@@ -166,39 +167,39 @@ def pattern_of(region: Region, rank: int) -> str:
     """The winding pattern of 1-based ``rank`` in ``region``'s class
     (inverse of :func:`pattern_rank`).
 
-    The class's running totals give the pattern's length, then each stem
-    letter is a T while the rank left to skip is below the number of
-    patterns that put a T there: O(windings) reads of the counting table.
+    The class's counts below each length give the pattern's length, then
+    each stem letter is a T while the rank left to skip is below the
+    number of patterns that put a T there: O(windings) steps.
     """
     if rank < 1:
         raise NamingError("pattern ranks are 1-based")
     turn = TURN_OF_REGION[region]
     remaining = rank - 1
-    # Fewer than 2^(k-1) patterns have under k windings (2^(m-1) have m),
-    # so the pattern has at least as many windings as ``remaining`` bits.
-    n = max(2, remaining.bit_length())
-    while pattern_table(n + 1)[n + 1][1][turn] <= remaining:  # the class to n windings
+    n = max(2, (3 * remaining).bit_length())  # 3 * patterns_below(n + 1) < 2^n
+    while patterns_below(n + 1, turn) <= remaining:  # the class to n windings
         n += 1
-    table = pattern_table(n)  # rows of (count, shorter) by turn
-    remaining -= table[n][1][turn]
-    stem, need = [], turn - 1  # as in pattern_rank
-    for rest in range(n - 1, 0, -1):
-        with_t = table[rest][0][need % 3]  # the patterns with a T here
-        if remaining < with_t:
+    # As in pattern_rank, in thirds: ``left`` is thrice the rank left to
+    # skip and ``with_t`` thrice the patterns that put a T here.
+    left = 3 * (remaining - patterns_below(n, turn))
+    stem, at = [], 4 * (turn - 1) + 3 * (n - 1)
+    for bit in range(n - 2, 0, -1):  # 2^bit = 2^(rest-1)
+        with_t = (1 << bit) + PATTERN_SKEW[at % 6]
+        if left < with_t:
             stem.append("T")
-            need -= 1
+            at -= 1
         else:
-            remaining -= with_t
+            left -= with_t
             stem.append("W")
-            need += 1
+            at += 1
+    stem.append("T" if left == 0 and at % 3 == 1 else "W")  # as in pattern_rank
     return "".join(stem) + stem[-1]
 
 
 def knot_of(name: KnotName) -> KnotWord:
     """The knot a name denotes (inverse of :func:`name_of`).
 
-    The winding pattern comes from :func:`pattern_of`, O(windings) reads
-    of the counting table.  Only the pure single-depth form (no
+    The winding pattern comes from :func:`pattern_of` in O(windings)
+    steps.  Only the pure single-depth form (no
     extension) is constructible.
     """
     if name.extension:

@@ -6,8 +6,8 @@ knot or failed check; 2 usage or parse errors, which include a
 ``sample`` count outside 0..population and a negative ``series`` order.
 Enumeration output is plain text by default, with ``--format jsonl``
 / ``--format csv`` where a record stream makes sense.  The environment
-variable ``TIEKNOT_MAX_WINDINGS`` caps enumeration sizes (default 13
-moves).
+variable ``TIEKNOT_MAX_WINDINGS`` caps enumeration sizes, the
+cross-check's two bounds included (default 13 moves).
 """
 
 from __future__ import annotations
@@ -129,24 +129,22 @@ def cmd_convert(args) -> int:
 
 
 def _enumerate_knots(args):
-    cap = _max_moves_cap()
-    max_moves = min(args.max_windings, cap)
-    if args.klass == "fm":
-        for text in enumeration.fm_knots(max_moves - 1):
-            yield clr_to_tw(parse_clr(text))
-    elif args.klass in ("single", "full"):
+    max_moves = min(args.max_windings, _max_moves_cap())
+    if args.klass in ("single", "full"):
         opts = validity.ValidityOptions(
             max_tuck_depth=1 if args.klass == "single" else None,
             allow_hidden_tucks=args.allow_hidden_tucks,
         )
         yield from enumeration.oracle_enumerate(max_moves - 1, opts)
-    else:  # windings: each class unranked in rank order, one pattern at a time
-        for region in (Region.LEFT, Region.RIGHT, Region.CENTER):
-            for rank in itertools.count(1):
-                windings = catalog.pattern_of(region, rank)
-                if len(windings) >= max_moves:
-                    break
-                yield parse_tw(windings)
+        return
+    # Patterns in rank order, one at a time; classical knots: centre-final, tucked.
+    fm = args.klass == "fm"
+    for region in [Region.CENTER] if fm else [Region.LEFT, Region.RIGHT, Region.CENTER]:
+        for rank in itertools.count(1):
+            windings = catalog.pattern_of(region, rank)
+            if len(windings) >= max_moves:
+                break
+            yield parse_tw(windings + "U" if fm else windings)
 
 
 def cmd_enumerate(args) -> int:
@@ -311,7 +309,8 @@ def cmd_census(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    report = enumeration.cross_check(args.max_windings, args.full_windings)
+    cap = _max_moves_cap()
+    report = enumeration.cross_check(min(args.max_windings, cap), min(args.full_windings, cap))
     print(report)
     return EXIT_OK if report.ok else EXIT_INVALID
 

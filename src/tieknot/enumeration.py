@@ -3,8 +3,8 @@
 The enumerators here are built without the grammar module so the two
 sides can referee each other: winding strings are enumerated directly
 and decorated with tucks according to the validity rules.  The census
-lists nothing: it reads the winding patterns' counting table
-(:func:`pattern_table`, which :mod:`tieknot.catalog` ranks names with)
+lists nothing: it reads the winding patterns' closed-form counts
+(:func:`pattern_count`, which :mod:`tieknot.catalog` ranks names with)
 and the grammars' counting series, and :func:`cross_check` compares
 the enumerators with the grammars.
 
@@ -33,7 +33,6 @@ window) that the language does not contain.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import astuple, dataclass
 from typing import Dict, Iterable, Iterator, List, Tuple
 
@@ -80,25 +79,23 @@ def depth1_sites(windings: str, opts: ValidityOptions = DEFAULT_OPTIONS) -> List
 # turn #T - #W; winding patterns are classed by that turn mod 3.
 TURN_OF_REGION = {step_region(Region.LEFT, WindDir.T, turn): turn for turn in range(3)}
 
-# _PATTERNS[m] = (count, shorter): count[t] is the number of winding
-# patterns of m windings (a T/W stem, then its last letter again) whose
-# net turn is t mod 3, and shorter[t] the number of 2..m-1 windings.
-# Row 2 counts TT (turn 2) and WW (turn -2 = 1); a T put in front of a
-# pattern turns it by 1 more and a W by 1 less, which gives each longer
-# row from the one before.  Row 1 serves the rank walks: after a stem's
-# final T only its repeat can follow, turning by 1.
-_PATTERNS = [((0, 0, 0), (0, 0, 0)), ((0, 1, 0), (0, 0, 0)), ((0, 1, 1), (0, 0, 0))]
-_GROWING = threading.Lock()  # two threads growing at once would append a row twice
+# A winding pattern is a T/W stem, then its last letter again.  TT turns
+# by 2 and WW by -2 = 1, and a T put in front turns a pattern by 1 more,
+# a W by 1 less, so the counts of m windings by turn t step as (a, b, c)
+# -> (b + c, c + a, a + b): Jacobsthal numbers, 3 * count = 2^(m-1) +
+# PATTERN_SKEW[(4t + 3m) % 6] for m >= 2, an index that is t mod 3 and m mod 2.
+PATTERN_SKEW = (-2, -1, 1, 2, 1, -1)
 
 
-def pattern_table(length: int) -> list:
-    """The winding-pattern counting table, grown to cover ``length`` windings."""
-    if len(_PATTERNS) <= length:
-        with _GROWING:
-            while len(_PATTERNS) <= length:
-                (a, b, c), (x, y, z) = _PATTERNS[-1]
-                _PATTERNS.append(((b + c, c + a, a + b), (x + a, y + b, z + c)))
-    return _PATTERNS
+def pattern_count(windings: int, turn: int) -> int:
+    """The patterns of ``windings`` >= 2 windings whose net turn (#T - #W) is ``turn`` mod 3."""
+    return ((1 << (windings - 1)) + PATTERN_SKEW[(4 * turn + 3 * windings) % 6]) // 3
+
+
+def patterns_below(windings: int, turn: int) -> int:
+    """The patterns of 2 to ``windings - 1`` windings whose net turn is ``turn`` mod 3."""
+    skew = PATTERN_SKEW[(4 * turn + 3 * windings) % 6] if windings % 2 else 0
+    return ((1 << (windings - 1)) - 2 - skew) // 3
 
 
 def single_tuck_knots(
@@ -306,14 +303,13 @@ class CensusRow:
 def census(max_windings: int = 12, include_full: bool = True) -> List[CensusRow]:
     """The knot census by winding count (2 windings = 3 moves, up).
 
-    Every column is read from a counting table, so nothing is listed:
-    the winding-pattern columns from :func:`pattern_table` by each final
-    region's turn, the per-region knot columns from the region-final
-    single-tuck grammars at n + 1 moves, and the total column from the
-    full grammar's counting series, which can be skipped when only the
-    single-tuck side matters.
+    Every column is counted, so nothing is listed: the winding-pattern
+    columns by :func:`pattern_count` at each final region's turn, the
+    per-region knot columns from the region-final single-tuck grammars
+    at n + 1 moves, and the total column from the full grammar's
+    counting series, which can be skipped when only the single-tuck side
+    matters.
     """
-    patterns = pattern_table(max_windings)
     regions = (Region.LEFT, Region.RIGHT, Region.CENTER)  # the column order
     knots = [
         grammars.count_by_size(grammars.single_tuck_clr_grammar(region), max_windings + 1)
@@ -323,7 +319,7 @@ def census(max_windings: int = 12, include_full: bool = True) -> List[CensusRow]
         totals = grammars.count_by_size(grammars.full_grammar(), max_windings)
     rows = []
     for n in range(2, max_windings + 1):
-        windings = [patterns[n][0][TURN_OF_REGION[region]] for region in regions]
+        windings = [pattern_count(n, TURN_OF_REGION[region]) for region in regions]
         per_region = [series[n + 1] for series in knots]
         total = totals[n] if include_full else 0
         rows.append(CensusRow(n, n + 1, *windings, *per_region, sum(per_region), total))

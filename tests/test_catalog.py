@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,12 +86,11 @@ def test_class_sizes_match_closed_forms_to_order_60(region):
     form = cli._CLOSED_FORM_SERIES[f"windings-{region.value.lower()}"]
     series = list(genfunc.expand(genfunc.parse_rational(form), 61))  # degree counts moves
     turn = E.TURN_OF_REGION[region]
-    table = E.pattern_table(60)
-    sizes = [table[moves - 1][0][turn] if moves >= 3 else 0 for moves in range(61)]
+    sizes = [E.pattern_count(moves - 1, turn) if moves >= 3 else 0 for moves in range(61)]
     assert series == sizes
     # The running totals count the class's patterns of fewer windings.
     for windings in range(2, 61):
-        assert table[windings][1][turn] == sum(series[: windings + 1])
+        assert E.patterns_below(windings, turn) == sum(series[: windings + 1])
 
 
 @settings(max_examples=300, deadline=None)
@@ -116,6 +116,17 @@ def test_name_of_inverts_knot_of_first_patterns():
         for index in (1, 2, 7):
             name = C.KnotName(region, index, 0)
             assert C.name_of(C.knot_of(name)) == name
+
+
+def test_knot_of_a_huge_rank_keeps_no_memory():
+    name = C.KnotName(Region.LEFT, int("7" * 4000), 0)
+    tracemalloc.start()
+    try:
+        assert C.knot_of(name).winding_count == 13_289
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000  # nothing of the unranking outlives the call
 
 
 def test_knot_of_range_checks():

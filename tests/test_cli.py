@@ -165,12 +165,13 @@ def test_aesthetics_non_canonical_start_is_one_line_error(capsys):
         (["census", "--no-full"], "abc"),
         (["census", "--no-full"], "-3"),
         (["enumerate", "--class", "fm", "--count"], "abc"),
+        (["crosscheck"], "abc"),
         (["sample", "30000"], None),
         (["sample", "-1", "--max-windings", "6"], None),
         (["series", "full", "-1"], None),
     ],
     ids=[
-        "env-census", "env-census-negative", "env-enumerate",
+        "env-census", "env-census-negative", "env-enumerate", "env-crosscheck",
         "sample-too-many", "sample-negative", "series-negative",
     ],
 )
@@ -332,6 +333,16 @@ def test_enumerate_progress(capsys):
     assert out.strip() == "18"
     assert "[2 windings: 2 knots]" in err
     assert "[4 windings: 12 knots]" in err
+
+
+def test_crosscheck_honours_the_env_cap(capsys, monkeypatch):
+    monkeypatch.setenv("TIEKNOT_MAX_WINDINGS", "6")
+    with _wall_bound(2):
+        code, out, err = run(capsys, "crosscheck", "--max-windings", "40", "--full-windings", "40")
+    assert (code, err) == (0, "")
+    assert "single-tuck knots to 6 moves: ok" in out
+    assert "arbitrary-depth knots to 6 windings: ok" in out
+    assert " to 40 " not in out
 
 
 def test_crosscheck_command(capsys):

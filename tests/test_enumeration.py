@@ -1,5 +1,3 @@
-import sys
-import threading
 from collections import Counter
 from dataclasses import astuple, replace
 
@@ -143,11 +141,10 @@ def test_table_census_matches_listed_census_to_16_windings(listed_classes):
     for include_full in (False, True):
         rows = E.census(16, include_full=include_full)
         assert [astuple(row)[:-1] for row in rows] == listed
-    table = E.pattern_table(16)  # the windings columns are its rows, by turn
-    for row in rows:
-        count = table[row.winding_count][0]
+    for row in rows:  # the windings columns are the pattern counts, by turn
         assert (row.left_windings, row.right_windings, row.center_windings) == tuple(
-            count[E.TURN_OF_REGION[region]] for region in (Region.LEFT, Region.RIGHT, Region.CENTER)
+            E.pattern_count(row.winding_count, E.TURN_OF_REGION[region])
+            for region in (Region.LEFT, Region.RIGHT, Region.CENTER)
         )
     totals = G.count_by_size(G.full_grammar(), 16)
     assert [row.total_knots for row in rows] == [totals[n] for n in range(2, 17)]
@@ -157,29 +154,19 @@ def test_table_census_matches_listed_census_to_16_windings(listed_classes):
     assert E.census(1) == E.census(0) == []
 
 
-def test_pattern_table_grows_once_under_threads(monkeypatch):
-    monkeypatch.setattr(E, "_PATTERNS", list(E._PATTERNS[:3]))
-    start = threading.Barrier(8)
-
-    def grow(length):
-        start.wait(timeout=10)
-        E.pattern_table(length)
-
-    threads = [threading.Thread(target=grow, args=(2000 + i,)) for i in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    table = E._PATTERNS
-    assert len(table) == 2008
-    for ((a, b, c), (x, y, z)), row in zip(table[2:], table[3:]):
+def test_pattern_counts_follow_the_row_recurrence_to_2000_windings():
+    # A T in front of a pattern turns it by 1 more, a W by 1 less; the
+    # patterns below m + 1 windings are those below m and those of m.
+    rows = [
+        (tuple(E.pattern_count(m, t) for t in range(3)),
+         tuple(E.patterns_below(m, t) for t in range(3)))
+        for m in range(2, 2001)
+    ]
+    assert rows[0] == ((0, 1, 1), (0, 0, 0))  # TT turns by 2, WW by -2 = 1
+    for ((a, b, c), (x, y, z)), row in zip(rows, rows[1:]):
         assert row == ((b + c, c + a, a + b), (x + a, y + b, z + c))
+    assert E.pattern_count(9, -1) == E.pattern_count(9, 2)  # turns are taken mod 3
+    assert E.patterns_below(9, 4) == E.patterns_below(9, 1)
 
 
 def test_full_language_matches_grammar(full_members_12, full_oracle_12):
