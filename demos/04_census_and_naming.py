@@ -48,7 +48,7 @@ for bits in range(4):
     print(f"L-{trinity_pattern}.{bits} is {knot}")
 
 # A reproducible random draw from the single-tuck census.
-knots = oracle_enumerate(12, ValidityOptions(max_tuck_depth=1))
+knots = list(oracle_enumerate(12, ValidityOptions(max_tuck_depth=1)))
 rng = random.Random(2026)
 print("\nthree knots drawn at random:")
 for index in sorted(rng.sample(range(len(knots)), 3)):

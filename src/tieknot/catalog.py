@@ -35,14 +35,7 @@ from importlib import resources
 from typing import List, Optional
 
 from . import validity
-from .notation import (
-    KnotWord,
-    Region,
-    RegionWord,
-    Tuck,
-    parse_tw,
-    tw_to_clr,
-)
+from .notation import KnotWord, Region, RegionWord, parse_tw, tw_to_clr
 from .enumeration import PATTERN_SKEW, TURN_OF_REGION, patterns_below
 from .enumeration import decorate, depth1_sites, final_region_of
 
@@ -124,6 +117,9 @@ def pattern_rank(windings: str) -> int:
     return rank
 
 
+_UNCAPPED = validity.ValidityOptions(max_moves=None)
+
+
 def name_of(knot: KnotWord) -> KnotName:
     """Name a valid knot anchored by a final depth-1 tuck.
 
@@ -135,13 +131,14 @@ def name_of(knot: KnotWord) -> KnotName:
     """
     if knot.start is not Region.LEFT:
         raise NamingError("names assume the canonical start region L")
-    report = validity.validate(knot, validity.ValidityOptions(max_moves=None))
+    report = validity.validate(knot, _UNCAPPED)
     if not report.valid:
         raise NamingError(f"cannot name an invalid knot: {report.violations[0]}")
-    if not knot.items or not isinstance(knot.items[-1], Tuck):
+    text = knot.serialize()
+    if not text.endswith("U"):
         raise NamingError("only knots ending in a tuck are named")
 
-    windings = "".join(knot.windings)
+    windings = text.replace("U", "").replace("'", "")
     n = len(windings)
     rank = pattern_rank(windings)  # raises when there is no final site
     if (n, 1) not in knot.tucks:
@@ -216,9 +213,9 @@ def knot_of(name: KnotName) -> KnotWord:
 
 def symmetry(knot: KnotWord) -> int:
     """|#R - #L| over the region sequence of the knot."""
-    regions = tw_to_clr(knot).regions
-    rights = sum(1 for r in regions if r is Region.RIGHT)
-    lefts = sum(1 for r in regions if r is Region.LEFT)
+    regions = tw_to_clr(knot).serialize()
+    rights = regions.count("R")
+    lefts = regions.count("L")
     return abs(rights - lefts)
 
 

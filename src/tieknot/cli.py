@@ -139,12 +139,44 @@ def _enumerate_knots(args):
         return
     # Patterns in rank order, one at a time; classical knots: centre-final, tucked.
     fm = args.klass == "fm"
-    for region in [Region.CENTER] if fm else [Region.LEFT, Region.RIGHT, Region.CENTER]:
+    for region in _pattern_regions(args.klass):
         for rank in itertools.count(1):
             windings = catalog.pattern_of(region, rank)
             if len(windings) >= max_moves:
                 break
             yield parse_tw(windings + "U" if fm else windings)
+
+
+def _pattern_regions(klass):
+    """The final regions whose winding patterns a pattern class lists, in order."""
+    return [Region.CENTER] if klass == "fm" else [Region.LEFT, Region.RIGHT, Region.CENTER]
+
+
+def _report_bucket(windings, knots):
+    print(f"[{windings} windings: {knots} knots]", file=sys.stderr)
+
+
+def _count_patterns(args, wanted) -> int:
+    """``--count`` of a pattern class from the closed-form pattern counts,
+    with the ``--progress`` lines its listing writes: one per run of
+    patterns of one length, which two regions' runs can share."""
+    max_moves = min(args.max_windings, _max_moves_cap())
+    runs, count = [], 0
+    for region in _pattern_regions(args.klass):
+        turn = enumeration.TURN_OF_REGION[region]
+        for n in range(2, max_moves):
+            patterns = enumeration.pattern_count(n, turn)
+            if wanted in (None, region):
+                count += patterns
+            if runs and runs[-1][0] == n:
+                runs[-1][1] += patterns
+            elif patterns:
+                runs.append([n, patterns])
+    if args.progress:
+        for n, patterns in runs:
+            _report_bucket(n, patterns)
+    print(2 * count if args.both_mirrors else count)  # a mirror starts at R
+    return EXIT_OK
 
 
 def cmd_enumerate(args) -> int:
@@ -155,13 +187,15 @@ def cmd_enumerate(args) -> int:
     if args.klass == "full" and args.allow_hidden_tucks:
         print("error: hidden tucks are only enumerable for the single class", file=sys.stderr)
         return EXIT_USAGE
+    if args.count and args.klass in ("fm", "windings"):
+        return _count_patterns(args, wanted)
     count = 0
     bucket = None
     bucket_count = 0
     for knot in _enumerate_knots(args):
         if args.progress and knot.winding_count != bucket:
             if bucket is not None:
-                print(f"[{bucket} windings: {bucket_count} knots]", file=sys.stderr)
+                _report_bucket(bucket, bucket_count)
             bucket, bucket_count = knot.winding_count, 0
         bucket_count += 1
         if wanted is not None and final_region(knot) is not wanted:
@@ -187,7 +221,7 @@ def cmd_enumerate(args) -> int:
                 prefix = f"{variant.start.value} " if args.both_mirrors else ""
                 print(prefix + (variant.serialize() or "<empty>"))
     if args.progress and bucket is not None:
-        print(f"[{bucket} windings: {bucket_count} knots]", file=sys.stderr)
+        _report_bucket(bucket, bucket_count)
     if args.count:
         print(count)
     return EXIT_OK

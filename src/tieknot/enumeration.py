@@ -227,42 +227,49 @@ def full_language(max_windings: int, canonical: bool = False) -> Dict[int, List[
     rewrite loses nothing.
     """
     enum = _FullEnumerator()
-    out = {}
-    for n in range(2, max_windings + 1):
-        members = enum.members(n)
-        if canonical:
-            members = [canonicalize_tw(m) for m in members]
-        assert len(members) == len(set(members)), f"duplicate member at {n} windings"
-        out[n] = members
-    return out
+    return {n: _full_bucket(enum, n, canonical) for n in range(2, max_windings + 1)}
+
+
+def _full_bucket(enum: _FullEnumerator, n: int, canonical: bool) -> List[str]:
+    """The members of ``n`` windings, asserted duplicate-free."""
+    members = enum.members(n)
+    if canonical:
+        members = [canonicalize_tw(m) for m in members]
+    assert len(members) == len(set(members)), f"duplicate member at {n} windings"
+    return members
 
 
 def oracle_enumerate(
     max_windings: int, opts: ValidityOptions = DEFAULT_OPTIONS
-) -> List[KnotWord]:
+) -> Iterator[KnotWord]:
     """Every valid knot with at most ``max_windings`` windings, parsed.
 
     With a depth cap of 1 this decorates winding strings site by site;
-    without a cap it enumerates the recursive block structure.  Results
-    are deterministic: ascending winding count, then text order.
+    without a cap it enumerates the recursive block structure.  Knots
+    come bucket by bucket: each winding count's members are listed,
+    canonicalised, checked for duplicates and sorted into text order,
+    then parsed one at a time as they are taken, so the first knot does
+    not wait for the last bucket.  The order is deterministic: ascending
+    winding count, then text order.
     """
-    texts: List[Tuple[int, str]] = []
     if opts.max_tuck_depth == 1:
-        for text in single_tuck_knots(max_windings, opts):
-            texts.append((_winding_count(text), text))
+        texts = single_tuck_knots(max_windings, opts)  # ascending winding count
+        buckets = (list(group) for _, group in itertools.groupby(texts, _winding_count))
     elif opts.max_tuck_depth is None:
         if opts.allow_hidden_tucks:
             raise NotImplementedError(
                 "hidden tucks are only modelled for depth-1 knots"
             )
-        for n, members in full_language(max_windings, canonical=True).items():
-            texts.extend((n, m) for m in members)
+        enum = _FullEnumerator()
+        buckets = (_full_bucket(enum, n, True) for n in range(2, max_windings + 1))
     else:
         raise NotImplementedError(
             "only depth cap 1 and unlimited depth are enumerable"
         )
-    texts.sort(key=lambda pair: (pair[0], sort_key(pair[1])))
-    return [parse_tw(text) for _, text in texts]
+    for members in buckets:
+        members.sort(key=sort_key)
+        for text in members:
+            yield parse_tw(text)
 
 
 def _winding_count(text: str) -> int:

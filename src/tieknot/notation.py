@@ -20,10 +20,15 @@ Item model.  A :class:`KnotWord` holds a start region and a tuple of
 items, each a :class:`WindDir` member (a winding, which is itself the
 one-letter string ``"T"`` or ``"W"``) or a :class:`Tuck`.  The word
 checks its items once, on construction, and records its windings and
-its ``(position, depth)`` tucks in the same walk; every derived view
-reads those two tuples.  A :class:`RegionWord` holds :class:`Visit` and
-:class:`Tuck` items.  Both notations share one reader for U runs and
-apostrophes and differ only in their letters.
+its ``(position, depth)`` tucks in the same walk.  Its other views are
+computed once, on first use, and kept on the word: its canonical text
+(which :func:`parse_tw` knows already, since the whitespace-free input
+is that text) and its :class:`RegionWord`, whose one walk also writes
+the region text.  Kept views are not fields, so they play no part in
+``==``, ``hash`` or ``repr``; a word made anew (by :func:`mirror` or
+``dataclasses.replace``) starts without them.  A :class:`RegionWord`
+holds :class:`Visit` and :class:`Tuck` items.  Both notations share one
+reader for U runs and apostrophes and differ only in their letters.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Optional, Union
 
 
@@ -116,6 +122,15 @@ class Tuck:
 
 KnotItem = Union[WindDir, Tuck]
 
+# Tucks are immutable, so the parser hands out one instance per depth.
+_shared_tuck = lru_cache(maxsize=64)(Tuck)
+
+
+def _keep(word, view: str, value):
+    """Store a derived view on a frozen word, outside its fields."""
+    object.__setattr__(word, view, value)
+    return value
+
 
 def _net_turns(windings: tuple) -> int:
     """Net turnwise steps #T - #W of a tuple of winding directions."""
@@ -143,6 +158,14 @@ def _serialize(items) -> str:
     return "".join(parts)
 
 
+def _kept_text(word) -> str:
+    """The text of a knot or region word, serialized on first use only."""
+    text = word._text
+    if text is None:
+        text = _keep(word, "_text", _serialize(word.items))
+    return text
+
+
 @dataclass(frozen=True)
 class KnotMetrics:
     """Size measures of a knot word.
@@ -168,6 +191,10 @@ class KnotWord:
 
     start: Region = Region.LEFT
     items: tuple = ()
+
+    # Views kept on first use (not fields: no part of ==, hash or repr).
+    _text = None
+    _region_word = None
 
     def __post_init__(self):
         windings, tucks = [], []
@@ -219,7 +246,7 @@ class KnotWord:
     def serialize(self) -> str:
         """Canonical text: winds as letters, tucks as U runs, adjacent
         tucks separated by a single apostrophe."""
-        return _serialize(self.items)
+        return _kept_text(self)
 
     def __str__(self):
         return self.serialize()
@@ -246,6 +273,8 @@ class RegionWord:
 
     items: tuple = ()
 
+    _text = None  # kept on first use, as on a KnotWord
+
     @property
     def visits(self) -> tuple:
         return tuple(i for i in self.items if isinstance(i, Visit))
@@ -255,37 +284,37 @@ class RegionWord:
         return tuple(v.region for v in self.visits)
 
     def serialize(self) -> str:
-        return _serialize(self.items)
+        return _kept_text(self)
 
     def __str__(self):
         return self.serialize()
 
 
 def _read_items(text: str, tokens: re.Pattern, letters: dict, letter_name: str) -> tuple:
-    """Items of knot text in either notation; whitespace is dropped.
+    """Items of whitespace-free knot text in either notation.
 
     ``tokens`` splits the text into U runs, letters and single other
     characters; ``letters`` maps each letter token to its item.  A run of
     k consecutive ``U`` becomes one depth-k tuck and needs a preceding
     letter (``letter_name`` names it in the error); an apostrophe
     separates two tucks at one point, so it must sit between two ``U``
-    characters.  Errors carry the index in the whitespace-free text.
+    characters.  Errors carry the index in the text.
     """
-    text = "".join(text.split())
-    items = []
-    for match in tokens.finditer(text):
-        symbol, index = match.group(), match.start()
-        if symbol[0] == "U":
+    items, index = [], 0
+    for symbol in tokens.findall(text):
+        item = letters.get(symbol)
+        if item is not None:
+            items.append(item)
+        elif symbol[0] == "U":
             if not items:
                 raise NotationError(f"tuck before any {letter_name}", index)
-            items.append(Tuck(len(symbol)))
+            items.append(_shared_tuck(len(symbol)))
         elif symbol == "'":
             if text[index - 1 : index] != "U" or text[index + 1 : index + 2] != "U":
                 raise NotationError("' must sit between two U characters", index)
-        elif symbol in letters:
-            items.append(letters[symbol])
         else:
             raise NotationError(f"unexpected character {symbol!r}", index)
+        index += len(symbol)
     return tuple(items)
 
 
@@ -304,7 +333,10 @@ def parse_tw(text: str, start: Region = Region.LEFT) -> KnotWord:
     preceding winding.  The empty string parses to an empty word (which
     is not by itself a valid knot).
     """
-    return KnotWord(start=start, items=_read_items(text, _TW_TOKENS, _TW_LETTERS, "winding"))
+    text = "".join(text.split())
+    knot = KnotWord(start=start, items=_read_items(text, _TW_TOKENS, _TW_LETTERS, "winding"))
+    _keep(knot, "_text", text)  # canonical: an apostrophe parses only between two tucks
+    return knot
 
 
 def canonicalize_tw(text: str) -> str:
@@ -344,6 +376,7 @@ def parse_clr(text: str) -> RegionWord:
     :func:`parse_tw`; whitespace is dropped.  Adjacency violations (a
     repeated region) are a matter for validation, not parsing.
     """
+    text = "".join(text.split())
     return RegionWord(items=_read_items(text, _CLR_TOKENS, _CLR_LETTERS, "region visit"))
 
 
@@ -379,22 +412,40 @@ def infer_orientations(word: RegionWord) -> RegionWord:
     return RegionWord(items=tuple(oriented))
 
 
+_VISITS = tuple(Visit(region) for region in _CYCLE)
+_CYCLE_LETTERS = "".join(region.value for region in _CYCLE)
+_TURN = {WindDir.T: 1, WindDir.W: 2}  # steps along the cycle, mod 3
+
+
 def tw_to_clr(knot: KnotWord) -> RegionWord:
     """Convert winding notation to region notation.
 
     The first visit is the start region; every winding appends the next
     region along (T) or against (W) the turnwise cycle; tucks copy
-    through unchanged.
+    through unchanged.  One walk writes the items and the text, and the
+    word is kept on the knot, so a second call is a lookup.
     """
-    items = [Visit(knot.start)]
-    region = knot.start
+    word = knot._region_word
+    if word is not None:
+        return word
+    index = _CYCLE.index(knot.start)
+    items, letters = [_VISITS[index]], [_CYCLE_LETTERS[index]]
+    previous_tuck = False
     for item in knot.items:
-        if isinstance(item, Tuck):
+        if item.__class__ is Tuck:
+            if previous_tuck:
+                letters.append("'")
+            letters.append("U" * item.depth)
             items.append(item)
+            previous_tuck = True
         else:
-            region = step_region(region, item)
-            items.append(Visit(region))
-    return RegionWord(items=tuple(items))
+            index = (index + _TURN[item]) % 3
+            letters.append(_CYCLE_LETTERS[index])
+            items.append(_VISITS[index])
+            previous_tuck = False
+    word = RegionWord(items=tuple(items))
+    _keep(word, "_text", "".join(letters))
+    return _keep(knot, "_region_word", word)
 
 
 def clr_to_tw(word: RegionWord) -> KnotWord:

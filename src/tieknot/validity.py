@@ -113,7 +113,7 @@ def tuck_site_valid(windings: Sequence[WindDir], position: int, k: int) -> bool:
     if position < 2 * k:
         return False
     window = windings[position - 2 * k : position]
-    ts = sum(1 for d in window if d is WindDir.T)
+    ts = window.count(WindDir.T)
     ws = 2 * k - ts
     if window[0] is WindDir.W:
         return (ws - ts) % 3 == 2

@@ -265,6 +265,41 @@ def test_enumerate_windings_streams_its_first_pattern(monkeypatch):
     assert stdout.getvalue() == "TTT\n"  # the first left-final pattern
 
 
+def test_enumerate_full_streams_its_first_record(monkeypatch):
+    # Listing and parsing every knot to 15 windings first would take minutes.
+    monkeypatch.setenv("TIEKNOT_MAX_WINDINGS", "16")
+    stdout = _OneLineStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    with _wall_bound(2):
+        code = main(["enumerate", "--class", "full", "--format", "jsonl", "--max-windings", "16"])
+    assert code == 0
+    assert json.loads(stdout.getvalue())["tw"] == "TTU"
+
+
+@pytest.mark.parametrize("windings", [24, 61])
+def test_enumerate_pattern_count_answers_in_bounded_time(capsys, monkeypatch, windings):
+    monkeypatch.setenv("TIEKNOT_MAX_WINDINGS", "61")
+    with _wall_bound(2):
+        code, out, err = run(capsys, "enumerate", "--class", "windings", "--count",
+                             "--max-windings", str(windings))
+    # A pattern of n windings is any T/W stem of n - 1 letters, repeated last letter.
+    assert (code, out, err) == (0, f"{2 ** (windings - 1) - 2}\n", "")
+
+
+@pytest.mark.parametrize("klass", ["windings", "fm"])
+@pytest.mark.parametrize("final", [None, "L", "R", "C"])
+@pytest.mark.parametrize("both_mirrors", [False, True])
+def test_enumerate_pattern_count_matches_the_listing(capsys, klass, final, both_mirrors):
+    argv = ["enumerate", "--class", klass, "--progress"]
+    argv += ["--final", final] if final else []
+    argv += ["--both-mirrors"] if both_mirrors else []
+    _, listed, listed_progress = run(capsys, *argv)
+    code, counted, progress = run(capsys, *argv, "--count")
+    assert code == 0
+    assert counted == f"{len(listed.splitlines())}\n"
+    assert progress == listed_progress
+
+
 @pytest.mark.parametrize("text", ["L-1_0.0", "L-+5.0", "L- 5.0", "L-1.\u0663"])
 def test_name_other_spellings_are_refused(capsys, text):
     code, out, err = run(capsys, "name", "--name", text)

@@ -20,8 +20,8 @@ def test_oracle_twenty_at_four_windings():
 
 
 def test_oracle_empty():
-    assert E.oracle_enumerate(0) == []
-    assert E.oracle_enumerate(1) == []
+    assert list(E.oracle_enumerate(0)) == []
+    assert list(E.oracle_enumerate(1)) == []
 
 
 def test_oracle_is_deterministic_and_duplicate_free():

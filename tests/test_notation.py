@@ -1,13 +1,15 @@
+import dataclasses
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tieknot.notation import (
     KnotWord,
     NotationError,
     Orientation,
     Region,
+    RegionWord,
     Tuck,
     WindDir,
     classify_final,
@@ -21,7 +23,7 @@ from tieknot.notation import (
     sort_key,
     tw_to_clr,
 )
-from tieknot.enumeration import final_region_of
+from tieknot.enumeration import final_region_of, full_language
 
 TRINITY = "TWWWTTTUTTU"
 ELDREDGE = "TTTWWTTUTTWWU"
@@ -291,3 +293,45 @@ def test_sort_key_matches_per_alphabet_order(first, second):
         old_a, old_b = [order[c] for c in a], [order[c] for c in b]
         assert (sort_key(a) < sort_key(b)) == (old_a < old_b)
         assert (sort_key(a) == sort_key(b)) == (a == b)
+
+
+# -- kept views ---------------------------------------------------------------
+# A word keeps its text and region word once computed; parse_tw keeps its
+# input as the text.  A word built afresh from the same fields computes
+# every view from the items, so the two must agree.
+
+
+def _assert_views_match_a_fresh_word(knot):
+    fresh = KnotWord(knot.start, knot.items)
+    assert knot == fresh and hash(knot) == hash(fresh)
+    assert knot.serialize() == fresh.serialize()
+    clr, fresh_clr = tw_to_clr(knot), tw_to_clr(fresh)
+    assert clr == fresh_clr and hash(clr) == hash(fresh_clr)
+    assert clr.serialize() == fresh_clr.serialize() == RegionWord(clr.items).serialize()
+
+
+def _assert_kept_views_are_the_views(text, start):
+    knot = parse_tw(text, start)
+    _assert_views_match_a_fresh_word(knot)  # which leaves both views kept on the word
+    # Words made from it anew compute their own views and inherit none.
+    _assert_views_match_a_fresh_word(mirror(knot))
+    _assert_views_match_a_fresh_word(dataclasses.replace(knot, start=Region.CENTER))
+    if knot.items:
+        _assert_views_match_a_fresh_word(dataclasses.replace(knot, items=knot.items[:-1]))
+
+
+@settings(max_examples=300)  # about one random text in five parses
+@given(st.text(alphabet="TWU'", max_size=16), st.sampled_from(list(Region)))
+def test_kept_views_are_the_views(text, start):
+    try:
+        parse_tw(text, start)
+    except NotationError:
+        return
+    _assert_kept_views_are_the_views(text, start)
+
+
+def test_kept_views_are_the_views_for_every_member_to_nine_windings():
+    for members in full_language(9, canonical=True).values():
+        for text in members:
+            for start in (Region.LEFT, Region.RIGHT):  # the canonical start and its mirror's
+                _assert_kept_views_are_the_views(text, start)
