@@ -156,25 +156,40 @@ def _report_bucket(windings, knots):
     print(f"[{windings} windings: {knots} knots]", file=sys.stderr)
 
 
-def _count_patterns(args, wanted) -> int:
-    """``--count`` of a pattern class from the closed-form pattern counts,
-    with the ``--progress`` lines its listing writes: one per run of
-    patterns of one length, which two regions' runs can share."""
+def _count_knots(args, wanted) -> int:
+    """``--count`` from the counting tables, with the ``--progress`` lines
+    the listing writes.  Buckets are (windings, knots, knots ``--final``
+    keeps) in listing order; a progress line sums one run of a length
+    before the filter.  Pattern classes list region by region, so two
+    regions' runs can share a line; the grammar classes list by length."""
     max_moves = min(args.max_windings, _max_moves_cap())
+    lengths = range(2, max_moves)
+    if args.klass == "full":  # the full series' degree counts windings
+        series = grammars.count_by_size(grammars.full_grammar(), max_moves - 1)
+        buckets = [(n, series[n], series[n]) for n in lengths]
+    elif args.klass == "single":  # degree moves = windings + 1
+        series = grammars.count_by_size(grammars.single_tuck_tw_grammar(), max_moves)
+        kept = series if wanted is None else grammars.count_by_size(
+            grammars.single_tuck_clr_grammar(wanted), max_moves
+        )
+        buckets = [(n, series[n + 1], kept[n + 1]) for n in lengths]
+    else:
+        buckets = []
+        for region in _pattern_regions(args.klass):
+            turn = enumeration.TURN_OF_REGION[region]
+            for n in lengths:
+                patterns = enumeration.pattern_count(n, turn)
+                buckets.append((n, patterns, patterns if wanted in (None, region) else 0))
     runs, count = [], 0
-    for region in _pattern_regions(args.klass):
-        turn = enumeration.TURN_OF_REGION[region]
-        for n in range(2, max_moves):
-            patterns = enumeration.pattern_count(n, turn)
-            if wanted in (None, region):
-                count += patterns
-            if runs and runs[-1][0] == n:
-                runs[-1][1] += patterns
-            elif patterns:
-                runs.append([n, patterns])
+    for n, knots, kept_knots in buckets:
+        count += kept_knots
+        if runs and runs[-1][0] == n:
+            runs[-1][1] += knots
+        elif knots:
+            runs.append([n, knots])
     if args.progress:
-        for n, patterns in runs:
-            _report_bucket(n, patterns)
+        for n, knots in runs:
+            _report_bucket(n, knots)
     print(2 * count if args.both_mirrors else count)  # a mirror starts at R
     return EXIT_OK
 
@@ -187,8 +202,13 @@ def cmd_enumerate(args) -> int:
     if args.klass == "full" and args.allow_hidden_tucks:
         print("error: hidden tucks are only enumerable for the single class", file=sys.stderr)
         return EXIT_USAGE
-    if args.count and args.klass in ("fm", "windings"):
-        return _count_patterns(args, wanted)
+    # Hidden-tuck knots and region-final arbitrary-depth knots have no
+    # counting table, so those counts are listed.
+    untabled = (args.klass == "single" and args.allow_hidden_tucks) or (
+        args.klass == "full" and wanted is not None
+    )
+    if args.count and not untabled:
+        return _count_knots(args, wanted)
     count = 0
     bucket = None
     bucket_count = 0

@@ -6,7 +6,10 @@ and decorated with tucks according to the validity rules.  The census
 lists nothing: it reads the winding patterns' closed-form counts
 (:func:`pattern_count`, which :mod:`tieknot.catalog` ranks names with)
 and the grammars' counting series, and :func:`cross_check` compares
-the enumerators with the grammars.
+the enumerators with the grammars.  The referee compares texts: each
+knot's region text comes from :func:`~tieknot.notation.tw_text_to_clr`,
+a walk over its winding text, so a cross-check parses no knot and
+builds no word.
 
 Three enumerators cover the language families:
 
@@ -45,7 +48,7 @@ from .notation import (
     parse_tw,
     sort_key,
     step_region,
-    tw_to_clr,
+    tw_text_to_clr,
 )
 from .validity import DEFAULT_OPTIONS, ValidityOptions, tuck_parity_ok
 
@@ -130,7 +133,7 @@ def fm_knots(max_windings: int) -> Iterator[str]:
     for n in range(2, max_windings + 1):
         for w in winding_strings(n):
             if w[-1] == w[-2] and final_region_of(w) is Region.CENTER:
-                yield _tw_text_to_clr(w + "U")
+                yield tw_text_to_clr(w + "U")
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +419,7 @@ def cross_check(max_moves: int = 13, full_max_windings: int = 13) -> CrossCheckR
             _compare_sets(
                 f"{region.name.lower()}-final single-tuck knots to {max_moves} moves",
                 clr,
-                map(_tw_text_to_clr, texts),
+                map(tw_text_to_clr, texts),
             )
         )
 
@@ -468,6 +471,3 @@ def cross_check(max_moves: int = 13, full_max_windings: int = 13) -> CrossCheckR
 
     return CrossCheckReport(tuple(lines))
 
-
-def _tw_text_to_clr(text: str) -> str:
-    return tw_to_clr(parse_tw(text)).serialize()

@@ -29,6 +29,8 @@ the region text.  Kept views are not fields, so they play no part in
 ``dataclasses.replace``) starts without them.  A :class:`RegionWord`
 holds :class:`Visit` and :class:`Tuck` items.  Both notations share one
 reader for U runs and apostrophes and differ only in their letters.
+Beside :func:`tw_to_clr`, :func:`tw_text_to_clr` walks winding text
+from L straight to region text and builds no word (the cross-checks').
 """
 
 from __future__ import annotations
@@ -446,6 +448,22 @@ def tw_to_clr(knot: KnotWord) -> RegionWord:
     word = RegionWord(items=tuple(items))
     _keep(word, "_text", "".join(letters))
     return _keep(knot, "_region_word", word)
+
+
+def tw_text_to_clr(text: str) -> str:
+    """``tw_to_clr(parse_tw(text)).serialize()`` for whitespace-free
+    winding text that :func:`parse_tw` accepts, built without a word:
+    from L, each ``T``/``W`` writes the next region, and ``U`` and ``'``
+    copy through."""
+    index, letters = 0, [_CYCLE_LETTERS[0]]  # the walk starts at L
+    for ch in text:
+        turn = _TURN.get(ch)
+        if turn is None:
+            letters.append(ch)
+        else:
+            index = (index + turn) % 3
+            letters.append(_CYCLE_LETTERS[index])
+    return "".join(letters)
 
 
 def clr_to_tw(word: RegionWord) -> KnotWord:

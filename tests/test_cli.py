@@ -1,12 +1,14 @@
+import functools
 import io
 import json
 import signal
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 import pytest
 
+from tieknot import enumeration
 from tieknot.cli import main
 
 
@@ -298,6 +300,46 @@ def test_enumerate_pattern_count_matches_the_listing(capsys, klass, final, both_
     assert code == 0
     assert counted == f"{len(listed.splitlines())}\n"
     assert progress == listed_progress
+
+
+@functools.cache
+def _listing(*argv):
+    """(stdout, stderr) of one CLI call, made once per test session."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(list(argv)) == 0
+    return out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("klass, max_windings", [("single", "13"), ("full", "10")])
+@pytest.mark.parametrize("final", [None, "L", "R", "C"])
+@pytest.mark.parametrize("both_mirrors", [False, True])
+@pytest.mark.parametrize("progress", [False, True])
+def test_enumerate_grammar_count_matches_the_listing(
+    capsys, klass, max_windings, final, both_mirrors, progress
+):
+    argv = ["enumerate", "--class", klass, "--max-windings", max_windings]
+    argv += ["--final", final] if final else []
+    argv += ["--both-mirrors"] if both_mirrors else []
+    listed, listed_progress = _listing(*argv, "--progress")
+    argv += ["--progress"] if progress else []
+    code, counted, err = run(capsys, *argv, "--count")
+    assert code == 0
+    assert counted == f"{len(listed.splitlines())}\n"
+    assert err == (listed_progress if progress else "")
+
+
+@pytest.mark.parametrize("klass", ["single", "full"])
+@pytest.mark.parametrize("cap", [40, 61])
+def test_enumerate_grammar_count_answers_in_bounded_time(capsys, monkeypatch, klass, cap):
+    rows = enumeration.census(cap - 1)
+    column = "single_tuck_knots" if klass == "single" else "total_knots"
+    expected = sum(getattr(row, column) for row in rows)
+    monkeypatch.setenv("TIEKNOT_MAX_WINDINGS", str(cap))
+    with _wall_bound(2):
+        code, out, err = run(capsys, "enumerate", "--class", klass, "--count",
+                             "--max-windings", str(cap))
+    assert (code, out, err) == (0, f"{expected}\n", "")
 
 
 @pytest.mark.parametrize("text", ["L-1_0.0", "L-+5.0", "L- 5.0", "L-1.\u0663"])

@@ -3,6 +3,8 @@ from dataclasses import astuple, replace
 
 from tieknot import enumeration as E
 from tieknot import grammars as G
+from tieknot import notation as N
+from tieknot.cli import main
 from tieknot.notation import Region, parse_tw, sort_key
 from tieknot.validity import ValidityOptions, validate
 
@@ -232,3 +234,40 @@ def test_cross_check_small():
     report = E.cross_check(max_moves=9, full_max_windings=8)
     assert report.ok, str(report)
     assert "classical" in str(report)
+
+
+def test_cross_check_builds_no_word(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cross-check built a word")
+
+    monkeypatch.setattr(E, "parse_tw", refuse)
+    monkeypatch.setattr(N, "parse_tw", refuse)
+    monkeypatch.setattr(N, "tw_to_clr", refuse)
+    report = E.cross_check(9, 6)
+    assert report.ok, str(report)
+
+
+def test_cross_check_reports_a_wrong_region_text(monkeypatch, capsys):
+    walk = E.tw_text_to_clr  # give TTU (L C R, then the tuck) a wrong last region
+    monkeypatch.setattr(E, "tw_text_to_clr", lambda text: "LCLU" if text == "TTU" else walk(text))
+    report = E.cross_check(9, 6)
+    assert not report.ok
+    broken = [str(line) for line in report.lines if not line.ok]
+    assert broken == [
+        "right-final single-tuck knots to 9 moves: MISMATCH (only-left ['LCRU'] / only-right ['LCLU'])"
+    ]
+    assert main(["crosscheck", "--max-windings", "9", "--full-windings", "6"]) == 1
+    assert capsys.readouterr().out == f"{report}\n"
+
+
+def test_cross_check_reports_a_dropped_member(monkeypatch):
+    members = E.single_tuck_knots
+    monkeypatch.setattr(
+        E, "single_tuck_knots", lambda *args: (t for t in members(*args) if t != "TTWWU")
+    )
+    broken = [str(line) for line in E.cross_check(9, 6).lines if not line.ok]
+    assert broken == [
+        "single-tuck knots to 9 moves: MISMATCH (only-left ['TTWWU'] / only-right [])",
+        "left-final single-tuck knots to 9 moves: MISMATCH (only-left ['LCRCLU'] / only-right [])",
+    ]
+

@@ -21,9 +21,10 @@ from tieknot.notation import (
     parse_tw,
     render_instructions,
     sort_key,
+    tw_text_to_clr,
     tw_to_clr,
 )
-from tieknot.enumeration import final_region_of, full_language
+from tieknot.enumeration import final_region_of, full_language, single_tuck_knots
 
 TRINITY = "TWWWTTTUTTU"
 ELDREDGE = "TTTWWTTUTTWWU"
@@ -335,3 +336,28 @@ def test_kept_views_are_the_views_for_every_member_to_nine_windings():
         for text in members:
             for start in (Region.LEFT, Region.RIGHT):  # the canonical start and its mirror's
                 _assert_kept_views_are_the_views(text, start)
+
+
+def _assert_text_walk_is_the_conversion(text):
+    assert tw_text_to_clr(text) == tw_to_clr(parse_tw(text)).serialize(), text
+
+
+def test_text_walk_converts_every_single_tuck_knot_to_13_moves():
+    for text in single_tuck_knots(12):
+        _assert_text_walk_is_the_conversion(text)
+
+
+def test_text_walk_converts_every_member_to_ten_windings():
+    for members in full_language(10, canonical=True).values():
+        for text in members:
+            _assert_text_walk_is_the_conversion(text)
+
+
+@settings(max_examples=300)  # about one random text in five parses
+@given(st.text(alphabet="TWU'", max_size=16))
+def test_text_walk_is_the_conversion(text):
+    try:
+        parse_tw(text)
+    except NotationError:
+        return
+    _assert_text_walk_is_the_conversion(text)
