@@ -20,8 +20,9 @@ import os
 import random
 import sys
 
-from . import catalog, enumeration, genfunc, grammars, validity
+from . import catalog, enumeration, grammars, validity
 from .notation import (
+    TURN_OF_REGION,
     KnotWord,
     NotationError,
     Region,
@@ -164,9 +165,16 @@ def _count_knots(args, wanted) -> int:
     regions' runs can share a line; the grammar classes list by length."""
     max_moves = min(args.max_windings, _max_moves_cap())
     lengths = range(2, max_moves)
-    if args.klass == "full":  # the full series' degree counts windings
+    if args.klass == "single" and args.allow_hidden_tucks:
+        table = enumeration.hidden_tuck_table(max_moves - 1)  # by windings, then turn
+        turns = range(3) if wanted is None else [TURN_OF_REGION[wanted]]
+        buckets = [(n, sum(table[n]), sum(table[n][t] for t in turns)) for n in lengths]
+    elif args.klass == "full":  # the full series' degree counts windings
         series = grammars.count_by_size(grammars.full_grammar(), max_moves - 1)
-        buckets = [(n, series[n], series[n]) for n in lengths]
+        kept = series if wanted is None else grammars.count_by_size(
+            grammars.full_grammar(wanted), max_moves - 1
+        )
+        buckets = [(n, series[n], kept[n]) for n in lengths]
     elif args.klass == "single":  # degree moves = windings + 1
         series = grammars.count_by_size(grammars.single_tuck_tw_grammar(), max_moves)
         kept = series if wanted is None else grammars.count_by_size(
@@ -176,7 +184,7 @@ def _count_knots(args, wanted) -> int:
     else:
         buckets = []
         for region in _pattern_regions(args.klass):
-            turn = enumeration.TURN_OF_REGION[region]
+            turn = TURN_OF_REGION[region]
             for n in lengths:
                 patterns = enumeration.pattern_count(n, turn)
                 buckets.append((n, patterns, patterns if wanted in (None, region) else 0))
@@ -195,21 +203,12 @@ def _count_knots(args, wanted) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.final is not None:
-        wanted = Region(args.final)
-    else:
-        wanted = None
+    wanted = None if args.final is None else Region(args.final)
     if args.klass == "full" and args.allow_hidden_tucks:
         print("error: hidden tucks are only enumerable for the single class", file=sys.stderr)
         return EXIT_USAGE
-    # Hidden-tuck knots and region-final arbitrary-depth knots have no
-    # counting table, so those counts are listed.
-    untabled = (args.klass == "single" and args.allow_hidden_tucks) or (
-        args.klass == "full" and wanted is not None
-    )
-    if args.count and not untabled:
+    if args.count:
         return _count_knots(args, wanted)
-    count = 0
     bucket = None
     bucket_count = 0
     for knot in _enumerate_knots(args):
@@ -220,30 +219,19 @@ def cmd_enumerate(args) -> int:
         bucket_count += 1
         if wanted is not None and final_region(knot) is not wanted:
             continue
-        variants = [knot]
-        if args.both_mirrors:
-            reflected = mirror(knot)
-            if reflected.serialize() != knot.serialize() or reflected.start != knot.start:
-                variants.append(reflected)
-        for variant in variants:
-            count += 1
-            if args.count:
-                continue
+        for variant in (knot, mirror(knot)) if args.both_mirrors else (knot,):
             if args.format == "jsonl":
                 print(json.dumps(_knot_record(variant)))
             elif args.format == "csv":
-                record = _knot_record(variant)
                 print(
-                    f"{record['tw']},{record['clr']},{record['start']},"
-                    f"{record['windings']},{record['moves']},{record['final_region']}"
+                    f"{variant.serialize()},{tw_to_clr(variant).serialize()},{variant.start.value},"
+                    f"{variant.winding_count},{variant.move_count},{final_region(variant).value}"
                 )
             else:
                 prefix = f"{variant.start.value} " if args.both_mirrors else ""
                 print(prefix + (variant.serialize() or "<empty>"))
     if args.progress and bucket is not None:
         _report_bucket(bucket, bucket_count)
-    if args.count:
-        print(count)
     return EXIT_OK
 
 
@@ -258,25 +246,19 @@ _GRAMMAR_SERIES = {
     "full": grammars.full_grammar,
 }
 
-# Winding patterns by final region, as closed forms in moves; the right-
-# and center-final patterns are equinumerous.
-_RC_WINDINGS = "z^3/(1-z-2z^2)"
-_CLOSED_FORM_SERIES = {
-    "windings-r": _RC_WINDINGS,
-    "windings-l": "2z^4/((1-2z)(1+z))",
-    "windings-c": _RC_WINDINGS,
-}
+# Winding patterns by final region, a series in moves (windings + 1).
+_PATTERN_SERIES = {f"windings-{region.value.lower()}": region for region in Region}
 
 
 def cmd_series(args) -> int:
     if args.order < 0:
         raise UsageError(f"series order must be >= 0, got {args.order}")
-    if args.which in _CLOSED_FORM_SERIES:
-        rational = genfunc.parse_rational(_CLOSED_FORM_SERIES[args.which])
-        series = genfunc.expand(rational, args.order + 1)
+    if args.which in _PATTERN_SERIES:
+        turn = TURN_OF_REGION[_PATTERN_SERIES[args.which]]
+        series = [enumeration.pattern_count(m - 1, turn) if m >= 3 else 0 for m in range(args.order + 1)]
     else:
         series = grammars.count_by_size(_GRAMMAR_SERIES[args.which](), args.order)
-    print(", ".join(str(c) for c in series.truncate(args.order + 1)))
+    print(", ".join(map(str, series)))
     if args.verbose:
         print(f"# degree counts {'windings' if args.which == 'full' else 'moves'}")
     return EXIT_OK
@@ -425,7 +407,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="report bucket completion on stderr")
 
     p = sub.add_parser("series", help="print a counting series")
-    p.add_argument("which", choices=sorted([*_GRAMMAR_SERIES, *_CLOSED_FORM_SERIES]))
+    p.add_argument("which", choices=sorted([*_GRAMMAR_SERIES, *_PATTERN_SERIES]))
     p.add_argument("order", type=int)
     p.add_argument("--verbose", action="store_true")
 

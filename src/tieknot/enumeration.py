@@ -41,6 +41,7 @@ from typing import Dict, Iterable, Iterator, List, Tuple
 
 from . import grammars
 from .notation import (
+    TURN_OF_REGION,
     KnotWord,
     Region,
     WindDir,
@@ -53,10 +54,11 @@ from .notation import (
 from .validity import DEFAULT_OPTIONS, ValidityOptions, tuck_parity_ok
 
 
-def winding_strings(length: int) -> Iterator[str]:
-    """All T/W strings of exactly ``length`` windings, lexicographic."""
-    for combo in itertools.product("TW", repeat=length):
-        yield "".join(combo)
+def pattern_texts(windings: int) -> Iterator[str]:
+    """The winding patterns of ``windings`` >= 2 windings, lexicographic:
+    every T/W stem, then its last letter again."""
+    for stem in itertools.product("TW", repeat=windings - 1):
+        yield "".join(stem) + stem[-1]
 
 
 def final_region_of(text: str, start: Region = Region.LEFT) -> Region:
@@ -77,10 +79,6 @@ def depth1_sites(windings: str, opts: ValidityOptions = DEFAULT_OPTIONS) -> List
         out.append(position)
     return out
 
-
-# The final region of winding text is its start L stepped by the net
-# turn #T - #W; winding patterns are classed by that turn mod 3.
-TURN_OF_REGION = {step_region(Region.LEFT, WindDir.T, turn): turn for turn in range(3)}
 
 # A winding pattern is a T/W stem, then its last letter again.  TT turns
 # by 2 and WW by -2 = 1, and a T put in front turns a pattern by 1 more,
@@ -110,14 +108,19 @@ def single_tuck_knots(
     the final site carries the mandatory closing tuck.
     """
     for n in range(2, max_windings + 1):
-        for w in winding_strings(n):
-            if w[-1] != w[-2]:
-                continue
-            internal = [p for p in depth1_sites(w, opts) if p < n]
-            for chosen in itertools.chain.from_iterable(
-                itertools.combinations(internal, k) for k in range(len(internal) + 1)
-            ):
-                yield decorate(w, set(chosen))
+        yield from _single_bucket(n, opts)
+
+
+def _single_bucket(n: int, opts: ValidityOptions) -> List[str]:
+    """The depth-1-tuck knots of ``n`` windings, pattern by pattern."""
+    members = []
+    for w in pattern_texts(n):
+        internal = [p for p in depth1_sites(w, opts) if p < n]
+        for chosen in itertools.chain.from_iterable(
+            itertools.combinations(internal, k) for k in range(len(internal) + 1)
+        ):
+            members.append(decorate(w, set(chosen)))
+    return members
 
 
 def decorate(windings: str, sites) -> str:
@@ -131,8 +134,8 @@ def fm_knots(max_windings: int) -> Iterator[str]:
     """Classical knots as region strings: center-final winding patterns
     carrying exactly the final tuck, walked from L."""
     for n in range(2, max_windings + 1):
-        for w in winding_strings(n):
-            if w[-1] == w[-2] and final_region_of(w) is Region.CENTER:
+        for w in pattern_texts(n):
+            if final_region_of(w) is Region.CENTER:
                 yield tw_text_to_clr(w + "U")
 
 
@@ -256,8 +259,7 @@ def oracle_enumerate(
     winding count, then text order.
     """
     if opts.max_tuck_depth == 1:
-        texts = single_tuck_knots(max_windings, opts)  # ascending winding count
-        buckets = (list(group) for _, group in itertools.groupby(texts, _winding_count))
+        buckets = (_single_bucket(n, opts) for n in range(2, max_windings + 1))
     elif opts.max_tuck_depth is None:
         if opts.allow_hidden_tucks:
             raise NotImplementedError(
@@ -273,10 +275,6 @@ def oracle_enumerate(
         members.sort(key=sort_key)
         for text in members:
             yield parse_tw(text)
-
-
-def _winding_count(text: str) -> int:
-    return sum(1 for c in text if c in "TW")
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +341,30 @@ def hidden_tuck_counts(max_windings: int) -> Dict[int, int]:
     every equal adjacent pair an optional internal site; the count per
     winding count n works out to 2 * 3^(n-2).
     """
-    opts = ValidityOptions(allow_hidden_tucks=True)
-    out = {n: 0 for n in range(2, max_windings + 1)}
-    for text in single_tuck_knots(max_windings, opts):
-        out[_winding_count(text)] += 1
+    return {n: sum(row) for n, row in hidden_tuck_table(max_windings).items()}
+
+
+def hidden_tuck_table(max_windings: int) -> Dict[int, List[int]]:
+    """Hidden-tuck knots by winding count n, then net turn (#T - #W) mod 3.
+
+    A knot is a T/W stem, its last letter again and the final tuck;
+    every equal adjacent pair of the stem is an optional site, so a stem
+    stands for 2^(equal pairs) knots.  The walk weighs stems letter by
+    letter by (last letter, turn): an equal letter doubles the weight,
+    or closes the knot.
+    """
+    step = {"T": 1, "W": 2}
+    stems = {(c, step[c]): 1 for c in "TW"}  # one-letter stems
+    out = {}
+    for n in range(2, max_windings + 1):
+        out[n] = row = [0, 0, 0]
+        grown = {}
+        for (last, turn), weight in stems.items():
+            row[(turn + step[last]) % 3] += weight
+            for c in "TW":
+                key = (c, (turn + step[c]) % 3)
+                grown[key] = grown.get(key, 0) + (2 * weight if c == last else weight)
+        stems = grown
     return out
 
 

@@ -37,10 +37,6 @@ class Series:
     def __post_init__(self):
         object.__setattr__(self, "coefficients", tuple(int(c) for c in self.coefficients))
 
-    @property
-    def order(self) -> int:
-        return len(self.coefficients)
-
     def __getitem__(self, index):
         return self.coefficients[index]
 
@@ -193,7 +189,7 @@ def fit_recurrence(series: Series, max_order: int) -> Optional[RationalGF]:
             scale = scale * d // gcd(scale, d)
         den = [scale] + [-(f * scale) for f in q]
         den = [int(c) for c in den]
-        num = _poly_mul_series(den, coeffs)[: lead + r]
+        num = _pmul(den, coeffs)[: lead + r]
         return RationalGF(tuple(num), tuple(den)).normalized()
     return None
 
@@ -242,19 +238,6 @@ def _lstsq_exact(matrix, rhs, unknowns):
     for rank, col in enumerate(pivots):
         solution[col] = rows[rank][-1]
     return solution
-
-
-def _poly_mul_series(poly, series_coeffs):
-    """Polynomial times truncated series, truncated to the series length."""
-    n = len(series_coeffs)
-    out = [0] * n
-    for i, p in enumerate(poly):
-        if not p:
-            continue
-        for j, s in enumerate(series_coeffs):
-            if i + j < n:
-                out[i + j] += p * s
-    return out
 
 
 # ---------------------------------------------------------------------------

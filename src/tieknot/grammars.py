@@ -39,7 +39,7 @@ from functools import cache, cached_property
 from typing import Optional, Union
 
 from .genfunc import Series
-from .notation import Region, sort_key
+from .notation import TURN_OF_REGION, Region, sort_key
 
 
 class GrammarError(ValueError):
@@ -315,7 +315,7 @@ def single_tuck_clr_grammar(final: Optional[Region] = None) -> Grammar:
     return Grammar(start="tie", productions=productions)
 
 
-def full_grammar() -> Grammar:
+def full_grammar(final: Optional[Region] = None) -> Grammar:
     """Knots with arbitrary-depth tucks, winding notation.
 
     The context-free grammar: tucks open with a winding pair and close
@@ -324,47 +324,46 @@ def full_grammar() -> Grammar:
     The three interior states track the residue mod 3 that the rest of
     the window must still contribute for the window rule to hold.  T and
     W weigh 1; U and ' weigh 0, so size = winding count = moves - 1.
+
+    Passing ``final`` keeps only the knots that end there: the top level
+    becomes a chain ``body0``..``body2`` holding the net turn (#T - #W
+    from L, mod 3) the rest of the knot must still make, and only a
+    closing tuck that makes it ends a knot.  ``None`` keeps the plain
+    top level.
     """
     t, w = T("T"), T("W")
     U = T("U", 0)
     sep = T("'", 0)
-    return Grammar(
-        start="tie",
-        productions={
+    # Net turns (#T - #W) mod 3: TT 2, TW and WT 0, WW 1; by the window
+    # rule a T-opening tuck makes 2 and a W-opening tuck 1.  State wk
+    # still owes -k, so after a step of turn s it owes -(k + s).
+    pairs = (((t, t), 2), ((t, w), 0), ((w, t), 0), ((w, w), 1))
+    tucks = (((N("ttuck2"),), 2), ((N("wtuck2"),), 1))
+    if final is None:
+        productions = {
             "tie": ((N("prefix"), N("body")),),
             "prefix": ((t,), (w,), ()),
             "body": ((N("pair"), N("body")), (N("tuck"), N("body")), (N("tuck"),)),
-            "pair": ((t, t), (t, w), (w, t), (w, w)),
-            "tuck": ((N("ttuck2"),), (N("wtuck2"),)),
-            "ttuck2": ((t, t, N("w0"), U), (t, w, N("w1"), U)),
-            "wtuck2": ((w, w, N("w0"), U), (w, t, N("w2"), U)),
-            "w0": (
-                (w, w, N("w1"), U),
-                (w, t, N("w0"), U),
-                (t, w, N("w0"), U),
-                (t, t, N("w2"), U),
-                (N("ttuck2"), sep, N("w2"), U),
-                (N("wtuck2"), sep, N("w1"), U),
-                (),
-            ),
-            "w1": (
-                (w, w, N("w2"), U),
-                (w, t, N("w1"), U),
-                (t, w, N("w1"), U),
-                (t, t, N("w0"), U),
-                (N("ttuck2"), sep, N("w0"), U),
-                (N("wtuck2"), sep, N("w2"), U),
-            ),
-            "w2": (
-                (w, w, N("w0"), U),
-                (w, t, N("w2"), U),
-                (t, w, N("w2"), U),
-                (t, t, N("w1"), U),
-                (N("ttuck2"), sep, N("w1"), U),
-                (N("wtuck2"), sep, N("w0"), U),
-            ),
-        },
-    )
+            "pair": tuple(items for items, _ in pairs),
+            "tuck": tuple(items for items, _ in tucks),
+        }
+    else:
+        goal = TURN_OF_REGION[final]
+        productions = {"tie": tuple(
+            prefix + (N(f"body{(goal - turn) % 3}"),) for prefix, turn in (((t,), 1), ((w,), 2), ((), 0))
+        )}
+        for need in range(3):
+            productions[f"body{need}"] = tuple(
+                items + (N(f"body{(need - turn) % 3}"),) for items, turn in pairs + tucks
+            ) + tuple(items for items, turn in tucks if turn == need)
+    productions["ttuck2"] = ((t, t, N("w0"), U), (t, w, N("w1"), U))
+    productions["wtuck2"] = ((w, w, N("w0"), U), (w, t, N("w2"), U))
+    for k in range(3):
+        productions[f"w{k}"] = tuple(
+            [items + (N(f"w{(k + turn) % 3}"), U) for items, turn in pairs[::-1]]
+            + [items + (sep, N(f"w{(k + turn) % 3}"), U) for items, turn in tucks]
+        ) + (((),) if k == 0 else ())
+    return Grammar(start="tie", productions=productions)
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,11 @@ def step_region(region: Region, direction: WindDir, times: int = 1) -> Region:
     return _CYCLE[(_CYCLE_INDEX[region] + delta) % 3]
 
 
+# The final region of winding text is its start L stepped by the net
+# turn #T - #W; knots and winding patterns are classed by that turn mod 3.
+TURN_OF_REGION = {step_region(Region.LEFT, WindDir.T, turn): turn for turn in range(3)}
+
+
 def mirror_region(region: Region) -> Region:
     """Reflect left/right; the center is its own mirror image."""
     if region is Region.LEFT:

@@ -53,7 +53,7 @@ def test_criterion_2_single_tuck_counts():
 
     oracle = {}
     for text in enumeration.single_tuck_knots(12):
-        n = enumeration._winding_count(text)
+        n = text.count("T") + text.count("W")
         oracle[n + 1] = oracle.get(n + 1, 0) + 1
     assert [oracle[m] for m in range(3, 14)] == SINGLE_EXPECTED
 

@@ -81,9 +81,18 @@ def test_pattern_rank_matches_listing_to_14_windings(listed_classes):
             assert "".join(knot.windings) == windings
 
 
+# Winding patterns by final region, as the published closed forms in
+# moves; the right- and center-final patterns are equinumerous.
+PUBLISHED_WINDINGS = {
+    Region.RIGHT: "z^3/(1-z-2z^2)",
+    Region.LEFT: "2z^4/((1-2z)(1+z))",
+    Region.CENTER: "z^3/(1-z-2z^2)",
+}
+
+
 @pytest.mark.parametrize("region", list(Region))
-def test_class_sizes_match_closed_forms_to_order_60(region):
-    form = cli._CLOSED_FORM_SERIES[f"windings-{region.value.lower()}"]
+def test_class_sizes_match_closed_forms_to_order_60(region, capsys):
+    form = PUBLISHED_WINDINGS[region]
     series = list(genfunc.expand(genfunc.parse_rational(form), 61))  # degree counts moves
     turn = E.TURN_OF_REGION[region]
     sizes = [E.pattern_count(moves - 1, turn) if moves >= 3 else 0 for moves in range(61)]
@@ -91,6 +100,8 @@ def test_class_sizes_match_closed_forms_to_order_60(region):
     # The running totals count the class's patterns of fewer windings.
     for windings in range(2, 61):
         assert E.patterns_below(windings, turn) == sum(series[: windings + 1])
+    assert cli.main(["series", f"windings-{region.value.lower()}", "60"]) == 0
+    assert capsys.readouterr().out == ", ".join(map(str, series)) + "\n"
 
 
 @settings(max_examples=300, deadline=None)

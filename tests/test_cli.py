@@ -311,14 +311,16 @@ def _listing(*argv):
     return out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("klass, max_windings", [("single", "13"), ("full", "10")])
+# "hidden" is the single class with --allow-hidden-tucks.
+@pytest.mark.parametrize("klass, max_windings", [("single", "13"), ("full", "10"), ("hidden", "9")])
 @pytest.mark.parametrize("final", [None, "L", "R", "C"])
 @pytest.mark.parametrize("both_mirrors", [False, True])
 @pytest.mark.parametrize("progress", [False, True])
 def test_enumerate_grammar_count_matches_the_listing(
     capsys, klass, max_windings, final, both_mirrors, progress
 ):
-    argv = ["enumerate", "--class", klass, "--max-windings", max_windings]
+    argv = ["enumerate", "--max-windings", max_windings]
+    argv += ["--class", "single", "--allow-hidden-tucks"] if klass == "hidden" else ["--class", klass]
     argv += ["--final", final] if final else []
     argv += ["--both-mirrors"] if both_mirrors else []
     listed, listed_progress = _listing(*argv, "--progress")
@@ -340,6 +342,25 @@ def test_enumerate_grammar_count_answers_in_bounded_time(capsys, monkeypatch, kl
         code, out, err = run(capsys, "enumerate", "--class", klass, "--count",
                              "--max-windings", str(cap))
     assert (code, out, err) == (0, f"{expected}\n", "")
+
+
+@pytest.mark.parametrize("klass, cap", [("full", 15), ("full", 61), ("hidden", 20), ("hidden", 61)])
+def test_enumerate_region_final_count_answers_in_bounded_time(capsys, monkeypatch, klass, cap):
+    if klass == "full":
+        argv = ["--class", "full"]
+        total = sum(row.total_knots for row in enumeration.census(cap - 1))
+    else:  # 2 * 3^(n - 2) hidden-tuck knots of n windings
+        argv = ["--class", "single", "--allow-hidden-tucks"]
+        total = 3 ** (cap - 2) - 1
+    monkeypatch.setenv("TIEKNOT_MAX_WINDINGS", str(cap))
+    counts = []
+    for final in "LRC":
+        with _wall_bound(2):
+            code, out, err = run(capsys, "enumerate", *argv, "--final", final, "--count",
+                                 "--max-windings", str(cap))
+        assert (code, err) == (0, "")
+        counts.append(int(out))
+    assert all(counts) and sum(counts) == total
 
 
 @pytest.mark.parametrize("text", ["L-1_0.0", "L-+5.0", "L- 5.0", "L-1.\u0663"])

@@ -179,6 +179,21 @@ def test_full_language_matches_grammar(full_members_12, full_oracle_12):
         assert len(members) == series[n]
 
 
+def test_region_final_full_grammars_split_the_oracle(full_oracle_12):
+    series = {region: G.count_by_size(G.full_grammar(region), 12) for region in Region}
+    for region in Region:
+        listed = {m: n for n, ms in full_oracle_12.items() for m in ms
+                  if E.final_region_of(m) is region}
+        assert G.generate_with_sizes(G.full_grammar(region), 9) == {
+            m: n for m, n in listed.items() if n <= 9
+        }
+        assert list(series[region]) == [Counter(listed.values())[n] for n in range(13)]
+    # The three region grammars partition the plain one, far past any listing.
+    total = G.count_by_size(G.full_grammar(), 40)
+    by_region = [G.count_by_size(G.full_grammar(region), 40) for region in Region]
+    assert [sum(column) for column in zip(*by_region)] == list(total)
+
+
 def test_full_language_deep_members_are_not_per_tuck_products():
     # A depth-1 tuck inside the opening pair of a depth-2 window passes
     # every per-tuck check yet is not a knot of the language.
@@ -207,10 +222,21 @@ def test_hidden_tuck_census():
     assert sum(counts.values()) == 177146
 
 
+def test_hidden_tuck_table_matches_the_listing_by_final_region():
+    listed = Counter(
+        (text.count("T") + text.count("W"), E.final_region_of(text))
+        for text in E.single_tuck_knots(12, ValidityOptions(allow_hidden_tucks=True))
+    )
+    table = E.hidden_tuck_table(12)
+    assert list(table) == list(range(2, 13))
+    for n, row in table.items():
+        assert row == [listed[n, region] for region in sorted(Region, key=E.TURN_OF_REGION.get)]
+
+
 def test_hidden_census_extends_strict_census():
     strict = {}
     for text in E.single_tuck_knots(8):
-        n = E._winding_count(text)
+        n = text.count("T") + text.count("W")
         strict[n] = strict.get(n, 0) + 1
     relaxed = E.hidden_tuck_counts(8)
     assert all(relaxed[n] >= strict[n] for n in strict)
