@@ -27,6 +27,7 @@ the tuck-bits component is canonical.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -118,6 +119,7 @@ def pattern_rank(windings: str) -> int:
 
 
 _UNCAPPED = validity.ValidityOptions(max_moves=None)
+_WINDINGS_ONLY = str.maketrans("", "", "U'")
 
 
 def name_of(knot: KnotWord) -> KnotName:
@@ -134,29 +136,24 @@ def name_of(knot: KnotWord) -> KnotName:
     report = validity.validate(knot, _UNCAPPED)
     if not report.valid:
         raise NamingError(f"cannot name an invalid knot: {report.violations[0]}")
-    text = knot.serialize()
-    if not text.endswith("U"):
-        raise NamingError("only knots ending in a tuck are named")
-
-    windings = text.replace("U", "").replace("'", "")
+    # A valid knot ends in a tuck, and each of its depth-1 tucks sits on
+    # a depth-1 site: equal windings, an even distance from the end.
+    windings = knot.serialize().translate(_WINDINGS_ONLY)
     n = len(windings)
     rank = pattern_rank(windings)  # raises when there is no final site
-    if (n, 1) not in knot.tucks:
+    bit_of = {p: 1 << i for i, p in enumerate(depth1_sites(windings)[:-1])}
+    # Deep tucks ride in item order: towers at one position may stack
+    # their depths either way round, and the order distinguishes the knots.
+    bits, extension, anchored = 0, "", False
+    for p, d in knot.tucks:
+        if d > 1:
+            extension += f"+p{p}d{d}"
+        elif p < n:
+            bits |= bit_of[p]
+        else:
+            anchored = True
+    if not anchored:
         raise NamingError("no final depth-1 tuck to anchor the pattern name")
-
-    sites = depth1_sites(windings)[:-1]  # all but the final site
-    shallow = {p for p, depth in knot.tucks if depth == 1 and p < n}
-    stray = shallow - set(sites)
-    if stray:
-        raise NamingError(f"internal tuck at {sorted(stray)} is not a depth-1 site")
-    bits = 0
-    for i, p in enumerate(sites):
-        if p in shallow:
-            bits |= 1 << i
-    # Deep tucks in item order: towers at one position may stack their
-    # depths either way round, and the order distinguishes the knots.
-    deep = [(p, d) for p, d in knot.tucks if d > 1]
-    extension = "".join(f"+p{p}d{d}" for p, d in deep)
     return KnotName(final_region_of(windings), rank, bits, extension)
 
 
@@ -222,7 +219,7 @@ def symmetry(knot: KnotWord) -> int:
 def balance(knot: KnotWord) -> int:
     """Number of changes between runs of T and runs of W, tucks ignored."""
     windings = knot.windings
-    return sum(1 for a, b in zip(windings, windings[1:]) if a != b)
+    return sum(map(operator.ne, windings, windings[1:]))
 
 
 @dataclass(frozen=True)

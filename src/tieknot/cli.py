@@ -67,27 +67,28 @@ def _options_from(args) -> validity.ValidityOptions:
     )
 
 
-def _knot_record(knot: KnotWord) -> dict:
-    text = knot.serialize()
-    record = {
-        "tw": text,
-        "clr": tw_to_clr(knot).serialize(),
-        "start": knot.start.value,
-        "windings": knot.winding_count,
-        "moves": knot.move_count,
-        "tucks": [{"position": p, "depth": d} for p, d in knot.tucks],
-        "final_region": final_region(knot).value,
-        "symmetry": catalog.symmetry(knot),
-        "balance": catalog.balance(knot),
-    }
+def _knot_line(knot: KnotWord) -> str:
+    """The knot's schema-v1 JSONL record, written field by field.
+
+    The text is what ``json.dumps`` writes for the record as a dict with
+    default separators: its strings hold only letters, digits and
+    ``'+-.``, which JSON copies unescaped.  ``name`` and ``tuck_bits``
+    are null for a knot outside the naming scheme or whose name is too
+    long to print.
+    """
+    tucks = ", ".join([f'{{"position": {p}, "depth": {d}}}' for p, d in knot.tucks])
     try:
         name = catalog.name_of(knot)
-        record["name"] = str(name)
-        record["tuck_bits"] = name.tuck_bits
+        naming = f'"{name}", "tuck_bits": {name.tuck_bits}'
     except catalog.NamingError:
-        record["name"] = None
-        record["tuck_bits"] = None
-    return record
+        naming = 'null, "tuck_bits": null'
+    return (
+        f'{{"tw": "{knot.serialize()}", "clr": "{tw_to_clr(knot).serialize()}", '
+        f'"start": "{knot.start.value}", "windings": {knot.winding_count}, '
+        f'"moves": {knot.move_count}, "tucks": [{tucks}], '
+        f'"final_region": "{final_region(knot).value}", "symmetry": {catalog.symmetry(knot)}, '
+        f'"balance": {catalog.balance(knot)}, "name": {naming}}}'
+    )
 
 
 def cmd_validate(args) -> int:
@@ -221,7 +222,7 @@ def cmd_enumerate(args) -> int:
             continue
         for variant in (knot, mirror(knot)) if args.both_mirrors else (knot,):
             if args.format == "jsonl":
-                print(json.dumps(_knot_record(variant)))
+                print(_knot_line(variant))
             elif args.format == "csv":
                 print(
                     f"{variant.serialize()},{tw_to_clr(variant).serialize()},{variant.start.value},"
@@ -321,7 +322,7 @@ def cmd_sample(args) -> int:
     for index in sorted(rng.sample(range(len(texts)), args.count)):
         knot = parse_tw(texts[index])
         if args.format == "jsonl":
-            print(json.dumps(_knot_record(knot)))
+            print(_knot_line(knot))
         else:
             print(f"{catalog.name_of(knot)}  {knot.serialize()}")
     return EXIT_OK

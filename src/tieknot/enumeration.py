@@ -51,7 +51,7 @@ from .notation import (
     step_region,
     tw_text_to_clr,
 )
-from .validity import DEFAULT_OPTIONS, ValidityOptions, tuck_parity_ok
+from .validity import DEFAULT_OPTIONS, ValidityOptions
 
 
 def pattern_texts(windings: int) -> Iterator[str]:
@@ -70,14 +70,8 @@ def depth1_sites(windings: str, opts: ValidityOptions = DEFAULT_OPTIONS) -> List
     """Positions admitting a depth-1 tuck: equal adjacent windings, at an
     even distance from the end unless hidden tucks are allowed."""
     n = len(windings)
-    out = []
-    for position in range(2, n + 1):
-        if windings[position - 2] != windings[position - 1]:
-            continue
-        if not opts.allow_hidden_tucks and not tuck_parity_ok(n, position):
-            continue
-        out.append(position)
-    return out
+    first, step = (2, 1) if opts.allow_hidden_tucks else (2 + n % 2, 2)
+    return [p for p in range(first, n + 1, step) if windings[p - 2] == windings[p - 1]]
 
 
 # A winding pattern is a T/W stem, then its last letter again.  TT turns

@@ -422,6 +422,7 @@ def infer_orientations(word: RegionWord) -> RegionWord:
 _VISITS = tuple(Visit(region) for region in _CYCLE)
 _CYCLE_LETTERS = "".join(region.value for region in _CYCLE)
 _TURN = {WindDir.T: 1, WindDir.W: 2}  # steps along the cycle, mod 3
+_DIRECTION = (None, WindDir.T, WindDir.W) * 2  # by cycle index to - from, -2 to 2
 
 
 def tw_to_clr(knot: KnotWord) -> RegionWord:
@@ -483,15 +484,17 @@ def clr_to_tw(word: RegionWord) -> KnotWord:
         raise NotationError("region word must begin with a visit")
     start = word.items[0].region
     items = []
-    region = start
+    index = _CYCLE_INDEX[start]
     for item in word.items[1:]:
-        if isinstance(item, Tuck):
+        if item.__class__ is Tuck:
             items.append(item)
             continue
-        if item.region == region:
-            raise NotationError(f"repeated region {region.value} has no winding direction")
-        items.append(WindDir.T if step_region(region, WindDir.T) == item.region else WindDir.W)
-        region = item.region
+        to = _CYCLE_INDEX[item.region]
+        direction = _DIRECTION[to - index]
+        if direction is None:
+            raise NotationError(f"repeated region {_CYCLE[to].value} has no winding direction")
+        items.append(direction)
+        index = to
     return KnotWord(start=start, items=tuple(items))
 
 

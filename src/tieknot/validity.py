@@ -99,6 +99,9 @@ class ValidityReport:
         }
 
 
+_VALID = ValidityReport(valid=True)  # reports are immutable, so valid knots share one
+
+
 def tuck_site_valid(windings: Sequence[WindDir], position: int, k: int) -> bool:
     """Window rule: may a depth-``k`` tuck close after winding ``position``?
 
@@ -188,7 +191,11 @@ def validate(knot: KnotWord, opts: ValidityOptions = DEFAULT_OPTIONS) -> Validit
                 )
             )
             continue
-        if not tuck_site_valid(windings, position, depth):
+        if depth == 1:  # the window rule inline: the last two windings are equal
+            fits = windings[position - 2] is windings[position - 1]
+        else:
+            fits = tuck_site_valid(windings, position, depth)
+        if not fits:
             violations.append(
                 Violation(
                     RULE_WINDOW,
@@ -196,7 +203,7 @@ def validate(knot: KnotWord, opts: ValidityOptions = DEFAULT_OPTIONS) -> Validit
                     f"window does not admit a depth-{depth} tuck after winding {position}",
                 )
             )
-        if not opts.allow_hidden_tucks and not tuck_parity_ok(n, position):
+        if (n - position) % 2 and not opts.allow_hidden_tucks:  # T3's parity form
             violations.append(
                 Violation(
                     RULE_FRONT_TUCK,
@@ -215,7 +222,7 @@ def validate(knot: KnotWord, opts: ValidityOptions = DEFAULT_OPTIONS) -> Validit
                     Violation(RULE_ENDING, n, "knot must end on a tuck (or a center visit)")
                 )
 
-    return ValidityReport(valid=not violations, violations=tuple(violations))
+    return ValidityReport(valid=False, violations=tuple(violations)) if violations else _VALID
 
 
 def validate_clr(word: RegionWord, opts: ValidityOptions = DEFAULT_OPTIONS) -> ValidityReport:

@@ -448,3 +448,63 @@ def test_crosscheck_command(capsys):
     assert code == 0
     assert "classical knots to 9 moves: ok" in out
     assert "MISMATCH" not in out
+
+
+def _library_record(knot):
+    """The schema-v1 record of a knot, field by field from the library, in emitted order."""
+    from tieknot import catalog
+    from tieknot.notation import final_region, tw_to_clr
+
+    try:
+        name = catalog.name_of(knot)
+        naming = {"name": str(name), "tuck_bits": name.tuck_bits}
+    except catalog.NamingError:
+        naming = {"name": None, "tuck_bits": None}
+    return {
+        "tw": knot.serialize(),
+        "clr": tw_to_clr(knot).serialize(),
+        "start": knot.start.value,
+        "windings": knot.winding_count,
+        "moves": knot.move_count,
+        "tucks": [{"position": p, "depth": d} for p, d in knot.tucks],
+        "final_region": final_region(knot).value,
+        "symmetry": catalog.symmetry(knot),
+        "balance": catalog.balance(knot),
+        **naming,
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--class", "full", "--format", "jsonl", "--max-windings", "9"],
+    ["enumerate", "--format", "jsonl", "--max-windings", "9", "--both-mirrors"],
+    ["enumerate", "--format", "jsonl", "--max-windings", "9", "--allow-hidden-tucks"],
+    ["sample", "50", "--seed", "3", "--format", "jsonl"],
+])
+def test_jsonl_lines_are_canonical_library_records(capsys, argv):
+    from tieknot.notation import Region, parse_tw
+
+    code, out, _ = run(capsys, *argv)
+    lines = out.splitlines()
+    assert code == 0 and lines
+    nulls = 0
+    for line in lines:
+        record = json.loads(line)
+        assert json.dumps(record) == line
+        knot = parse_tw(record["tw"], Region(record["start"]))
+        assert record == _library_record(knot)
+        nulls += record["name"] is None
+    if "--both-mirrors" in argv:  # a mirror starts at R, outside the naming scheme
+        assert nulls == len(lines) // 2
+
+
+def test_jsonl_line_of_a_name_too_long_to_print():
+    from tieknot.cli import _knot_line
+    from tieknot.notation import parse_tw
+
+    knot = parse_tw("T" * 14300 + "TU")
+    line = _knot_line(knot)
+    record = json.loads(line)
+    assert json.dumps(record) == line
+    assert record["windings"] == 14301
+    assert (record["name"], record["tuck_bits"]) == (None, None)
+    assert record == _library_record(knot)

@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 from dataclasses import astuple, replace
 
@@ -297,3 +298,17 @@ def test_cross_check_reports_a_dropped_member(monkeypatch):
         "left-final single-tuck knots to 9 moves: MISMATCH (only-left ['LCRCLU'] / only-right [])",
     ]
 
+
+def test_depth1_sites_match_the_window_and_parity_rules_to_12_windings():
+    from tieknot.validity import tuck_parity_ok, tuck_site_valid
+
+    for hidden in (False, True):
+        opts = ValidityOptions(allow_hidden_tucks=hidden)
+        for n in range(1, 13):
+            for letters in itertools.product("TW", repeat=n):
+                windings = [N.WindDir(letter) for letter in letters]
+                expected = [
+                    p for p in range(1, n + 1)
+                    if tuck_site_valid(windings, p, 1) and (hidden or tuck_parity_ok(n, p))
+                ]
+                assert E.depth1_sites("".join(letters), opts) == expected

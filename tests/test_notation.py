@@ -21,6 +21,7 @@ from tieknot.notation import (
     parse_tw,
     render_instructions,
     sort_key,
+    step_region,
     tw_text_to_clr,
     tw_to_clr,
 )
@@ -124,8 +125,38 @@ def test_clr_to_tw_inverts():
 
 
 def test_clr_to_tw_rejects_repeat():
-    with pytest.raises(NotationError):
+    with pytest.raises(NotationError, match="^repeated region C has no winding direction$"):
         clr_to_tw(parse_clr("LCC"))
+
+
+def _clr_to_tw_by_steps(word):
+    """clr_to_tw's definition: a winding is T when one turnwise step reaches the next visit."""
+    region = word.items[0].region
+    items = []
+    for item in word.items[1:]:
+        if isinstance(item, Tuck):
+            items.append(item)
+            continue
+        if item.region == region:
+            raise NotationError(f"repeated region {region.value} has no winding direction")
+        items.append(WindDir.T if step_region(region, WindDir.T) == item.region else WindDir.W)
+        region = item.region
+    return KnotWord(start=word.items[0].region, items=tuple(items))
+
+
+@given(st.text("LCRU'", min_size=1, max_size=24))
+def test_clr_to_tw_matches_a_step_by_step_walk(text):
+    try:
+        word = parse_clr(text)
+    except NotationError:
+        return
+    outcomes = []
+    for convert in (clr_to_tw, _clr_to_tw_by_steps):
+        try:
+            outcomes.append(convert(word))
+        except NotationError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_mirror_swaps_everything():

@@ -1,9 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
-from tieknot.notation import WindDir, parse_tw
+from tieknot.notation import KnotWord, Tuck, WindDir, parse_tw
 from tieknot.validity import (
+    RULE_FRONT_TUCK,
+    RULE_TUCK_ROOM,
+    RULE_WINDOW,
     ValidityOptions,
     tuck_parity_ok,
     tuck_site_valid,
@@ -167,3 +171,62 @@ def test_final_tuck_follows_outward_move():
                 assert previous is Orientation.OUT
             else:
                 previous = item.orientation
+
+
+# -- validate's tuck verdicts against the standalone rules --------------------
+# validate applies the window and parity rules inline; tuck_site_valid and
+# tuck_parity_ok are their definitions.
+
+
+def _verdicts(knot, rule, hidden):
+    opts = ValidityOptions(require_final_tuck=False, allow_hidden_tucks=hidden, max_moves=None)
+    return [(v.position, v.message) for v in validate(knot, opts).violations if v.rule == rule]
+
+
+def _assert_verdicts_match_the_rules(knot):
+    windings, n = knot.windings, knot.winding_count
+    roomy = [(p, d) for p, d in knot.tucks if p >= 2 * d]
+    assert _verdicts(knot, RULE_TUCK_ROOM, True) == [
+        (p, f"depth-{d} tuck needs {2 * d} preceding windings, found {p}")
+        for p, d in knot.tucks if p < 2 * d
+    ]
+    window = [
+        (p, f"window does not admit a depth-{d} tuck after winding {p}")
+        for p, d in roomy if not tuck_site_valid(windings, p, d)
+    ]
+    assert _verdicts(knot, RULE_WINDOW, True) == window
+    assert _verdicts(knot, RULE_WINDOW, False) == window
+    assert _verdicts(knot, RULE_FRONT_TUCK, True) == []
+    assert [p for p, _ in _verdicts(knot, RULE_FRONT_TUCK, False)] == [
+        p for p, _ in roomy if not tuck_parity_ok(n, p)
+    ]
+
+
+def _every_tuck_after(windings):
+    """A word with tucks of every depth from 1 to one past the room, after every winding."""
+    items = []
+    for position, letter in enumerate(windings, start=1):
+        items.append(WindDir(letter))
+        items.extend(Tuck(depth) for depth in range(1, position // 2 + 2))
+    return KnotWord(items=tuple(items))
+
+
+def test_validate_tuck_verdicts_match_the_rules_to_eight_windings():
+    for n in range(1, 9):
+        for letters in itertools.product("TW", repeat=n):
+            _assert_verdicts_match_the_rules(_every_tuck_after(letters))
+
+
+@given(
+    st.text("TW", min_size=1, max_size=40),
+    st.lists(st.tuples(st.integers(0, 39), st.integers(1, 21)), max_size=12),
+)
+def test_validate_tuck_verdicts_match_the_rules_on_long_words(windings, tucks):
+    after = {}
+    for offset, depth in tucks:
+        after.setdefault(1 + offset % len(windings), []).append(Tuck(depth))
+    items = []
+    for position, letter in enumerate(windings, start=1):
+        items.append(WindDir(letter))
+        items.extend(after.get(position, ()))
+    _assert_verdicts_match_the_rules(KnotWord(items=tuple(items)))
