@@ -3,7 +3,8 @@
 Exit codes: 0 success (and, for ``validate``, a valid knot); 1 invalid
 knot or failed check; 2 usage or parse errors, which include a
 ``TIEKNOT_MAX_WINDINGS`` that is not an integer of at least 3, a
-``sample`` count outside 0..population and a negative ``series`` order.
+``sample`` count outside 0..population and a ``series`` order outside
+0..``SERIES_MAX_ORDER`` (1000).
 Enumeration output is plain text by default, with ``--format jsonl``
 / ``--format csv`` where a record stream makes sense.  The environment
 variable ``TIEKNOT_MAX_WINDINGS`` caps enumeration sizes, the
@@ -250,10 +251,14 @@ _GRAMMAR_SERIES = {
 # Winding patterns by final region, a series in moves (windings + 1).
 _PATTERN_SERIES = {f"windings-{region.value.lower()}": region for region in Region}
 
+SERIES_MAX_ORDER = 1000  # bounds the work: `series full` grows as the order squared
+
 
 def cmd_series(args) -> int:
     if args.order < 0:
         raise UsageError(f"series order must be >= 0, got {args.order}")
+    if args.order > SERIES_MAX_ORDER:
+        raise UsageError(f"series order must be at most {SERIES_MAX_ORDER}, got {args.order}")
     if args.which in _PATTERN_SERIES:
         turn = TURN_OF_REGION[_PATTERN_SERIES[args.which]]
         series = [enumeration.pattern_count(m - 1, turn) if m >= 3 else 0 for m in range(args.order + 1)]

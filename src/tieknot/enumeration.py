@@ -411,7 +411,7 @@ def cross_check(max_moves: int = 13, full_max_windings: int = 13) -> CrossCheckR
     lines = []
 
     fm_limit = min(max_moves, 9)
-    fm_members = grammars.generate(grammars.fm_grammar(), fm_limit)
+    fm_members = grammars.generate_with_sizes(grammars.fm_grammar(), fm_limit)
     lines.append(
         _compare_sets(f"classical knots to {fm_limit} moves", fm_members, fm_knots(fm_limit - 1))
     )
@@ -426,7 +426,7 @@ def cross_check(max_moves: int = 13, full_max_windings: int = 13) -> CrossCheckR
     for text in oracle:
         by_region[final_region_of(text)].append(text)
     for region, texts in by_region.items():
-        clr = grammars.generate(grammars.single_tuck_clr_grammar(region), max_moves)
+        clr = grammars.generate_with_sizes(grammars.single_tuck_clr_grammar(region), max_moves)
         lines.append(
             _compare_sets(
                 f"{region.name.lower()}-final single-tuck knots to {max_moves} moves",

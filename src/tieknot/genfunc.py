@@ -53,9 +53,6 @@ class Series:
     def total(self) -> int:
         return sum(self.coefficients)
 
-    def truncate(self, order: int) -> "Series":
-        return Series(self.coefficients[:order])
-
     def __str__(self):
         return ", ".join(str(c) for c in self.coefficients)
 

@@ -25,18 +25,19 @@ single-tuck TW            T,W = 1; final U = 1,    moves
 full                      T,W = 1; U,' = 0         windings (moves - 1)
 ========================  =======================  ======================
 
-:func:`count_by_size` counts by dynamic programming over (nonterminal,
-size); :func:`generate` builds each nonterminal's members size by size
-from those tables.  For unambiguous grammars the two agree bucket by
-bucket, which the test suite verifies against a grammar-free
-enumeration oracle.
+:func:`count_by_size` fills a table of derivations per (nonterminal,
+size), one size at a time; :func:`generate` builds each nonterminal's
+members from the same splits of a size among an alternative's items.
+For unambiguous grammars the two agree bucket by bucket, which the test
+suite verifies against a grammar-free enumeration oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from typing import Optional, Union
+from functools import cache, cached_property, lru_cache
+from itertools import product
+from typing import Optional
 
 from .genfunc import Series
 from .notation import TURN_OF_REGION, Region, sort_key
@@ -65,9 +66,6 @@ class N:
     name: str
 
 
-Item = Union[T, N]
-
-
 @dataclass(frozen=True)
 class Grammar:
     """A production system: ``productions[name]`` lists the alternatives
@@ -80,128 +78,133 @@ class Grammar:
         if self.start not in self.productions:
             raise GrammarError(f"start symbol {self.start!r} has no production")
         for name, alternatives in self.productions.items():
-            for alternative in alternatives:
-                for item in alternative:
-                    if isinstance(item, N) and item.name not in self.productions:
-                        raise GrammarError(
-                            f"nonterminal {item.name!r} used in {name!r} is undefined"
-                        )
+            for item in (item for alternative in alternatives for item in alternative):
+                if isinstance(item, N) and item.name not in self.productions:
+                    raise GrammarError(f"nonterminal {item.name!r} used in {name!r} is undefined")
 
     def to_text(self) -> str:
         """One production per line in a plain BNF-like form."""
-        lines = []
-        for name, alternatives in self.productions.items():
-            rendered = []
-            for alternative in alternatives:
-                if not alternative:
-                    rendered.append("<empty>")
-                    continue
-                rendered.append(
-                    " ".join(
-                        f'"{i.symbol}"' if isinstance(i, T) else f"<{i.name}>"
-                        for i in alternative
-                    )
-                )
-            lines.append(f"<{name}> ::= " + " | ".join(rendered))
+
+        def render(alt):
+            return " ".join(f'"{i.symbol}"' if isinstance(i, T) else f"<{i.name}>" for i in alt) or "<empty>"
+
+        lines = (f"<{name}> ::= " + " | ".join(map(render, alts)) for name, alts in self.productions.items())
         return "\n".join(lines)
 
 
 def count_by_size(grammar: Grammar, max_size: int) -> Series:
-    """Members of the language per size, 0..max_size, by exact DP.
+    """Members of the language per size, 0..max_size, from the count tables.
 
     Counts derivations; for the built-in grammars (which are
     unambiguous) this equals the number of distinct members.  A cycle of
-    zero-weight productions would make counts diverge and is reported as
-    an error.
+    zero-weight productions that makes a count diverge is an error.
     """
-    return Series(tuple(_count_tables(grammar, max_size)[grammar.start]))
+    count = _count_tables(grammar, max_size)
+    return Series(tuple(count(grammar.start, size) for size in range(max_size + 1)))
 
 
-def _count_tables(grammar: Grammar, max_size: int) -> dict:
-    """``counts[name][size]``: derivations of each nonterminal per size."""
-    names = sorted(grammar.productions)
-    counts = {name: [0] * (max_size + 1) for name in names}
+def _nullable(grammar: Grammar) -> set:
+    """The nonterminals that derive a member of size 0."""
+    found, more = None, set()
+    while found != more:
+        found = more
+        more = {name for name, alts in grammar.productions.items() if any(
+            all(i.name in found if isinstance(i, N) else i.weight == 0 for i in alt) for alt in alts)}
+    return found
 
-    def ways(alternative, size):
-        # Number of ways the item sequence derives exactly `size`.
-        total_weight = sum(i.weight for i in alternative if isinstance(i, T))
-        if total_weight > size:
-            return 0
-        acc = {size - total_weight: 1}
-        for item in alternative:
-            if isinstance(item, T):
+
+def _shares(items, size, count, nullable):
+    """Yield each split of ``size`` among ``items``: one size per item (a
+    terminal takes its weight, the last nonterminal what the others
+    leave) and the product of the nonterminals' counts, never 0.
+
+    A count is read only once the other parts are known to be nonzero:
+    those before it by their counts and, when it takes all of ``size``,
+    those after it (all at size 0) by being nullable.
+    """
+    sizes, places, weight = _layout(items)
+    sizes = list(sizes)
+
+    def split(j, left, ways):
+        if j == len(places):
+            yield tuple(sizes), ways
+            return
+        for share in range(left + 1) if j < len(places) - 1 else (left,):
+            if share == size and any(items[k].name not in nullable for k in places[j + 1 :]):
                 continue
-            nxt = {}
-            row = counts[item.name]
-            for remaining, mult in acc.items():
-                for sub in range(0, remaining + 1):
-                    c = row[sub]
-                    if c:
-                        nxt[remaining - sub] = nxt.get(remaining - sub, 0) + mult * c
-            acc = nxt
-            if not acc:
-                return 0
-        return acc.get(0, 0)
+            sizes[places[j]] = share
+            more = count(items[places[j]].name, share)
+            if more:
+                yield from split(j + 1, left - share, ways * more)
+
+    if size > weight and places or size == weight:
+        yield from split(0, size - weight, 1)
+    del split  # it refers to itself: break the cycle so that no collection is needed
+
+
+@lru_cache(maxsize=1024)
+def _layout(items):
+    # The terminals' sizes (their weights), the nonterminals' places, and the terminals' total weight.
+    sizes = tuple(item.weight if isinstance(item, T) else None for item in items)
+    return sizes, tuple(k for k, item in enumerate(items) if isinstance(item, N)), sum(filter(None, sizes))
+
+
+def _count_tables(grammar: Grammar, max_size: int):
+    """``count(name, size)``: derivations of a nonterminal at a size, with
+    the tables filled up to ``max_size`` one size at a time, so that only
+    zero-weight steps recurse.  A count reached again while being filled
+    reads as 0; if it then ends nonzero, it lies on a zero-weight cycle
+    and diverges."""
+    nullable = _nullable(grammar)
+    counts = {name: [] for name in grammar.productions}
+    reentered = set()
+
+    def count(name, size):
+        row = counts[name]
+        if size == len(row):
+            row.append(None)
+            alts = grammar.productions[name]
+            row[size] = sum(ways for alt in alts for _, ways in _shares(alt, size, count, nullable))
+            if row[size] and (name, size) in reentered:
+                raise GrammarError(f"zero-weight cycle through {name!r} at size {size}")
+        if row[size] is None:
+            reentered.add((name, size))
+            return 0
+        return row[size]
 
     for size in range(max_size + 1):
-        # Zero-weight steps (unit productions, epsilon) create
-        # within-layer dependencies; iterate to the fixpoint.
-        for _ in range(len(names) + 2):
-            changed = False
-            for name in names:
-                total = sum(ways(alt, size) for alt in grammar.productions[name])
-                if total != counts[name][size]:
-                    counts[name][size] = total
-                    changed = True
-            if not changed:
-                break
-        else:
-            raise GrammarError(
-                f"zero-weight cycle: counts at size {size} do not stabilise"
-            )
-    return counts
+        for name in grammar.productions:
+            count(name, size)
+    return count
 
 
 def generate(grammar: Grammar, max_size: int) -> list:
     """All members of the language with size <= max_size.
 
-    Returns distinct members ordered by (size, alphabet order).  Runs
-    the counting DP first, which doubles as the zero-weight-cycle check.
+    Returns distinct members ordered by (size, alphabet order).  Fills
+    the count tables first, which doubles as the zero-weight-cycle check.
     """
     sizes = generate_with_sizes(grammar, max_size)
     return sorted(sizes, key=lambda s: (sizes[s], sort_key(s)))
 
 
 def generate_with_sizes(grammar: Grammar, max_size: int) -> dict:
-    """Like :func:`generate` but returns the mapping member -> size.
+    """Like :func:`generate` but returns the mapping member -> size, in
+    the order of the splits of each size, then of the parts' members.
 
-    The members of each nonterminal at each exact size are built once,
-    splitting sizes only where the counting tables are nonzero (the
-    recursive method of Nijenhuis and Wilf).
-    """
-    counts = _count_tables(grammar, max_size)
+    Each nonterminal's members at each size are built once, from the
+    splits the count tables were filled with (Nijenhuis and Wilf's
+    recursive method)."""
+    count, nullable = _count_tables(grammar, max_size), _nullable(grammar)
 
     @cache
     def members(name, size):
         # Every derivation of `name` at exactly `size`, as text.
-        return [text for alt in grammar.productions[name] for text in expand(alt, size)]
-
-    def expand(items, size):
-        # Every derivation of the item sequence at exactly `size`.
-        if not items:
-            return [""] if size == 0 else []
-        head, rest = items[0], items[1:]
-        if isinstance(head, T):
-            if head.weight > size:
-                return []
-            return [head.symbol + tail for tail in expand(rest, size - head.weight)]
         out = []
-        row = counts[head.name]
-        for sub in range(size + 1):
-            if row[sub]:
-                tails = expand(rest, size - sub)
-                if tails:
-                    out += [left + tail for left in members(head.name, sub) for tail in tails]
+        for alt in grammar.productions[name]:
+            for sizes, _ in _shares(alt, size, count, nullable):
+                pieces = (members(i.name, n) if isinstance(i, N) else (i.symbol,) for i, n in zip(alt, sizes))
+                out += map("".join, product(*pieces))
         return out
 
     sizes = {}
@@ -209,7 +212,7 @@ def generate_with_sizes(grammar: Grammar, max_size: int) -> dict:
         for text in members(grammar.start, size):
             known = sizes.setdefault(text, size)
             assert known == size, f"member {text!r} derived at two sizes"
-    members.cache_clear()  # the two closures form a cycle; free the lists now
+    members.cache_clear()  # the closure refers to itself; free the lists now
     return sizes
 
 
@@ -224,8 +227,7 @@ def fm_grammar() -> Grammar:
     the knot exits with a two-region swing into the center plus the
     final tuck.  L/C/R weigh 1 and U weighs 0, so size = region symbols.
     """
-    L, C, R = T("L"), T("C"), T("R")
-    U = T("U", 0)
+    L, C, R, U = T("L"), T("C"), T("R"), T("U", 0)
     return Grammar(
         start="tie",
         productions={
@@ -247,18 +249,13 @@ def single_tuck_tw_grammar() -> Grammar:
     sits at size n + 1 regardless of how many internal tucks it has.
     """
     t, w = T("T"), T("W")
-    U0 = T("U", 0)
-    U1 = T("U", 1)
+    U0, U1 = T("U", 0), T("U", 1)
     return Grammar(
         start="tie",
         productions={
             "tie": ((N("prefix"), N("body")),),
             "prefix": ((t,), (w,), ()),
-            "body": (
-                (N("pair"), N("body")),
-                (N("ituck"), N("body")),
-                (N("ftuck"),),
-            ),
+            "body": ((N("pair"), N("body")), (N("ituck"), N("body")), (N("ftuck"),)),
             "pair": ((t, t), (t, w), (w, t), (w, w)),
             "ituck": ((t, t, U0), (w, w, U0)),
             "ftuck": ((t, t, U1), (w, w, U1)),
@@ -284,25 +281,17 @@ def single_tuck_clr_grammar(final: Optional[Region] = None) -> Grammar:
     six.  L/C/R weigh 1, U weighs 0: size = region symbols = moves.
     """
     U = T("U", 0)
-
-    def sym(letter):
-        return T(letter)
-
     productions = {}
     for state, exits in _EXIT_REGION.items():
-        alternatives = []
         # Two-region winding steps: from region X, visit any region Y
         # != X, then any region Z != Y; state becomes lastZ.
-        here = state[-1]
-        for middle in "LCR":
-            if middle == here:
-                continue
-            for target in "LCR":
-                if target == middle:
-                    continue
-                alternatives.append((sym(middle), sym(target), N("last" + target)))
+        alternatives = [
+            (T(middle), T(target), N("last" + target))
+            for middle in "LCR" if middle != state[-1]
+            for target in "LCR" if target != middle
+        ]
         for first, landing in exits:
-            exit_items = (sym(first), sym(landing), U)
+            exit_items = (T(first), T(landing), U)
             alternatives.append(exit_items + (N("last" + landing),))
             if final is None or landing == final.value:
                 alternatives.append(exit_items)

@@ -14,7 +14,8 @@ window of the 2k windings it spans either starts with W and has
 #W - #T = 2 (mod 3) or starts with T and has #T - #W = 2 (mod 3): the
 blade must come back around to the one region not involved in the
 covering bow.  For k = 1 this reduces to "the last two windings are
-equal".
+equal", and they must be bare: a depth-1 tuck cannot share its point
+with the tuck before it.
 
 In winding notation T1 and T2 hold by construction, so they are checked
 only for region words.
@@ -172,7 +173,9 @@ def validate(knot: KnotWord, opts: ValidityOptions = DEFAULT_OPTIONS) -> Validit
             Violation(RULE_CAP, n, f"{n + 1} moves exceed the cap of {opts.max_moves}")
         )
 
+    last = 0  # where the tuck before sits
     for position, depth in knot.tucks:
+        stacked, last = position == last, position
         if opts.max_tuck_depth is not None and depth > opts.max_tuck_depth:
             violations.append(
                 Violation(
@@ -191,8 +194,8 @@ def validate(knot: KnotWord, opts: ValidityOptions = DEFAULT_OPTIONS) -> Validit
                 )
             )
             continue
-        if depth == 1:  # the window rule inline: the last two windings are equal
-            fits = windings[position - 2] is windings[position - 1]
+        if depth == 1:  # the window rule inline: a bare pair of equal windings before it
+            fits = not stacked and windings[position - 2] is windings[position - 1]
         else:
             fits = tuck_site_valid(windings, position, depth)
         if not fits:

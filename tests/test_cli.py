@@ -9,7 +9,7 @@ from contextlib import contextmanager, redirect_stderr, redirect_stdout
 import pytest
 
 from tieknot import enumeration
-from tieknot.cli import main
+from tieknot.cli import SERIES_MAX_ORDER, main
 
 
 def run(capsys, *argv):
@@ -146,6 +146,9 @@ def test_name_commands(capsys):
     assert out.strip().endswith(".2")
     code, _, err = run(capsys, "name", "--tw", "TT")
     assert code == 1 and "error" in err
+    for stacked in ("TTU'U", "TTWWU'U"):  # two depth-1 tucks at one point
+        code, out, err = run(capsys, "name", "--tw", stacked)
+        assert code == 1 and out == "" and "window" in err
 
 
 def test_aesthetics_command(capsys):
@@ -171,10 +174,11 @@ def test_aesthetics_non_canonical_start_is_one_line_error(capsys):
         (["sample", "30000"], None),
         (["sample", "-1", "--max-windings", "6"], None),
         (["series", "full", "-1"], None),
+        (["series", "single", str(SERIES_MAX_ORDER + 1)], None),
     ],
     ids=[
         "env-census", "env-census-negative", "env-enumerate", "env-crosscheck",
-        "sample-too-many", "sample-negative", "series-negative",
+        "sample-too-many", "sample-negative", "series-negative", "series-past-cap",
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, argv, env):
@@ -227,6 +231,13 @@ def test_naming_answers_in_bounded_time(capsys, argv, codes):
             assert out == argv[2] + "\n"  # the name reads back unchanged
     else:
         assert out == "" and err.startswith("error:")
+
+
+def test_series_full_400_answers_in_bounded_time(capsys):
+    with _wall_bound(2):
+        code, out, err = run(capsys, "series", "full", "400")
+    assert (code, err) == (0, "")
+    assert len(out.split(", ")) == 401
 
 
 def test_name_too_long_to_print_is_one_line_error(capsys):

@@ -88,7 +88,9 @@ def test_counts_match_generation_buckets():
         (G.single_tuck_clr_grammar(Region.LEFT), 13),
         (G.single_tuck_clr_grammar(Region.RIGHT), 13),
         (G.single_tuck_clr_grammar(Region.CENTER), 13),
+        (G.single_tuck_clr_grammar(None), 13),
         (G.full_grammar(), 13),
+        *((G.full_grammar(region), 11) for region in Region),
     ]:
         series = G.count_by_size(grammar, bound)
         buckets = Counter(G.generate_with_sizes(grammar, bound).values())
@@ -104,6 +106,46 @@ def test_ambiguous_grammar_yields_each_member_once():
     assert list(G.count_by_size(pairs, 4)) == [0, 0, 1, 2, 1]
     assert G.generate_with_sizes(pairs, 4) == {"xx": 2, "xxx": 3, "xxxx": 4}
     assert G.generate(pairs, 4) == ["xx", "xxx", "xxxx"]
+
+
+def test_three_nonterminal_alternative_splits_every_way():
+    x = G.T("x")
+    triples = G.Grammar(
+        start="s", productions={"s": ((G.N("a"),) * 3,), "a": ((x,), (x, x))}
+    )
+    assert list(G.count_by_size(triples, 6)) == [0, 0, 0, 1, 3, 3, 1]
+    assert G.generate_with_sizes(triples, 6) == {"x" * n: n for n in range(3, 7)}
+
+
+def test_recursion_without_a_zero_weight_cycle_counts():
+    x, s, item = G.T("x"), G.N("s"), G.N("item")
+    cases = [
+        # Catalan numbers: s s reaches s at size 0, where it has no member.
+        ({"s": ((s, s), (x,))}, [0, 1, 1, 2, 5, 14]),
+        # Left and right recursion, with and without an empty list.
+        ({"s": ((s, item), (item,)), "item": ((x,),)}, [0, 1, 1, 1, 1, 1]),
+        ({"s": ((item, s), (item,)), "item": ((x,),)}, [0, 1, 1, 1, 1, 1]),
+        ({"s": ((s, item), ()), "item": ((x,),)}, [1, 1, 1, 1, 1, 1]),
+        ({"s": ((item, s), ()), "item": ((x,),)}, [1, 1, 1, 1, 1, 1]),
+        # s reaches itself through `tail` at size 0, but only next to an
+        # item, which has no member there.
+        ({"s": ((item, G.N("tail")), ()), "tail": ((s,),), "item": ((x,),)}, [1, 1, 1, 1, 1, 1]),
+    ]
+    for productions, counts in cases:
+        grammar = G.Grammar(start="s", productions=productions)
+        assert list(G.count_by_size(grammar, 5)) == counts
+        # Every member is a run of x, so counting derivations (Catalan)
+        # can exceed the members, but not where there are none.
+        assert G.generate(grammar, 5) == ["x" * size for size in range(6) if counts[size]]
+
+
+def test_full_series_to_400_windings():
+    # The region-final series partition the plain one, and an odd bucket
+    # is twice the even one before it: a(2k + 1) = 2 a(2k).
+    total = list(G.count_by_size(G.full_grammar(), 400))
+    by_region = [G.count_by_size(G.full_grammar(region), 400) for region in Region]
+    assert [sum(column) for column in zip(*by_region)] == total
+    assert all(total[n] == 2 * total[n - 1] for n in range(3, 401, 2))
 
 
 def test_generate_order_is_deterministic():
@@ -125,6 +167,19 @@ def test_zero_weight_cycle_detected():
         G.count_by_size(loop, 3)
     with pytest.raises(G.GrammarError):
         G.generate_with_sizes(loop, 3)
+
+
+def test_zero_weight_cycle_through_epsilon_detected():
+    # s -> e s with e -> epsilon derives s from s without growing; the
+    # counts diverge from the first size at which s has a member.
+    for base, size in (((G.T("x"),), 1), ((), 0)):
+        loop = G.Grammar(
+            start="s", productions={"s": ((G.N("e"), G.N("s")), base), "e": ((),)}
+        )
+        with pytest.raises(G.GrammarError, match=f"'s' at size {size}"):
+            G.count_by_size(loop, 3)
+        with pytest.raises(G.GrammarError, match=f"'s' at size {size}"):
+            G.generate_with_sizes(loop, 3)
 
 
 def test_undefined_nonterminal_rejected():

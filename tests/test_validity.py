@@ -93,6 +93,16 @@ def test_validate_rejects_bad_window():
     assert any(v.rule == "window" for v in report.violations)
 
 
+def test_validate_rejects_stacked_depth1_tuck():
+    # A depth-1 tuck needs a bare pair just before it; at the point of
+    # the tuck before it there is none.
+    for text in ("TTU'U", "TTWWU'U"):
+        report = validate(parse_tw(text))
+        assert not report.valid, text
+        assert [v.rule for v in report.violations] == ["window"]
+    assert validate(parse_tw("TWTTU'UU")).valid  # a deeper tuck may close there
+
+
 def test_validate_requires_final_tuck():
     report = validate(parse_tw("TT"))
     assert not report.valid
@@ -184,15 +194,18 @@ def _verdicts(knot, rule, hidden):
 
 
 def _assert_verdicts_match_the_rules(knot):
-    windings, n = knot.windings, knot.winding_count
-    roomy = [(p, d) for p, d in knot.tucks if p >= 2 * d]
+    windings, n, tucks = knot.windings, knot.winding_count, knot.tucks
+    roomy = [(p, d) for p, d in tucks if p >= 2 * d]
+    # A depth-1 tuck at the point of the tuck before it has no bare pair.
+    stacked = {i for i in range(1, len(tucks)) if tucks[i][1] == 1 and tucks[i][0] == tucks[i - 1][0]}
     assert _verdicts(knot, RULE_TUCK_ROOM, True) == [
         (p, f"depth-{d} tuck needs {2 * d} preceding windings, found {p}")
-        for p, d in knot.tucks if p < 2 * d
+        for p, d in tucks if p < 2 * d
     ]
     window = [
         (p, f"window does not admit a depth-{d} tuck after winding {p}")
-        for p, d in roomy if not tuck_site_valid(windings, p, d)
+        for i, (p, d) in enumerate(tucks)
+        if p >= 2 * d and (i in stacked or not tuck_site_valid(windings, p, d))
     ]
     assert _verdicts(knot, RULE_WINDOW, True) == window
     assert _verdicts(knot, RULE_WINDOW, False) == window
