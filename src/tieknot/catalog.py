@@ -89,6 +89,7 @@ class KnotName:
 # Exactly the names ``KnotName.__str__`` writes: ASCII digits, no signs,
 # separators or leading zeros.
 _NAME = re.compile(r"([LCR])-([1-9][0-9]*)\.(0|[1-9][0-9]*)((?:\+p[1-9][0-9]*d[1-9][0-9]*)*)")
+_NO_FINAL_SITE = "not a winding pattern: no final depth-1 tuck site"
 
 def pattern_rank(windings: str) -> int:
     """1-based rank of a winding pattern within its final-region class,
@@ -100,7 +101,7 @@ def pattern_rank(windings: str) -> int:
     """
     n = len(windings)
     if n < 2 or windings[-1] != windings[-2]:
-        raise NamingError("not a winding pattern: no final depth-1 tuck site")
+        raise NamingError(_NO_FINAL_SITE)
     turn = (n - 2 * windings.count("W")) % 3  # #T - #W
     rank = patterns_below(n, turn) + 1
     # A T in place of a W is followed by pattern_count(rest, need) patterns, (2^(rest-1) +
@@ -119,7 +120,6 @@ def pattern_rank(windings: str) -> int:
 
 
 _UNCAPPED = validity.ValidityOptions(max_moves=None)
-_WINDINGS_ONLY = str.maketrans("", "", "U'")
 
 
 def name_of(knot: KnotWord) -> KnotName:
@@ -136,25 +136,27 @@ def name_of(knot: KnotWord) -> KnotName:
     report = validity.validate(knot, _UNCAPPED)
     if not report.valid:
         raise NamingError(f"cannot name an invalid knot: {report.violations[0]}")
+    # Refuse knots outside the scheme before ranking: first a pattern
+    # without a final depth-1 site (pattern_rank's own check), then one
+    # whose final site carries no depth-1 tuck.
+    windings, tucks = "".join(knot.windings), knot.tucks
+    n = len(windings)
+    if n < 2 or windings[-1] != windings[-2]:
+        raise NamingError(_NO_FINAL_SITE)
+    if (n, 1) not in tucks:
+        raise NamingError("no final depth-1 tuck to anchor the pattern name")
     # A valid knot ends in a tuck, and each of its depth-1 tucks sits on
     # a depth-1 site: equal windings, an even distance from the end.
-    windings = knot.serialize().translate(_WINDINGS_ONLY)
-    n = len(windings)
-    rank = pattern_rank(windings)  # raises when there is no final site
     bit_of = {p: 1 << i for i, p in enumerate(depth1_sites(windings)[:-1])}
     # Deep tucks ride in item order: towers at one position may stack
     # their depths either way round, and the order distinguishes the knots.
-    bits, extension, anchored = 0, "", False
-    for p, d in knot.tucks:
+    bits, extension = 0, ""
+    for p, d in tucks:
         if d > 1:
             extension += f"+p{p}d{d}"
         elif p < n:
             bits |= bit_of[p]
-        else:
-            anchored = True
-    if not anchored:
-        raise NamingError("no final depth-1 tuck to anchor the pattern name")
-    return KnotName(final_region_of(windings), rank, bits, extension)
+    return KnotName(final_region_of(windings), pattern_rank(windings), bits, extension)
 
 
 def pattern_of(region: Region, rank: int) -> str:

@@ -283,12 +283,13 @@ def _resolve_knot(args) -> KnotWord:
 
 def _print_about_knot(args, describe) -> int:
     """Print ``describe(knot)`` for the knot the arguments give, or a
-    one-line error when the knot or its description cannot be made."""
+    one-line error when the knot or its description cannot be made:
+    exit 2 for text that does not parse, 1 for the rest."""
     try:
         text = str(describe(_resolve_knot(args)))
     except ValueError as exc:  # NotationError, NamingError, invalid knots
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return EXIT_USAGE if isinstance(exc, NotationError) else EXIT_INVALID
     print(text)
     return EXIT_OK
 

@@ -150,8 +150,8 @@ def _layout(items):
 
 
 def _count_tables(grammar: Grammar, max_size: int):
-    """``count(name, size)``: derivations of a nonterminal at a size, with
-    the tables filled up to ``max_size`` one size at a time, so that only
+    """``count(name, size)``: derivations of a nonterminal at a size up to
+    ``max_size``, read from tables filled one size at a time, so that only
     zero-weight steps recurse.  A count reached again while being filled
     reads as 0; if it then ends nonzero, it lies on a zero-weight cycle
     and diverges."""
@@ -175,7 +175,8 @@ def _count_tables(grammar: Grammar, max_size: int):
     for size in range(max_size + 1):
         for name in grammar.productions:
             count(name, size)
-    return count
+    del count  # it refers to itself: break the cycle so that no collection is needed
+    return lambda name, size: counts[name][size]
 
 
 def generate(grammar: Grammar, max_size: int) -> list:
@@ -212,7 +213,7 @@ def generate_with_sizes(grammar: Grammar, max_size: int) -> dict:
         for text in members(grammar.start, size):
             known = sizes.setdefault(text, size)
             assert known == size, f"member {text!r} derived at two sizes"
-    members.cache_clear()  # the closure refers to itself; free the lists now
+    del members  # it refers to itself: break the cycle so that no collection is needed
     return sizes
 
 

@@ -18,17 +18,19 @@ separated by ``'``.
 
 Item model.  A :class:`KnotWord` holds a start region and a tuple of
 items, each a :class:`WindDir` member (a winding, which is itself the
-one-letter string ``"T"`` or ``"W"``) or a :class:`Tuck`.  The word
-checks its items once, on construction, and records its windings and
-its ``(position, depth)`` tucks in the same walk.  Its other views are
-computed once, on first use, and kept on the word: its canonical text
-(which :func:`parse_tw` knows already, since the whitespace-free input
-is that text) and its :class:`RegionWord`, whose one walk also writes
-the region text.  Kept views are not fields, so they play no part in
-``==``, ``hash`` or ``repr``; a word made anew (by :func:`mirror` or
-``dataclasses.replace``) starts without them.  A :class:`RegionWord`
-holds :class:`Visit` and :class:`Tuck` items.  Both notations share one
-reader for U runs and apostrophes and differ only in their letters.
+one-letter string ``"T"`` or ``"W"``) or a :class:`Tuck`.  Its views
+are its windings, its ``(position, depth)`` tucks, its canonical text
+and its :class:`RegionWord` (items and region text); each is computed
+once and kept on the word.  :func:`parse_tw` reads the text once and
+writes all four in that walk (the whitespace-free input is the
+canonical text), so :func:`tw_to_clr` on a parsed word is a lookup.  A
+word built from items (by :func:`mirror`, :func:`clr_to_tw`,
+``dataclasses.replace`` or directly) checks its items and records its
+windings and tucks in one walk on construction; its text and region
+word are computed on first use.  Kept views are not fields, so they
+play no part in ``==``, ``hash`` or ``repr``, and a word made anew
+inherits none.  A :class:`RegionWord` holds :class:`Visit` and
+:class:`Tuck` items; :func:`parse_clr` reads its text by tokens.
 Beside :func:`tw_to_clr`, :func:`tw_text_to_clr` walks winding text
 from L straight to region text and builds no word (the cross-checks').
 """
@@ -137,6 +139,14 @@ def _keep(word, view: str, value):
     """Store a derived view on a frozen word, outside its fields."""
     object.__setattr__(word, view, value)
     return value
+
+
+def _word(cls, **state):
+    """A word of ``cls`` with its fields and views set as given, for a
+    reader that has already checked and walked the items."""
+    word = object.__new__(cls)
+    word.__dict__.update(state)
+    return word
 
 
 def _net_turns(windings: tuple) -> int:
@@ -297,36 +307,25 @@ class RegionWord:
         return self.serialize()
 
 
-def _read_items(text: str, tokens: re.Pattern, letters: dict, letter_name: str) -> tuple:
-    """Items of whitespace-free knot text in either notation.
-
-    ``tokens`` splits the text into U runs, letters and single other
-    characters; ``letters`` maps each letter token to its item.  A run of
-    k consecutive ``U`` becomes one depth-k tuck and needs a preceding
-    letter (``letter_name`` names it in the error); an apostrophe
-    separates two tucks at one point, so it must sit between two ``U``
-    characters.  Errors carry the index in the text.
-    """
-    items, index = [], 0
-    for symbol in tokens.findall(text):
-        item = letters.get(symbol)
-        if item is not None:
-            items.append(item)
-        elif symbol[0] == "U":
-            if not items:
-                raise NotationError(f"tuck before any {letter_name}", index)
-            items.append(_shared_tuck(len(symbol)))
-        elif symbol == "'":
-            if text[index - 1 : index] != "U" or text[index + 1 : index + 2] != "U":
-                raise NotationError("' must sit between two U characters", index)
-        else:
-            raise NotationError(f"unexpected character {symbol!r}", index)
-        index += len(symbol)
-    return tuple(items)
+_VISITS = tuple(Visit(region) for region in _CYCLE)
+_CYCLE_LETTERS = "".join(region.value for region in _CYCLE)
+_TURN = {WindDir.T: 1, WindDir.W: 2}  # steps along the cycle, mod 3
+_DIRECTION = (None, WindDir.T, WindDir.W) * 2  # by cycle index to - from, -2 to 2
 
 
-_TW_TOKENS = re.compile(r"U+|.", re.DOTALL)
-_TW_LETTERS = {d.value: d for d in WindDir}
+def _wind_steps() -> tuple:
+    """Winding steps by cycle index: for each letter, its direction and the
+    visit, the region letter and the steps of the index it moves to."""
+    tables = tuple({} for _ in _CYCLE)
+    for index, steps in enumerate(tables):
+        for direction in WindDir:
+            to = (index + _TURN[direction]) % 3
+            steps[direction.value] = (direction, _VISITS[to], _CYCLE_LETTERS[to], tables[to])
+    return tables
+
+
+_WIND_STEPS = _wind_steps()
+_TUCK = _shared_tuck(1)
 
 
 def parse_tw(text: str, start: Region = Region.LEFT) -> KnotWord:
@@ -339,11 +338,62 @@ def parse_tw(text: str, start: Region = Region.LEFT) -> KnotWord:
     sit between two ``U`` characters.  A tuck needs at least one
     preceding winding.  The empty string parses to an empty word (which
     is not by itself a valid knot).
+
+    One walk over the characters writes the items, the windings, the
+    ``(position, depth)`` tucks and the region word with its text, and
+    the word keeps them all, so :func:`tw_to_clr` on it is a lookup.
+    Errors carry the index in the text.
     """
     text = "".join(text.split())
-    knot = KnotWord(start=start, items=_read_items(text, _TW_TOKENS, _TW_LETTERS, "winding"))
-    _keep(knot, "_text", text)  # canonical: an apostrophe parses only between two tucks
-    return knot
+    index = _CYCLE_INDEX[start]
+    steps = _WIND_STEPS[index]
+    items, windings, tucks = [], [], []
+    # The region word: the start visit, then one visit per winding and the
+    # tucks; its text has one letter per character read.
+    visits, letters = [_VISITS[index]], [_CYCLE_LETTERS[index]]
+    depth = 0  # of the U run just read; -1 after an apostrophe
+    for ch in text:
+        step = steps.get(ch)
+        if step is not None and depth >= 0:
+            direction, visit, letter, steps = step
+            items.append(direction)
+            windings.append(direction)
+            visits.append(visit)
+            letters.append(letter)
+            depth = 0
+        elif ch == "U" and windings:
+            if depth > 0:  # the run goes on: its tuck deepens
+                depth += 1
+                items[-1] = visits[-1] = _shared_tuck(depth)
+                tucks[-1] = (len(windings), depth)
+            else:
+                depth = 1
+                items.append(_TUCK)
+                visits.append(_TUCK)
+                tucks.append((len(windings), 1))
+            letters.append(ch)
+        elif ch == "'" and depth > 0:
+            depth = -1
+            letters.append(ch)
+        else:
+            raise _misplaced(ch, len(letters) - 1, depth < 0)
+    if depth < 0:
+        raise _misplaced("", len(letters) - 1, True)
+    region_word = _word(RegionWord, items=tuple(visits), _text="".join(letters))
+    # The input is the canonical text: an apostrophe parses only between two tucks.
+    return _word(KnotWord, start=start, items=tuple(items), _windings=tuple(windings),
+                 _tucks=tuple(tucks), _text=text, _region_word=region_word)
+
+
+def _misplaced(ch: str, index: int, after_apostrophe: bool) -> NotationError:
+    """The error for winding text that cannot go on with ``ch`` at ``index``."""
+    if after_apostrophe:  # the apostrophe before ``ch`` is not followed by a U
+        return NotationError("' must sit between two U characters", index - 1)
+    if ch == "U":
+        return NotationError("tuck before any winding", index)
+    if ch == "'":
+        return NotationError("' must sit between two U characters", index)
+    return NotationError(f"unexpected character {ch!r}", index)
 
 
 def canonicalize_tw(text: str) -> str:
@@ -384,7 +434,22 @@ def parse_clr(text: str) -> RegionWord:
     repeated region) are a matter for validation, not parsing.
     """
     text = "".join(text.split())
-    return RegionWord(items=_read_items(text, _CLR_TOKENS, _CLR_LETTERS, "region visit"))
+    items, index = [], 0
+    for symbol in _CLR_TOKENS.findall(text):
+        item = _CLR_LETTERS.get(symbol)
+        if item is not None:
+            items.append(item)
+        elif symbol[0] == "U":
+            if not items:
+                raise NotationError("tuck before any region visit", index)
+            items.append(_shared_tuck(len(symbol)))
+        elif symbol == "'":
+            if text[index - 1 : index] != "U" or text[index + 1 : index + 2] != "U":
+                raise NotationError("' must sit between two U characters", index)
+        else:
+            raise NotationError(f"unexpected character {symbol!r}", index)
+        index += len(symbol)
+    return RegionWord(items=tuple(items))
 
 
 def infer_orientations(word: RegionWord) -> RegionWord:
@@ -419,19 +484,14 @@ def infer_orientations(word: RegionWord) -> RegionWord:
     return RegionWord(items=tuple(oriented))
 
 
-_VISITS = tuple(Visit(region) for region in _CYCLE)
-_CYCLE_LETTERS = "".join(region.value for region in _CYCLE)
-_TURN = {WindDir.T: 1, WindDir.W: 2}  # steps along the cycle, mod 3
-_DIRECTION = (None, WindDir.T, WindDir.W) * 2  # by cycle index to - from, -2 to 2
-
-
 def tw_to_clr(knot: KnotWord) -> RegionWord:
     """Convert winding notation to region notation.
 
     The first visit is the start region; every winding appends the next
     region along (T) or against (W) the turnwise cycle; tucks copy
-    through unchanged.  One walk writes the items and the text, and the
-    word is kept on the knot, so a second call is a lookup.
+    through unchanged.  A word from :func:`parse_tw` has it already; for
+    a word built from items, one walk writes the items and the text, and
+    the word is kept on the knot, so a second call is a lookup.
     """
     word = knot._region_word
     if word is not None:

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +9,9 @@ from tieknot import catalog as C
 from tieknot import cli, genfunc
 from tieknot import enumeration as E
 from tieknot.notation import Region, mirror, parse_tw
-from tieknot.enumeration import decorate, depth1_sites, final_region_of, oracle_enumerate
-from tieknot.validity import ValidityOptions
+from tieknot.enumeration import decorate, depth1_sites, final_region_of, full_language
+from tieknot.enumeration import oracle_enumerate
+from tieknot.validity import ValidityOptions, validate
 
 TRINITY = parse_tw("TWWWTTTUTTU")
 ELDREDGE = parse_tw("TTTWWTTUTTWWU")
@@ -38,6 +40,55 @@ def test_name_rejects_bad_input():
         C.name_of(parse_tw("TTTWUU"))  # no final depth-1 site to anchor a pattern
     with pytest.raises(C.NamingError):
         C.name_of(parse_tw("TWTTUU"))  # final site exists but carries no shallow tuck
+
+
+_UNCAPPED = ValidityOptions(max_moves=None)
+NO_FINAL_SITE = "not a winding pattern: no final depth-1 tuck site"
+NO_ANCHOR = "no final depth-1 tuck to anchor the pattern name"
+
+
+def _ranked_name(knot):
+    """The name, ranked before the anchoring final tuck is looked for:
+    validity first, then the pattern rank (which refuses a pattern whose
+    last two windings differ), then the anchor."""
+    report = validate(knot, _UNCAPPED)
+    if not report.valid:
+        raise C.NamingError(f"cannot name an invalid knot: {report.violations[0]}")
+    windings = "".join(knot.windings)
+    n, rank = len(windings), C.pattern_rank(windings)
+    if (n, 1) not in knot.tucks:
+        raise C.NamingError(NO_ANCHOR)
+    sites = depth1_sites(windings)
+    bits = sum(1 << sites.index(p) for p, d in knot.tucks if d == 1 and p < n)
+    extension = "".join(f"+p{p}d{d}" for p, d in knot.tucks if d > 1)
+    return C.KnotName(final_region_of(windings), rank, bits, extension)
+
+
+def _name_or_refusal(name, knot):
+    try:
+        return name(knot)
+    except C.NamingError as error:
+        return str(error)
+
+
+def test_name_of_refuses_before_it_ranks_with_the_same_answers():
+    texts = [text for members in full_language(10, canonical=True).values() for text in members]
+    texts += E.single_tuck_knots(12)  # to 13 moves
+    refusals = Counter()
+    for text in texts:
+        knot = parse_tw(text)
+        answer = _name_or_refusal(C.name_of, knot)
+        assert answer == _name_or_refusal(_ranked_name, knot), text
+        if isinstance(answer, str):  # each refusal class by its definition; validity first
+            windings = knot.windings
+            if not validate(knot, _UNCAPPED).valid:
+                assert answer.startswith("cannot name an invalid knot: ["), text
+            elif windings[-1] != windings[-2]:
+                assert answer == NO_FINAL_SITE, text
+            else:
+                assert (len(windings), 1) not in knot.tucks and answer == NO_ANCHOR, text
+            refusals[answer.split(":")[0]] += 1
+    assert set(refusals) == {"cannot name an invalid knot", "not a winding pattern", NO_ANCHOR}
 
 
 def test_name_extension_for_deep_tucks():

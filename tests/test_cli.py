@@ -191,6 +191,23 @@ def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, argv, env):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["name", "instructions", "aesthetics"])
+@pytest.mark.parametrize(
+    "flag, text, message",
+    [
+        ("--tw", "'", "' must sit between two U characters (at index 0)"),
+        ("--tw", "UTT", "tuck before any winding (at index 0)"),
+        ("--tw", "TTX", "unexpected character 'X' (at index 2)"),
+        ("--clr", "LCRU'", "' must sit between two U characters (at index 4)"),
+        ("--clr", "ULC", "tuck before any region visit (at index 0)"),
+        ("--clr", "LLU", "repeated region L has no winding direction"),
+    ],
+)
+def test_knot_text_that_does_not_parse_exits_2(capsys, command, flag, text, message):
+    code, out, err = run(capsys, command, flag, text)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @contextmanager
 def _wall_bound(seconds):
     """Raise in the body, rather than hang, once ``seconds`` of wall time pass."""

@@ -171,6 +171,17 @@ def test_output_matches_golden(golden, case_id):
     assert _observe(case_id) == golden[case_id]
 
 
+# The full record stream at the benchmark's size (25,650 records of 2 to 10
+# windings), pinned to the sha256 first recorded for it.
+FULL_JSONL_11_SHA256 = "9a31d1550c26f63945ece2a2f673e84fe47c8b4bc034e83c5ebe27fad55e86d3"
+
+
+def test_full_jsonl_stream_to_11_windings_is_unchanged():
+    argv = ["enumerate", "--class", "full", "--format", "jsonl", "--max-windings", "11"]
+    observed = _run_cli(argv, {})
+    assert observed == {"stdout": FULL_JSONL_11_SHA256, "stderr": _digest(""), "exit": 0}
+
+
 if __name__ == "__main__":
     recorded = {case_id: _observe(case_id) for case_id in CASE_IDS}
     GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")

@@ -1,3 +1,5 @@
+import functools
+import gc
 import itertools
 from collections import Counter
 
@@ -180,6 +182,34 @@ def test_zero_weight_cycle_through_epsilon_detected():
             G.count_by_size(loop, 3)
         with pytest.raises(G.GrammarError, match=f"'s' at size {size}"):
             G.generate_with_sizes(loop, 3)
+
+
+BUILT_IN_GRAMMARS = [
+    G.fm_grammar, G.single_tuck_tw_grammar, G.single_tuck_clr_grammar, G.full_grammar,
+    *(functools.partial(factory, region)
+      for factory in (G.single_tuck_clr_grammar, G.full_grammar) for region in Region),
+]
+
+
+@pytest.mark.parametrize(
+    "factory", BUILT_IN_GRAMMARS,
+    ids=lambda f: f"{f.func.__name__}-{f.args[0].value}" if f.__class__ is functools.partial else f.__name__,
+)
+def test_counting_and_generation_leave_no_garbage_cycles(factory):
+    # With the collector off, a call that left its tables in a reference
+    # cycle would leave objects that only gc.collect() finds.
+    grammar = factory()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        G.count_by_size(grammar, 20)
+        assert gc.collect() == 0
+        G.generate_with_sizes(grammar, 8)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_undefined_nonterminal_rejected():

@@ -392,3 +392,68 @@ def test_text_walk_is_the_conversion(text):
     except NotationError:
         return
     _assert_text_walk_is_the_conversion(text)
+
+
+# -- the one-walk parse -------------------------------------------------------
+# parse_tw reads text once and keeps every view it writes.  The referee reads
+# the same text token by token and builds the word from its items, so that
+# every view of the expected word comes from the item walks.
+
+_REFEREE_TOKENS = re.compile(r"U+|.", re.DOTALL)
+
+
+def _referee_items(text):
+    """Items of whitespace-free winding text, or its NotationError."""
+    items, index = [], 0
+    for symbol in _REFEREE_TOKENS.findall(text):
+        if symbol in ("T", "W"):
+            items.append(WindDir(symbol))
+        elif symbol[0] == "U":
+            if not items:
+                raise NotationError("tuck before any winding", index)
+            items.append(Tuck(len(symbol)))
+        elif symbol == "'":
+            if text[index - 1 : index] != "U" or text[index + 1 : index + 2] != "U":
+                raise NotationError("' must sit between two U characters", index)
+        else:
+            raise NotationError(f"unexpected character {symbol!r}", index)
+        index += len(symbol)
+    return tuple(items)
+
+
+@settings(max_examples=600)
+@given(st.text(alphabet="TWU' \nXL", max_size=20), st.sampled_from(list(Region)))
+def test_one_walk_parse_is_the_item_walk(text, start):
+    try:
+        expected = KnotWord(start, _referee_items("".join(text.split())))
+    except NotationError as error:
+        with pytest.raises(NotationError) as raised:
+            parse_tw(text, start)
+        assert (str(raised.value), raised.value.position) == (str(error), error.position)
+        return
+    knot = parse_tw(text, start)
+    assert knot == expected and hash(knot) == hash(expected) and repr(knot) == repr(expected)
+    assert all(item.__class__ in (WindDir, Tuck) for item in knot.items)
+    assert knot.windings == expected.windings and knot.tucks == expected.tucks
+    assert all(winding.__class__ is WindDir for winding in knot.windings)
+    assert knot.serialize() == expected.serialize()
+    clr, expected_clr = tw_to_clr(knot), tw_to_clr(expected)  # a lookup, and the item walk
+    assert clr == expected_clr and repr(clr) == repr(expected_clr)
+    assert clr.serialize() == expected_clr.serialize() == RegionWord(clr.items).serialize()
+
+
+def test_one_walk_parse_rejects_like_the_item_walk():
+    cases = {
+        "'": "' must sit between two U characters (at index 0)",
+        "TU'": "' must sit between two U characters (at index 2)",
+        "TU'T": "' must sit between two U characters (at index 2)",
+        "TU'X": "' must sit between two U characters (at index 2)",
+        "TU''U": "' must sit between two U characters (at index 2)",
+        "T'U": "' must sit between two U characters (at index 1)",
+        "UTT": "tuck before any winding (at index 0)",
+        "T T X": "unexpected character 'X' (at index 2)",
+    }
+    for text, message in cases.items():
+        with pytest.raises(NotationError) as raised:
+            parse_tw(text)
+        assert str(raised.value) == message
