@@ -91,29 +91,37 @@ class KnotName:
 _NAME = re.compile(r"([LCR])-([1-9][0-9]*)\.(0|[1-9][0-9]*)((?:\+p[1-9][0-9]*d[1-9][0-9]*)*)")
 _NO_FINAL_SITE = "not a winding pattern: no final depth-1 tuck site"
 
+_BINARY = str.maketrans("TW", "01")
+
+
 def pattern_rank(windings: str) -> int:
     """1-based rank of a winding pattern within its final-region class,
     ordered by length then alphabetically (T < W).
 
     The rank counts the shorter patterns of the class and, at each W of
     the stem, the same-class patterns that agree up to there and put a
-    T in its place: O(windings) steps.
+    T in its place: O(windings) steps, on small integers but for one
+    binary read of the stem.
     """
     n = len(windings)
     if n < 2 or windings[-1] != windings[-2]:
         raise NamingError(_NO_FINAL_SITE)
     turn = (n - 2 * windings.count("W")) % 3  # #T - #W
-    rank = patterns_below(n, turn) + 1
     # A T in place of a W is followed by pattern_count(rest, need) patterns, (2^(rest-1) +
     # PATTERN_SKEW[at]) / 3 with at = 4 need + 3 rest (mod 6): down at a T, up at a W.
-    at, power = 4 * (turn - 1) + 3 * (n - 1), 1 << (n - 2)
-    for letter in windings[:-2]:
+    # Each term is whole, so the powers, 2^(rest-1) at each W, add up as one
+    # binary number read off the stem but its last letter (W = 1), and only
+    # the skews are summed letter by letter.
+    head = windings[:-2]
+    at, skew = 4 * (turn - 1) + 3 * (n - 1), 0
+    for letter in head:
         if letter == "W":
-            rank += (power + PATTERN_SKEW[at % 6]) // 3
+            skew += PATTERN_SKEW[at % 6]
             at += 1
         else:
             at -= 1
-        power >>= 1
+    powers = int(head.translate(_BINARY), 2) << 1 if head else 0
+    rank = patterns_below(n, turn) + 1 + (powers + skew) // 3
     if windings[-2] == "W" and at % 3 == 1:  # a last T is followed by its repeat, turning 1
         rank += 1
     return rank

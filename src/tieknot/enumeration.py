@@ -9,7 +9,10 @@ and the grammars' counting series, and :func:`cross_check` compares
 the enumerators with the grammars.  The referee compares texts: each
 knot's region text comes from :func:`~tieknot.notation.tw_text_to_clr`,
 a walk over its winding text, so a cross-check parses no knot and
-builds no word.
+builds no word.  The region split and the conversion stay separate,
+text by text: :func:`final_region_of` files each text by its net turn,
+and the conversion of that text is compared with its region's grammar,
+so a wrong conversion shows as a mismatch.
 
 Three enumerators cover the language families:
 
@@ -18,7 +21,9 @@ Three enumerators cover the language families:
   exactly the one final tuck;
 * :func:`single_tuck_knots` -- thin-blade knots with depth-1 tucks: each
   valid internal site is independently tucked or not, and the final
-  site must be tucked;
+  site must be tucked, so a pattern's knots are one product over its
+  internal sites (the chunk up to each site, bare or tucked), closed by
+  the last chunk and the final tuck;
 * :func:`full_language` -- knots with arbitrary-depth tucks, enumerated
   by their recursive structure (below).
 
@@ -41,14 +46,14 @@ from typing import Dict, Iterable, Iterator, List, Tuple
 
 from . import grammars
 from .notation import (
+    _CYCLE,
+    _CYCLE_INDEX,
     TURN_OF_REGION,
     KnotWord,
     Region,
-    WindDir,
     canonicalize_tw,
     parse_tw,
     sort_key,
-    step_region,
     tw_text_to_clr,
 )
 from .validity import DEFAULT_OPTIONS, ValidityOptions
@@ -63,7 +68,7 @@ def pattern_texts(windings: int) -> Iterator[str]:
 
 def final_region_of(text: str, start: Region = Region.LEFT) -> Region:
     """Final region of winding text; tucks and apostrophes are ignored."""
-    return step_region(start, WindDir.T, text.count("T") - text.count("W"))
+    return _CYCLE[(_CYCLE_INDEX[start] + text.count("T") - text.count("W")) % 3]
 
 
 def depth1_sites(windings: str, opts: ValidityOptions = DEFAULT_OPTIONS) -> List[int]:
@@ -106,14 +111,20 @@ def single_tuck_knots(
 
 
 def _single_bucket(n: int, opts: ValidityOptions) -> List[str]:
-    """The depth-1-tuck knots of ``n`` windings, pattern by pattern."""
+    """The depth-1-tuck knots of ``n`` windings, pattern by pattern.
+
+    A pattern's knots are one product: the chunk up to each internal
+    site, bare or tucked, then the last chunk and the closing tuck.
+    """
     members = []
     for w in pattern_texts(n):
-        internal = [p for p in depth1_sites(w, opts) if p < n]
-        for chosen in itertools.chain.from_iterable(
-            itertools.combinations(internal, k) for k in range(len(internal) + 1)
-        ):
-            members.append(decorate(w, set(chosen)))
+        parts, start = [], 0
+        for p in depth1_sites(w, opts)[:-1]:  # the final site is always tucked
+            chunk = w[start:p]
+            parts.append((chunk, chunk + "U"))
+            start = p
+        parts.append((w[start:] + "U",))
+        members += map("".join, itertools.product(*parts))
     return members
 
 

@@ -266,6 +266,15 @@ def test_name_too_long_to_print_is_one_line_error(capsys):
     assert err == "error: a name whose pattern rank has 4335 digits cannot be printed (at most 4300)\n"
 
 
+def test_name_of_150000_windings_ranks_in_linear_time(capsys):
+    # The rank is read off the stem as one binary number, so a pattern of
+    # 150,002 windings ranks well inside the bound and reports its digits.
+    with _wall_bound(2):
+        code, out, err = run(capsys, "name", "--tw", "TW" * 75000 + "TTU")
+    assert (code, out) == (1, "")
+    assert err == "error: a name whose pattern rank has 45155 digits cannot be printed (at most 4300)\n"
+
+
 def test_census_answers_in_bounded_time_past_the_default_cap(capsys, monkeypatch):
     monkeypatch.setenv("TIEKNOT_MAX_WINDINGS", "61")
     with _wall_bound(2):

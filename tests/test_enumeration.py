@@ -1,4 +1,5 @@
 import itertools
+import time
 from collections import Counter
 from dataclasses import astuple, replace
 
@@ -36,6 +37,20 @@ def test_oracle_is_deterministic_and_duplicate_free():
 def test_every_single_tuck_knot_validates():
     for text in E.single_tuck_knots(9):
         assert validate(parse_tw(text)).valid, text
+
+
+def test_single_tuck_buckets_decorate_every_subset_of_internal_sites():
+    # The oracle's definition: each subset of a pattern's internal sites,
+    # decorated, once.  Comparing sorted lists makes a duplicate fail too.
+    for hidden in (False, True):
+        opts = ValidityOptions(allow_hidden_tucks=hidden)
+        for n in range(2, 13):
+            expected = []
+            for w in E.pattern_texts(n):
+                internal = [p for p in E.depth1_sites(w, opts) if p < n]
+                for k in range(len(internal) + 1):
+                    expected += (E.decorate(w, set(c)) for c in itertools.combinations(internal, k))
+            assert sorted(E._single_bucket(n, opts)) == sorted(expected), (n, hidden)
 
 
 def test_winding_patterns_small(listed_classes):
@@ -261,6 +276,17 @@ def test_cross_check_small():
     report = E.cross_check(max_moves=9, full_max_windings=8)
     assert report.ok, str(report)
     assert "classical" in str(report)
+
+
+def test_cross_check_runs_to_14_moves_and_11_windings():
+    start = time.perf_counter()
+    report = E.cross_check(14, 11)
+    elapsed = time.perf_counter() - start
+    assert report.ok, str(report)
+    lines = [str(line) for line in report.lines]
+    assert "single-tuck knots to 14 moves: ok (55986 members)" in lines
+    assert "arbitrary-depth knots to 11 windings: ok (64290 members)" in lines
+    assert elapsed < 3
 
 
 def test_cross_check_builds_no_word(monkeypatch):
