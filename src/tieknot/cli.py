@@ -3,8 +3,10 @@
 Exit codes: 0 success (and, for ``validate``, a valid knot); 1 invalid
 knot or failed check; 2 usage or parse errors, which include a
 ``TIEKNOT_MAX_WINDINGS`` that is not an integer of at least 3, a
-``sample`` count outside 0..population and a ``series`` order outside
-0..``SERIES_MAX_ORDER`` (1000).
+``sample`` count outside 0..population, a ``series`` order outside
+0..``SERIES_MAX_ORDER`` (1000), and a moves bound (``--max-windings``
+under that cap) above ``SERIES_MAX_ORDER`` for ``enumerate``, ``sample``
+and ``census``.
 Enumeration output is plain text by default, with ``--format jsonl``
 / ``--format csv`` where a record stream makes sense.  The environment
 variable ``TIEKNOT_MAX_WINDINGS`` caps enumeration sizes, the
@@ -56,6 +58,18 @@ def _max_moves_cap() -> int:
     if cap is None or cap < 3:
         raise UsageError(f"TIEKNOT_MAX_WINDINGS must be an integer >= 3 (moves), got {value!r}")
     return cap
+
+
+SERIES_MAX_ORDER = 1000  # bounds the work: `series full` grows as the order squared
+
+
+def _max_moves(args) -> int:
+    """``--max-windings`` under the environment cap, refused above
+    ``SERIES_MAX_ORDER``: the counting tables grow as a series' do."""
+    max_moves = min(args.max_windings, _max_moves_cap())
+    if max_moves > SERIES_MAX_ORDER:
+        raise UsageError(f"--max-windings must be at most {SERIES_MAX_ORDER} moves, got {max_moves}")
+    return max_moves
 
 
 def _options_from(args) -> validity.ValidityOptions:
@@ -132,7 +146,7 @@ def cmd_convert(args) -> int:
 
 
 def _enumerate_knots(args):
-    max_moves = min(args.max_windings, _max_moves_cap())
+    max_moves = _max_moves(args)
     if args.klass in ("single", "full"):
         opts = validity.ValidityOptions(
             max_tuck_depth=1 if args.klass == "single" else None,
@@ -165,7 +179,7 @@ def _count_knots(args, wanted) -> int:
     keeps) in listing order; a progress line sums one run of a length
     before the filter.  Pattern classes list region by region, so two
     regions' runs can share a line; the grammar classes list by length."""
-    max_moves = min(args.max_windings, _max_moves_cap())
+    max_moves = _max_moves(args)
     lengths = range(2, max_moves)
     if args.klass == "single" and args.allow_hidden_tucks:
         table = enumeration.hidden_tuck_table(max_moves - 1)  # by windings, then turn
@@ -251,9 +265,6 @@ _GRAMMAR_SERIES = {
 # Winding patterns by final region, a series in moves (windings + 1).
 _PATTERN_SERIES = {f"windings-{region.value.lower()}": region for region in Region}
 
-SERIES_MAX_ORDER = 1000  # bounds the work: `series full` grows as the order squared
-
-
 def cmd_series(args) -> int:
     if args.order < 0:
         raise UsageError(f"series order must be >= 0, got {args.order}")
@@ -315,7 +326,7 @@ def cmd_aesthetics(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    max_moves = min(args.max_windings, _max_moves_cap())
+    max_moves = _max_moves(args)
     # Ordered by (moves, text) like the enumeration oracle's list, so a
     # seed draws the same knots; only the knots drawn are parsed.
     texts = grammars.generate(grammars.single_tuck_tw_grammar(), max_moves)
@@ -335,7 +346,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_census(args) -> int:
-    max_moves = min(args.max_windings, _max_moves_cap())
+    max_moves = _max_moves(args)
     rows = enumeration.census(max_moves - 1, include_full=not args.no_full)
     if args.format == "csv":
         print(enumeration.CensusRow.CSV_HEADER)

@@ -20,19 +20,19 @@ Item model.  A :class:`KnotWord` holds a start region and a tuple of
 items, each a :class:`WindDir` member (a winding, which is itself the
 one-letter string ``"T"`` or ``"W"``) or a :class:`Tuck`.  Its views
 are its windings, its ``(position, depth)`` tucks, its canonical text
-and its :class:`RegionWord` (items and region text); each is computed
-once and kept on the word.  :func:`parse_tw` reads the text once and
-writes all four in that walk (the whitespace-free input is the
-canonical text), so :func:`tw_to_clr` on a parsed word is a lookup.  A
-word built from items (by :func:`mirror`, :func:`clr_to_tw`,
-``dataclasses.replace`` or directly) checks its items and records its
-windings and tucks in one walk on construction; its text and region
-word are computed on first use.  Kept views are not fields, so they
-play no part in ``==``, ``hash`` or ``repr``, and a word made anew
-inherits none.  A :class:`RegionWord` holds :class:`Visit` and
-:class:`Tuck` items; :func:`parse_clr` reads its text by tokens.
-Beside :func:`tw_to_clr`, :func:`tw_text_to_clr` walks winding text
-from L straight to region text and builds no word (the cross-checks').
+and its :class:`RegionWord` (items and region text).  One walk writes
+them all: :func:`parse_tw`'s, over the winding text.  Every other word
+is made through it: :func:`clr_to_tw` writes the winding text in its
+region walk, :func:`mirror` exchanges T and W in the text, and a word
+built from items (directly or by ``dataclasses.replace``) checks them
+and parses their text.  So every word carries all four views from
+construction, and :func:`tw_to_clr` and ``serialize`` are lookups.
+Views are not fields, so they play no part in ``==``, ``hash`` or
+``repr``.  A :class:`RegionWord` holds :class:`Visit` and
+:class:`Tuck` items; :func:`parse_clr` reads its text by tokens, and
+its text is serialized on first use.  Beside :func:`tw_to_clr`,
+:func:`tw_text_to_clr` walks winding text from L straight to region
+text and builds no word (the cross-checks').
 """
 
 from __future__ import annotations
@@ -111,10 +111,6 @@ def mirror_region(region: Region) -> Region:
     return Region.CENTER
 
 
-def mirror_direction(direction: WindDir) -> WindDir:
-    return WindDir.W if direction is WindDir.T else WindDir.T
-
-
 @dataclass(frozen=True)
 class Tuck:
     """A single tuck under the bow made ``2 * depth`` windings ago."""
@@ -133,12 +129,6 @@ KnotItem = Union[WindDir, Tuck]
 
 # Tucks are immutable, so the parser hands out one instance per depth.
 _shared_tuck = lru_cache(maxsize=64)(Tuck)
-
-
-def _keep(word, view: str, value):
-    """Store a derived view on a frozen word, outside its fields."""
-    object.__setattr__(word, view, value)
-    return value
 
 
 def _word(cls, **state):
@@ -175,14 +165,6 @@ def _serialize(items) -> str:
     return "".join(parts)
 
 
-def _kept_text(word) -> str:
-    """The text of a knot or region word, serialized on first use only."""
-    text = word._text
-    if text is None:
-        text = _keep(word, "_text", _serialize(word.items))
-    return text
-
-
 @dataclass(frozen=True)
 class KnotMetrics:
     """Size measures of a knot word.
@@ -209,23 +191,16 @@ class KnotWord:
     start: Region = Region.LEFT
     items: tuple = ()
 
-    # Views kept on first use (not fields: no part of ==, hash or repr).
-    _text = None
-    _region_word = None
-
     def __post_init__(self):
-        windings, tucks = [], []
+        """Check the items, then take every view from parsing their text."""
+        if self.items and isinstance(self.items[0], Tuck):
+            raise NotationError("tuck before any winding")
         for item in self.items:
-            if isinstance(item, WindDir):
-                windings.append(item)
-            elif isinstance(item, Tuck):
-                if not windings:
-                    raise NotationError("tuck before any winding")
-                tucks.append((len(windings), item.depth))
-            else:
+            if not isinstance(item, (WindDir, Tuck)):
                 raise TypeError(f"not a knot item: {item!r}")
-        object.__setattr__(self, "_windings", tuple(windings))
-        object.__setattr__(self, "_tucks", tuple(tucks))
+        knot = parse_tw(_serialize(self.items), self.start)
+        self.__dict__.update(_windings=knot._windings, _tucks=knot._tucks,
+                             _text=knot._text, _region_word=knot._region_word)
 
     @property
     def windings(self) -> tuple:
@@ -263,7 +238,7 @@ class KnotWord:
     def serialize(self) -> str:
         """Canonical text: winds as letters, tucks as U runs, adjacent
         tucks separated by a single apostrophe."""
-        return _kept_text(self)
+        return self._text
 
     def __str__(self):
         return self.serialize()
@@ -290,7 +265,7 @@ class RegionWord:
 
     items: tuple = ()
 
-    _text = None  # kept on first use, as on a KnotWord
+    _text = None  # kept on first use: most oriented words are never printed
 
     @property
     def visits(self) -> tuple:
@@ -301,7 +276,11 @@ class RegionWord:
         return tuple(v.region for v in self.visits)
 
     def serialize(self) -> str:
-        return _kept_text(self)
+        text = self._text
+        if text is None:
+            text = _serialize(self.items)
+            object.__setattr__(self, "_text", text)
+        return text
 
     def __str__(self):
         return self.serialize()
@@ -341,7 +320,7 @@ def parse_tw(text: str, start: Region = Region.LEFT) -> KnotWord:
 
     One walk over the characters writes the items, the windings, the
     ``(position, depth)`` tucks and the region word with its text, and
-    the word keeps them all, so :func:`tw_to_clr` on it is a lookup.
+    the word keeps them all.  Every other way of making a word comes here.
     Errors carry the index in the text.
     """
     text = "".join(text.split())
@@ -489,31 +468,10 @@ def tw_to_clr(knot: KnotWord) -> RegionWord:
 
     The first visit is the start region; every winding appends the next
     region along (T) or against (W) the turnwise cycle; tucks copy
-    through unchanged.  A word from :func:`parse_tw` has it already; for
-    a word built from items, one walk writes the items and the text, and
-    the word is kept on the knot, so a second call is a lookup.
+    through unchanged.  Every word has its region word from the walk
+    that made it, so this is a lookup.
     """
-    word = knot._region_word
-    if word is not None:
-        return word
-    index = _CYCLE.index(knot.start)
-    items, letters = [_VISITS[index]], [_CYCLE_LETTERS[index]]
-    previous_tuck = False
-    for item in knot.items:
-        if item.__class__ is Tuck:
-            if previous_tuck:
-                letters.append("'")
-            letters.append("U" * item.depth)
-            items.append(item)
-            previous_tuck = True
-        else:
-            index = (index + _TURN[item]) % 3
-            letters.append(_CYCLE_LETTERS[index])
-            items.append(_VISITS[index])
-            previous_tuck = False
-    word = RegionWord(items=tuple(items))
-    _keep(word, "_text", "".join(letters))
-    return _keep(knot, "_region_word", word)
+    return knot._region_word
 
 
 def tw_text_to_clr(text: str) -> str:
@@ -536,32 +494,40 @@ def clr_to_tw(word: RegionWord) -> KnotWord:
     """Convert region notation back to winding notation.
 
     Each visit-to-visit transition is one winding; a repeated region has
-    no winding direction and is rejected (the no-repeat rule).
+    no winding direction and is rejected (the no-repeat rule).  The walk
+    writes the winding text, which :func:`parse_tw` makes the word.
     """
     if not word.items:
         raise NotationError("empty region word has no start region")
     if not isinstance(word.items[0], Visit):
         raise NotationError("region word must begin with a visit")
     start = word.items[0].region
-    items = []
+    letters = []
     index = _CYCLE_INDEX[start]
     for item in word.items[1:]:
         if item.__class__ is Tuck:
-            items.append(item)
+            if letters and letters[-1][-1] == "U":  # two adjacent tucks
+                letters.append("'")
+            letters.append("U" * item.depth)
             continue
         to = _CYCLE_INDEX[item.region]
         direction = _DIRECTION[to - index]
         if direction is None:
             raise NotationError(f"repeated region {_CYCLE[to].value} has no winding direction")
-        items.append(direction)
+        letters.append(direction)
         index = to
-    return KnotWord(start=start, items=tuple(items))
+    text = "".join(letters)
+    if text.startswith("U"):  # raised here: parse_tw's error would index text never written
+        raise NotationError("tuck before any winding")
+    return parse_tw(text, start)
+
+
+_MIRROR = str.maketrans("TW", "WT")
 
 
 def mirror(knot: KnotWord) -> KnotWord:
     """The mirror-image knot: start reflected, T and W exchanged."""
-    items = tuple(i if isinstance(i, Tuck) else mirror_direction(i) for i in knot.items)
-    return KnotWord(start=mirror_region(knot.start), items=items)
+    return parse_tw(knot.serialize().translate(_MIRROR), mirror_region(knot.start))
 
 
 def final_region(knot: KnotWord) -> Region:

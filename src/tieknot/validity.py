@@ -28,7 +28,6 @@ from typing import Optional, Sequence
 
 from .notation import (
     KnotWord,
-    NotationError,
     Region,
     RegionWord,
     Tuck,
@@ -235,7 +234,9 @@ def validate_clr(word: RegionWord, opts: ValidityOptions = DEFAULT_OPTIONS) -> V
     by backtracking, so every explicit mark is checked against the
     forced assignment; a wrong mark just before a tuck is a T3
     violation, elsewhere a T2 violation.  Without a tuck only mutual
-    alternation between the marks themselves can be checked.
+    alternation between the marks themselves can be checked.  A word
+    with no winding form (empty, or a tuck before any winding) raises
+    :class:`NotationError` from :func:`clr_to_tw`.
     """
     violations = []
     previous_region = None
@@ -286,10 +287,4 @@ def validate_clr(word: RegionWord, opts: ValidityOptions = DEFAULT_OPTIONS) -> V
 
     if violations:
         return ValidityReport(valid=False, violations=tuple(violations))
-    try:
-        knot = clr_to_tw(word)
-    except NotationError as exc:
-        return ValidityReport(
-            valid=False, violations=(Violation(RULE_NO_REPEAT, 0, str(exc)),)
-        )
-    return validate(knot, opts)
+    return validate(clr_to_tw(word), opts)

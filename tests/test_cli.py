@@ -1,12 +1,15 @@
 import functools
 import io
 import json
+import os
 import signal
 import sys
 import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tieknot import enumeration
 from tieknot.cli import SERIES_MAX_ORDER, main
@@ -39,6 +42,16 @@ def test_validate_parse_error(capsys):
     code, _, err = run(capsys, "validate", "--tw", "TWX")
     assert code == 2
     assert "parse error" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty region word has no start region"),
+    ("LU", "tuck before any winding"),
+])
+def test_validate_clr_without_a_winding_form_is_a_parse_error(capsys, text, message):
+    # Rule T1 is about repeated regions; these words have no winding form at all.
+    code, out, err = run(capsys, "validate", "--clr", text)
+    assert (code, out, err) == (2, "", f"parse error: {message}\n")
 
 
 def test_usage_error(capsys):
@@ -283,6 +296,22 @@ def test_census_answers_in_bounded_time_past_the_default_cap(capsys, monkeypatch
     lines = out.splitlines()
     assert len(lines) == 1 + 59  # header + windings 2..60
     assert lines[-1].startswith(f"60,61,{(2 ** 59 - 1) // 3},")
+
+
+@pytest.mark.parametrize("moves", [1002, 5000])
+@pytest.mark.parametrize("argv", [
+    ["census"],
+    ["census", "--no-full"],
+    ["enumerate", "--class", "full", "--count"],
+    ["enumerate", "--class", "single", "--count"],
+    ["enumerate", "--class", "windings", "--count"],
+], ids=["census", "census-no-full", "full-count", "single-count", "windings-count"])
+def test_counts_past_the_series_bound_exit_2(capsys, monkeypatch, argv, moves):
+    monkeypatch.setenv("TIEKNOT_MAX_WINDINGS", "100000")
+    with _wall_bound(2):
+        code, out, err = run(capsys, *argv, "--max-windings", str(moves))
+    assert (code, out) == (2, "")
+    assert err == f"error: --max-windings must be at most {SERIES_MAX_ORDER} moves, got {moves}\n"
 
 
 class _OneLineStdout(io.StringIO):
@@ -545,3 +574,63 @@ def test_jsonl_line_of_a_name_too_long_to_print():
     assert record["windings"] == 14301
     assert (record["name"], record["tuck_bits"]) == (None, None)
     assert record == _library_record(knot)
+
+
+# -- fuzzing ------------------------------------------------------------------
+# Random command lines from a small word list: every call answers in bounded
+# time with exit 0, 1 or 2, whatever the environment cap.
+
+_KNOT_TEXTS = ["", "U", "X", "TTU", "TU'UU", "TWWWTTTUTTU", "LU", "LL", "LCRU", "LCLRCRLCURLU",
+               "L-1.0", "R-3.1", "Trinity", "L-1000000000000.0"]
+_SMALL = st.integers(0, 8).map(str)
+_COUNT_SIZES = st.sampled_from([*map(str, range(9)), "61", "1002", "5000"])
+
+
+def _flags(*flags):
+    return st.lists(st.sampled_from(flags), unique=True).map(
+        lambda chosen: [word for flag in chosen for word in flag.split()]
+    )
+
+
+def _enumerate_argv(size):
+    return st.builds(
+        lambda klass, n, flags: ["enumerate", "--class", klass, "--max-windings", n, *flags],
+        st.sampled_from(["fm", "single", "full", "windings"]), size,
+        _flags("--final L", "--final C", "--final R", "--format jsonl", "--format csv",
+               "--both-mirrors", "--allow-hidden-tucks", "--progress"),
+    )
+
+
+_ARGVS = st.one_of(
+    st.builds(lambda command, knot, start: [command, *knot, *start],
+              st.sampled_from(["validate", "name", "instructions", "aesthetics"]),
+              st.tuples(st.sampled_from(["--tw", "--clr", "--name"]), st.sampled_from(_KNOT_TEXTS)),
+              _flags("--start R")),
+    st.builds(lambda text, flags: ["convert", text, *flags],
+              st.sampled_from(_KNOT_TEXTS), _flags("--to-clr", "--annotate", "--mirror")),
+    _enumerate_argv(_SMALL),
+    _enumerate_argv(_COUNT_SIZES).map(lambda argv: [*argv, "--count"]),
+    st.builds(lambda which, order: ["series", which, order],
+              st.sampled_from(["fm", "single", "full", "c-final", "windings-l"]), _COUNT_SIZES),
+    st.builds(lambda n, flags: ["census", "--max-windings", n, *flags],
+              _COUNT_SIZES, _flags("--no-full", "--format csv", "--format jsonl")),
+    st.builds(lambda count, n: ["sample", count, "--seed", "1", "--max-windings", n],
+              st.sampled_from(["0", "3", "-1", "30000"]), _SMALL),
+    st.builds(lambda n, full: ["crosscheck", "--max-windings", n, "--full-windings", full],
+              _SMALL, _SMALL),
+    st.lists(st.sampled_from(["census", "series", "--count", "--tw", "TTU", "9", "--bogus"]),
+             max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARGVS, st.sampled_from([None, "abc", "-3", "3", "8", "13", "61", "100000"]))
+def test_random_command_lines_exit_0_1_or_2_in_bounded_time(argv, cap):
+    environ = {} if cap is None else {"TIEKNOT_MAX_WINDINGS": cap}
+    with mock.patch.dict(os.environ, environ), redirect_stdout(io.StringIO()), \
+            redirect_stderr(io.StringIO()) as err, _wall_bound(2):
+        if cap is None:
+            os.environ.pop("TIEKNOT_MAX_WINDINGS", None)
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()

@@ -11,6 +11,7 @@ from tieknot.notation import (
     Region,
     RegionWord,
     Tuck,
+    Visit,
     WindDir,
     classify_final,
     clr_to_tw,
@@ -157,6 +158,39 @@ def test_clr_to_tw_matches_a_step_by_step_walk(text):
         except NotationError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
+
+
+def _tw_to_clr_by_steps(knot):
+    """tw_to_clr's definition: the start visit, then each winding's region one
+    step on from the last, tucks copied; the text spelled from the same steps."""
+    region = knot.start
+    items, text = [Visit(region)], region.value
+    for item in knot.items:
+        if isinstance(item, Tuck):
+            items.append(item)
+            text += ("'" if text.endswith("U") else "") + "U" * item.depth
+        else:
+            region = step_region(region, item)
+            items.append(Visit(region))
+            text += region.value
+    return tuple(items), text
+
+
+def _built_words(knot):
+    """Words made from ``knot`` by each constructor that does not read text."""
+    yield KnotWord(knot.start, knot.items)
+    yield mirror(knot)
+    yield clr_to_tw(RegionWord(_tw_to_clr_by_steps(knot)[0]))  # a region word never printed
+    yield dataclasses.replace(knot, start=mirror(knot).start)
+    if knot.items:
+        yield dataclasses.replace(knot, items=knot.items[:-1])
+
+
+def _assert_region_words_match_the_steps(knot):
+    for word in _built_words(knot):
+        items, text = _tw_to_clr_by_steps(word)
+        clr = tw_to_clr(word)
+        assert (clr.items, clr.serialize()) == (items, text), (word, text)
 
 
 def test_mirror_swaps_everything():
@@ -325,6 +359,18 @@ def test_sort_key_matches_per_alphabet_order(first, second):
         old_a, old_b = [order[c] for c in a], [order[c] for c in b]
         assert (sort_key(a) < sort_key(b)) == (old_a < old_b)
         assert (sort_key(a) == sort_key(b)) == (a == b)
+
+
+@given(knot_words, st.sampled_from(list(Region)))
+def test_region_word_of_a_built_word_matches_a_step_by_step_walk(knot, start):
+    _assert_region_words_match_the_steps(KnotWord(start, knot.items))
+
+
+def test_region_word_of_every_built_member_to_nine_windings_matches_the_steps():
+    for members in full_language(9, canonical=True).values():
+        for text in members:
+            for start in (Region.LEFT, Region.RIGHT):  # the canonical start and its mirror's
+                _assert_region_words_match_the_steps(parse_tw(text, start))
 
 
 # -- kept views ---------------------------------------------------------------

@@ -15,7 +15,7 @@ from tieknot.validity import (
     validate,
     validate_clr,
 )
-from tieknot.notation import parse_clr
+from tieknot.notation import NotationError, parse_clr
 
 
 def dirs(text):
@@ -148,6 +148,15 @@ def test_validate_clr_axioms():
     assert report.violations[0].rule == "T2"
 
     assert validate_clr(parse_clr("LCRU")).valid
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty region word has no start region"),
+    ("LU", "tuck before any winding"),
+])
+def test_validate_clr_refuses_a_word_with_no_winding_form(text, message):
+    with pytest.raises(NotationError, match=f"^{message}$"):
+        validate_clr(parse_clr(text))
 
 
 def test_validate_clr_marks_against_forced_orientations():
