@@ -29,10 +29,12 @@ and parses their text.  So every word carries all four views from
 construction, and :func:`tw_to_clr` and ``serialize`` are lookups.
 Views are not fields, so they play no part in ``==``, ``hash`` or
 ``repr``.  A :class:`RegionWord` holds :class:`Visit` and
-:class:`Tuck` items; :func:`parse_clr` reads its text by tokens, and
-its text is serialized on first use.  Beside :func:`tw_to_clr`,
-:func:`tw_text_to_clr` walks winding text from L straight to region
-text and builds no word (the cross-checks').
+:class:`Tuck` items.  An oriented word keeps the text its walk wrote:
+:func:`infer_orientations` writes items and text together, from six
+shared oriented visits.  Only a word that :func:`parse_clr` reads by
+tokens (or one built from items) is serialized on first use.  Beside
+:func:`tw_to_clr`, :func:`tw_text_to_clr` walks winding text from L
+straight to region text and builds no word (the cross-checks').
 """
 
 from __future__ import annotations
@@ -265,7 +267,7 @@ class RegionWord:
 
     items: tuple = ()
 
-    _text = None  # kept on first use: most oriented words are never printed
+    _text = None  # a parse_clr word's text, kept on first use: most are never printed
 
     @property
     def visits(self) -> tuple:
@@ -375,6 +377,10 @@ def _misplaced(ch: str, index: int, after_apostrophe: bool) -> NotationError:
     return NotationError(f"unexpected character {ch!r}", index)
 
 
+_STRAY_APOSTROPHE = re.compile(r"(?<!U)'|'\Z")  # not after a tuck, or last
+_LOOSE_APOSTROPHE = re.compile(r"'(?!U)")  # after a tuck but not before one
+
+
 def canonicalize_tw(text: str) -> str:
     """Canonical apostrophe placement: keep a ``'`` only between two
     adjacent tucks (a U on both sides).
@@ -386,15 +392,12 @@ def canonicalize_tw(text: str) -> str:
     separators never merges two runs, and on the knot languages handled
     here the map is injective (the cross-checks verify this).
     """
-    kept = []
-    for index, ch in enumerate(text):
-        if ch == "'":
-            if index == 0 or text[index - 1] != "U" or index + 1 >= len(text):
-                raise NotationError("' must follow a tuck", index)
-            if text[index + 1] != "U":
-                continue
-        kept.append(ch)
-    return "".join(kept)
+    if "'" not in text:
+        return text
+    stray = _STRAY_APOSTROPHE.search(text)
+    if stray is not None:
+        raise NotationError("' must follow a tuck", stray.start())
+    return _LOOSE_APOSTROPHE.sub("", text)
 
 
 _CLR_TOKENS = re.compile(r"U+|[LCR][io]?|.", re.DOTALL)
@@ -431,6 +434,14 @@ def parse_clr(text: str) -> RegionWord:
     return RegionWord(items=tuple(items))
 
 
+# The oriented visits, shared by every oriented word: for each region the
+# "out" visit and its text, then the "in" one.
+_ORIENTED = {
+    region: tuple((_CLR_LETTERS[text], text) for text in (region.value + "o", region.value + "i"))
+    for region in _CYCLE
+}
+
+
 def infer_orientations(word: RegionWord) -> RegionWord:
     """Recover the in/out annotation of every visit by backtracking.
 
@@ -440,27 +451,38 @@ def infer_orientations(word: RegionWord) -> RegionWord:
     orientation.  A word without any tuck has no anchor and cannot be
     oriented (it also breaks the rule that a knot ends on a tuck or a
     center visit).
-    """
-    last_tuck = None
-    for i, item in enumerate(word.items):
-        if isinstance(item, Tuck):
-            last_tuck = i
-    if last_tuck is None:
-        raise NotationError("no tuck to anchor orientations (word cannot end a knot)")
 
-    visit_indices = [i for i, item in enumerate(word.items) if isinstance(item, Visit)]
-    anchor = None
-    for rank, i in enumerate(visit_indices):
-        if i < last_tuck:
-            anchor = rank
+    One walk finds the anchor; a second writes the oriented items and
+    their text, which the word keeps.
+    """
+    anchor, rank = None, 0  # rank of the visit before the last tuck; visits read
+    for item in word.items:
+        if item.__class__ is Tuck:
+            anchor = rank - 1
+        else:
+            rank += 1
     if anchor is None:
+        raise NotationError("no tuck to anchor orientations (word cannot end a knot)")
+    if anchor < 0:
         raise NotationError("tuck before any region visit")
 
-    oriented = list(word.items)
-    for rank, i in enumerate(visit_indices):
-        orientation = Orientation.OUT if (anchor - rank) % 2 == 0 else Orientation.IN
-        oriented[i] = Visit(word.items[i].region, orientation)
-    return RegionWord(items=tuple(oriented))
+    items, letters = [], []
+    inward = anchor & 1  # the first visit is "out" when its rank has the anchor's parity
+    after_tuck = False
+    for item in word.items:
+        if item.__class__ is Tuck:
+            if after_tuck:
+                letters.append("'")
+            items.append(item)
+            letters.append("U" * item.depth)
+            after_tuck = True
+        else:
+            visit, text = _ORIENTED[item.region][inward]
+            items.append(visit)
+            letters.append(text)
+            inward ^= 1
+            after_tuck = False
+    return _word(RegionWord, items=tuple(items), _text="".join(letters))
 
 
 def tw_to_clr(knot: KnotWord) -> RegionWord:
@@ -561,6 +583,7 @@ def classify_final(knot: KnotWord) -> FinalClass:
     return _FINAL_CLASS[final_region(knot)]
 
 
+_REGION_NAME = {region: region.name.lower() for region in Region}
 _DIRECTION_WORD = {WindDir.T: "turnwise", WindDir.W: "widdershins"}
 _ORIENTATION_WORD = {Orientation.IN: "behind the knot", Orientation.OUT: "in front of the knot"}
 
@@ -580,18 +603,17 @@ def render_instructions(knot: KnotWord) -> str:
         first = report.violations[0]
         raise ValueError(f"not a valid knot: [{first.rule}] {first.message}")
 
-    visits = infer_orientations(tw_to_clr(knot)).visits
-
+    # The oriented word has the start visit, then one item per item of the knot.
+    oriented = infer_orientations(tw_to_clr(knot)).items
+    source = oriented[0].region
     lines = []
-    winding_index = 0  # completed windings; visit 0 is the start itself
-    for step, item in enumerate(knot.items, start=1):
+    for step, (item, target) in enumerate(zip(knot.items, oriented[1:]), start=1):
         if isinstance(item, WindDir):
-            source, target = visits[winding_index], visits[winding_index + 1]
-            winding_index += 1
             lines.append(
-                f"{step}. From {source.region.name.lower()}, wind {_DIRECTION_WORD[item]} "
-                f"to {target.region.name.lower()}, passing {_ORIENTATION_WORD[target.orientation]}."
+                f"{step}. From {_REGION_NAME[source]}, wind {_DIRECTION_WORD[item]} "
+                f"to {_REGION_NAME[target.region]}, passing {_ORIENTATION_WORD[target.orientation]}."
             )
+            source = target.region
         else:
             bow = "the previous bow" if item.depth == 1 else f"the bow made {2 * item.depth} windings ago"
             lines.append(f"{step}. Tuck the blade under {bow}.")

@@ -27,14 +27,17 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .notation import (
+    _CYCLE_INDEX,
+    _DIRECTION,
+    _net_turns,
     KnotWord,
+    NotationError,
+    Orientation,
     Region,
     RegionWord,
     Tuck,
     WindDir,
-    clr_to_tw,
-    final_region,
-    infer_orientations,
+    step_region,
 )
 
 RULE_NO_REPEAT = "T1"
@@ -163,8 +166,17 @@ def validate(knot: KnotWord, opts: ValidityOptions = DEFAULT_OPTIONS) -> Validit
     unless the center-ending exception is switched on; depth and length
     caps apply.  T1/T2 cannot be broken in this notation.
     """
+    items = knot.items
+    ends_in_tuck = bool(items) and isinstance(items[-1], Tuck)
+    return _judge(knot.start, knot.windings, knot.tucks, ends_in_tuck, opts)
+
+
+def _judge(
+    start: Region, windings: Sequence[WindDir], tucks, ends_in_tuck: bool, opts: ValidityOptions
+) -> ValidityReport:
+    """The rules past T1/T2, for a knot given by its start region, windings,
+    ``(position, depth)`` tucks and whether its last item is a tuck."""
     violations = []
-    windings = knot.windings
     n = len(windings)
 
     if opts.max_moves is not None and n + 1 > opts.max_moves:
@@ -173,7 +185,7 @@ def validate(knot: KnotWord, opts: ValidityOptions = DEFAULT_OPTIONS) -> Validit
         )
 
     last = 0  # where the tuck before sits
-    for position, depth in knot.tucks:
+    for position, depth in tucks:
         stacked, last = position == last, position
         if opts.max_tuck_depth is not None and depth > opts.max_tuck_depth:
             violations.append(
@@ -214,21 +226,22 @@ def validate(knot: KnotWord, opts: ValidityOptions = DEFAULT_OPTIONS) -> Validit
                 )
             )
 
-    if opts.require_final_tuck:
-        ends_in_tuck = bool(knot.items) and isinstance(knot.items[-1], Tuck)
-        if not ends_in_tuck:
-            if opts.allow_final_center_no_tuck and knot.items and final_region(knot) is Region.CENTER:
-                pass
-            else:
-                violations.append(
-                    Violation(RULE_ENDING, n, "knot must end on a tuck (or a center visit)")
-                )
+    if opts.require_final_tuck and not ends_in_tuck:
+        ends_in_center = (
+            opts.allow_final_center_no_tuck
+            and n > 0
+            and step_region(start, WindDir.T, _net_turns(windings)) is Region.CENTER
+        )
+        if not ends_in_center:
+            violations.append(
+                Violation(RULE_ENDING, n, "knot must end on a tuck (or a center visit)")
+            )
 
     return ValidityReport(valid=False, violations=tuple(violations)) if violations else _VALID
 
 
 def validate_clr(word: RegionWord, opts: ValidityOptions = DEFAULT_OPTIONS) -> ValidityReport:
-    """Check a region-notation word: T1/T2 explicitly, the rest via conversion.
+    """Check a region-notation word: T1/T2 explicitly, the rest from its own visits.
 
     When the word contains a tuck, its orientations are fully determined
     by backtracking, so every explicit mark is checked against the
@@ -236,55 +249,66 @@ def validate_clr(word: RegionWord, opts: ValidityOptions = DEFAULT_OPTIONS) -> V
     violation, elsewhere a T2 violation.  Without a tuck only mutual
     alternation between the marks themselves can be checked.  A word
     with no winding form (empty, or a tuck before any winding) raises
-    :class:`NotationError` from :func:`clr_to_tw`.
-    """
-    violations = []
-    previous_region = None
-    for index, item in enumerate(word.items):
-        if isinstance(item, Tuck):
-            continue
-        if previous_region is not None and item.region == previous_region:
-            violations.append(
-                Violation(RULE_NO_REPEAT, index, f"region {item.region.value} repeats")
-            )
-        previous_region = item.region
+    :class:`NotationError`, as :func:`~tieknot.notation.clr_to_tw` does.
 
-    has_tuck = any(isinstance(item, Tuck) for item in word.items)
-    if has_tuck:
-        forced = infer_orientations(word)
-        for index, (item, truth) in enumerate(zip(word.items, forced.items)):
-            if isinstance(item, Tuck) or item.orientation is None:
-                continue
-            if item.orientation != truth.orientation:
-                before_tuck = index + 1 < len(word.items) and isinstance(
-                    word.items[index + 1], Tuck
-                )
+    One walk over the items finds the repeats, the marks, the anchor of
+    the forced orientations (the visit before the last tuck) and the
+    windings and tucks that the remaining rules judge, as
+    :func:`validate` judges them.
+    """
+    items = word.items
+    repeats, marks, windings, tucks = [], [], [], []
+    index = None  # cycle index of the visit before
+    rank = 0  # visits read
+    anchor = None  # rank of the visit before the last tuck
+    for i, item in enumerate(items):
+        if item.__class__ is Tuck:
+            anchor = rank - 1
+            tucks.append((len(windings), item.depth))
+            continue
+        to = _CYCLE_INDEX[item.region]
+        if index is not None:
+            direction = _DIRECTION[to - index]
+            if direction is None:
+                repeats.append(Violation(RULE_NO_REPEAT, i, f"region {item.region.value} repeats"))
+            windings.append(direction)
+        index = to
+        if item.orientation is not None:
+            marks.append((i, rank, item.orientation))
+        rank += 1
+
+    violations = repeats
+    if anchor is not None:
+        if anchor < 0:
+            raise NotationError("tuck before any region visit")
+        for i, rank, orientation in marks:
+            if orientation is not (Orientation.IN if (anchor - rank) % 2 else Orientation.OUT):
+                before_tuck = i + 1 < len(items) and items[i + 1].__class__ is Tuck
                 rule = RULE_FRONT_TUCK if before_tuck else RULE_ALTERNATE
                 detail = (
                     "the move before a tuck must pass in front of the knot"
                     if before_tuck
                     else "moves do not alternate direction"
                 )
-                violations.append(Violation(rule, index, detail))
+                violations.append(Violation(rule, i, detail))
     else:
-        anchor = None  # (visit rank, orientation) of the last annotated visit
-        rank = 0
-        for index, item in enumerate(word.items):
-            if isinstance(item, Tuck):
-                continue
-            if item.orientation is not None:
-                if anchor is not None:
-                    gap = rank - anchor[0]
-                    same = item.orientation == anchor[1]
-                    if same == (gap % 2 == 1):
-                        violations.append(
-                            Violation(
-                                RULE_ALTERNATE, index, "moves do not alternate direction"
-                            )
-                        )
-                anchor = (rank, item.orientation)
-            rank += 1
+        previous = None  # (rank, orientation) of the last marked visit
+        for i, rank, orientation in marks:
+            if previous is not None:
+                gap = rank - previous[0]
+                same = orientation is previous[1]
+                if same == (gap % 2 == 1):
+                    violations.append(
+                        Violation(RULE_ALTERNATE, i, "moves do not alternate direction")
+                    )
+            previous = (rank, orientation)
 
     if violations:
         return ValidityReport(valid=False, violations=tuple(violations))
-    return validate(clr_to_tw(word), opts)
+    if not items:
+        raise NotationError("empty region word has no start region")
+    if items[0].__class__ is Tuck:
+        raise NotationError("region word must begin with a visit")
+    if len(items) > 1 and items[1].__class__ is Tuck:
+        raise NotationError("tuck before any winding")
+    return _judge(items[0].region, windings, tucks, items[-1].__class__ is Tuck, opts)

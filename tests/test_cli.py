@@ -3,6 +3,7 @@ import io
 import json
 import os
 import signal
+import subprocess
 import sys
 import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
@@ -11,6 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tieknot
 from tieknot import enumeration
 from tieknot.cli import SERIES_MAX_ORDER, main
 
@@ -634,3 +636,13 @@ def test_random_command_lines_exit_0_1_or_2_in_bounded_time(argv, cap):
         code = main(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue()
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    src = os.path.dirname(os.path.dirname(tieknot.__file__))
+    result = subprocess.run(
+        [sys.executable, "-m", "tieknot", "name", "--tw", "TWWWTTTUTTU"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "L-123.2\n", "")

@@ -373,48 +373,6 @@ def test_region_word_of_every_built_member_to_nine_windings_matches_the_steps():
                 _assert_region_words_match_the_steps(parse_tw(text, start))
 
 
-# -- kept views ---------------------------------------------------------------
-# A word keeps its text and region word once computed; parse_tw keeps its
-# input as the text.  A word built afresh from the same fields computes
-# every view from the items, so the two must agree.
-
-
-def _assert_views_match_a_fresh_word(knot):
-    fresh = KnotWord(knot.start, knot.items)
-    assert knot == fresh and hash(knot) == hash(fresh)
-    assert knot.serialize() == fresh.serialize()
-    clr, fresh_clr = tw_to_clr(knot), tw_to_clr(fresh)
-    assert clr == fresh_clr and hash(clr) == hash(fresh_clr)
-    assert clr.serialize() == fresh_clr.serialize() == RegionWord(clr.items).serialize()
-
-
-def _assert_kept_views_are_the_views(text, start):
-    knot = parse_tw(text, start)
-    _assert_views_match_a_fresh_word(knot)  # which leaves both views kept on the word
-    # Words made from it anew compute their own views and inherit none.
-    _assert_views_match_a_fresh_word(mirror(knot))
-    _assert_views_match_a_fresh_word(dataclasses.replace(knot, start=Region.CENTER))
-    if knot.items:
-        _assert_views_match_a_fresh_word(dataclasses.replace(knot, items=knot.items[:-1]))
-
-
-@settings(max_examples=300)  # about one random text in five parses
-@given(st.text(alphabet="TWU'", max_size=16), st.sampled_from(list(Region)))
-def test_kept_views_are_the_views(text, start):
-    try:
-        parse_tw(text, start)
-    except NotationError:
-        return
-    _assert_kept_views_are_the_views(text, start)
-
-
-def test_kept_views_are_the_views_for_every_member_to_nine_windings():
-    for members in full_language(9, canonical=True).values():
-        for text in members:
-            for start in (Region.LEFT, Region.RIGHT):  # the canonical start and its mirror's
-                _assert_kept_views_are_the_views(text, start)
-
-
 def _assert_text_walk_is_the_conversion(text):
     assert tw_text_to_clr(text) == tw_to_clr(parse_tw(text)).serialize(), text
 

@@ -3,12 +3,28 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from tieknot.notation import KnotWord, Tuck, WindDir, parse_tw
+from tieknot.enumeration import full_language, single_tuck_knots
+from tieknot.notation import (
+    KnotWord,
+    Orientation,
+    Region,
+    RegionWord,
+    Tuck,
+    Visit,
+    WindDir,
+    clr_to_tw,
+    infer_orientations,
+    parse_tw,
+    tw_to_clr,
+)
 from tieknot.validity import (
+    DEFAULT_OPTIONS,
     RULE_FRONT_TUCK,
     RULE_TUCK_ROOM,
     RULE_WINDOW,
     ValidityOptions,
+    ValidityReport,
+    Violation,
     tuck_parity_ok,
     tuck_site_valid,
     tuck_sites,
@@ -252,3 +268,129 @@ def test_validate_tuck_verdicts_match_the_rules_on_long_words(windings, tucks):
         items.append(WindDir(letter))
         items.extend(after.get(position, ()))
     _assert_verdicts_match_the_rules(KnotWord(items=tuple(items)))
+
+
+# -- the region walks, against the old compositions ----------------------------
+# validate_clr and infer_orientations each walk a region word once.  The
+# referee checks the marks against orientations forced visit by visit, then
+# validates the winding word that clr_to_tw converts, as validate_clr did
+# before it read its own visits; an oriented word's text must be the text of
+# its items.
+
+_OPTION_SETS = (
+    ValidityOptions(allow_hidden_tucks=True, max_moves=None),
+    ValidityOptions(require_final_tuck=False, max_tuck_depth=1, max_moves=9),
+)
+_CENTER_ENDING = ValidityOptions(allow_final_center_no_tuck=True)
+
+
+def _forced_by_visits(word):
+    """Orientation of every visit by item index: "out" on the visit before the
+    last tuck, alternating away from it; None for a word with no tuck."""
+    tucks = [i for i, item in enumerate(word.items) if isinstance(item, Tuck)]
+    if not tucks:
+        return None
+    visits = [i for i, item in enumerate(word.items) if isinstance(item, Visit)]
+    anchor = max(rank for rank, i in enumerate(visits) if i < tucks[-1])
+    return {
+        i: Orientation.OUT if (anchor - rank) % 2 == 0 else Orientation.IN
+        for rank, i in enumerate(visits)
+    }
+
+
+def _mark_violations(items, visits, forced):
+    """Each mark against ``forced`` (T3 just before a tuck, T2 elsewhere), or
+    without a tuck, each mark against the mark before it."""
+    violations = []
+    if forced is None:
+        marked = [(rank, i, v.orientation) for rank, (i, v) in enumerate(visits) if v.orientation]
+        for (rank0, _, before), (rank, i, mark) in zip(marked, marked[1:]):
+            if (mark == before) == ((rank - rank0) % 2 == 1):
+                violations.append(Violation("T2", i, "moves do not alternate direction"))
+        return violations
+    for i, visit in visits:
+        if visit.orientation not in (None, forced[i]):
+            if i + 1 < len(items) and isinstance(items[i + 1], Tuck):
+                violations.append(Violation("T3", i, "the move before a tuck must pass in front of the knot"))
+            else:
+                violations.append(Violation("T2", i, "moves do not alternate direction"))
+    return violations
+
+
+def _validate_clr_by_composition(word, opts, forced):
+    """T1 between consecutive visits, the marks against ``forced``, and if all
+    hold, ``validate(clr_to_tw(word))``."""
+    items = word.items
+    visits = [(i, item) for i, item in enumerate(items) if isinstance(item, Visit)]
+    violations = [
+        Violation("T1", i, f"region {visit.region.value} repeats")
+        for (_, before), (i, visit) in zip(visits, visits[1:])
+        if visit.region == before.region
+    ]
+    violations += _mark_violations(items, visits, forced)
+    if violations:
+        return ValidityReport(valid=False, violations=tuple(violations))
+    return validate(clr_to_tw(word), opts)
+
+
+def _assert_validate_clr_matches_the_composition(word, opts=DEFAULT_OPTIONS, forced=None):
+    """``forced`` may be given for a word with the visits and tucks it was found for."""
+    forced = forced or _forced_by_visits(word)
+    assert validate_clr(word, opts) == _validate_clr_by_composition(word, opts, forced), (
+        word.serialize(), opts)
+
+
+def _flip(visit):
+    return Visit(visit.region, Orientation.IN if visit.orientation is Orientation.OUT else Orientation.OUT)
+
+
+def test_region_walks_match_their_referees_to_13_moves():
+    texts = {text for members in full_language(9, canonical=True).values() for text in members}
+    texts.update(single_tuck_knots(12))
+    for text in sorted(texts):
+        for start in (Region.LEFT, Region.RIGHT):  # the canonical start and its mirror's
+            word = tw_to_clr(parse_tw(text, start))
+            oriented = infer_orientations(word)
+            assert oriented.serialize() == RegionWord(oriented.items).serialize()
+            forced = _forced_by_visits(word)
+            assert [(item.region, item.orientation) for item in oriented.items if isinstance(item, Visit)] == [
+                (word.items[i].region, forced[i]) for i in sorted(forced)
+            ]
+            # The oriented word's marks are the forced ones, so the composition
+            # gives it the plain word's report.
+            expected = _validate_clr_by_composition(word, DEFAULT_OPTIONS, forced)
+            assert validate_clr(word) == validate_clr(oriented) == expected, text
+
+
+def test_validate_clr_matches_the_composition_on_flips_and_repeats_to_nine_windings():
+    words = (
+        tw_to_clr(parse_tw(text, start))
+        for members in full_language(9, canonical=True).values()
+        for text in members
+        for start in (Region.LEFT, Region.RIGHT)
+    )
+    for word in words:
+        forced = _forced_by_visits(word)
+        for opts in _OPTION_SETS:
+            _assert_validate_clr_matches_the_composition(word, opts, forced)
+        items = infer_orientations(word).items
+        # Each one-mark flip breaks T2 or T3 and nothing else.  The marks hang
+        # on the order of visits and tucks alone, which L and R words share.
+        for i, item in enumerate(items if items[0].region is Region.LEFT else ()):
+            if isinstance(item, Visit):
+                flipped = RegionWord(items[:i] + (_flip(item),) + items[i + 1:])
+                _assert_validate_clr_matches_the_composition(flipped, forced=forced)
+        # A repeated start visit breaks T1 and shifts every forced mark after it.
+        _assert_validate_clr_matches_the_composition(RegionWord(items[:1] + items))
+        # Without its last tuck the word may end in the center; its marks then
+        # only need to alternate among themselves if no tuck is left.
+        _assert_validate_clr_matches_the_composition(RegionWord(items[:-1]), _CENTER_ENDING)
+        _assert_validate_clr_matches_the_composition(RegionWord(word.items[:-1]), _CENTER_ENDING)
+
+
+def test_a_lone_center_visit_does_not_end_a_knot():
+    # The center ending needs a winding into the center, not just a start there.
+    report = validate_clr(parse_clr("C"), _CENTER_ENDING)
+    assert report == validate(parse_tw("", Region.CENTER), _CENTER_ENDING)
+    assert [v.rule for v in report.violations] == ["T4"]
+    assert validate_clr(parse_clr("LC"), _CENTER_ENDING).valid
