@@ -173,6 +173,15 @@ def _report_bucket(windings, knots):
     print(f"[{windings} windings: {knots} knots]", file=sys.stderr)
 
 
+# The grammar classes' counting grammars by final region (None for all),
+# and how many sizes a series' degree runs ahead of the winding count.
+_GRAMMAR_CLASSES = {
+    "single": (grammars.single_tuck_clr_grammar, 1),  # degree moves = windings + 1
+    "full": (grammars.full_grammar, 0),
+    "hidden": (grammars.hidden_tuck_grammar, 0),
+}
+
+
 def _count_knots(args, wanted) -> int:
     """``--count`` from the counting tables, with the ``--progress`` lines
     the listing writes.  Buckets are (windings, knots, knots ``--final``
@@ -181,22 +190,12 @@ def _count_knots(args, wanted) -> int:
     regions' runs can share a line; the grammar classes list by length."""
     max_moves = _max_moves(args)
     lengths = range(2, max_moves)
-    if args.klass == "single" and args.allow_hidden_tucks:
-        table = enumeration.hidden_tuck_table(max_moves - 1)  # by windings, then turn
-        turns = range(3) if wanted is None else [TURN_OF_REGION[wanted]]
-        buckets = [(n, sum(table[n]), sum(table[n][t] for t in turns)) for n in lengths]
-    elif args.klass == "full":  # the full series' degree counts windings
-        series = grammars.count_by_size(grammars.full_grammar(), max_moves - 1)
-        kept = series if wanted is None else grammars.count_by_size(
-            grammars.full_grammar(wanted), max_moves - 1
-        )
-        buckets = [(n, series[n], kept[n]) for n in lengths]
-    elif args.klass == "single":  # degree moves = windings + 1
-        series = grammars.count_by_size(grammars.single_tuck_tw_grammar(), max_moves)
-        kept = series if wanted is None else grammars.count_by_size(
-            grammars.single_tuck_clr_grammar(wanted), max_moves
-        )
-        buckets = [(n, series[n + 1], kept[n + 1]) for n in lengths]
+    if args.klass in ("single", "full"):
+        grammar, shift = _GRAMMAR_CLASSES["hidden" if args.allow_hidden_tucks else args.klass]
+        degree = max_moves - 1 + shift
+        series = grammars.count_by_size(grammar(None), degree)
+        kept = series if wanted is None else grammars.count_by_size(grammar(wanted), degree)
+        buckets = [(n, series[n + shift], kept[n + shift]) for n in lengths]
     else:
         buckets = []
         for region in _pattern_regions(args.klass):
@@ -220,7 +219,7 @@ def _count_knots(args, wanted) -> int:
 
 def cmd_enumerate(args) -> int:
     wanted = None if args.final is None else Region(args.final)
-    if args.klass == "full" and args.allow_hidden_tucks:
+    if args.klass != "single" and args.allow_hidden_tucks:
         print("error: hidden tucks are only enumerable for the single class", file=sys.stderr)
         return EXIT_USAGE
     if args.count:

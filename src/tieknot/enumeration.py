@@ -1,9 +1,9 @@
 """Brute-force enumeration of knots, census tables, and cross-checks.
 
 The enumerators here are built without the grammar module so the two
-sides can referee each other: winding strings are enumerated directly
-and decorated with tucks according to the validity rules.  The census
-lists nothing: it reads the winding patterns' closed-form counts
+sides can referee each other: winding strings are enumerated directly,
+or knots by their recursive block structure.  The census lists
+nothing: it reads the winding patterns' closed-form counts
 (:func:`pattern_count`, which :mod:`tieknot.catalog` ranks names with)
 and the grammars' counting series, and :func:`cross_check` compares
 the enumerators with the grammars.  The referee compares texts: each
@@ -14,18 +14,16 @@ text by text: :func:`final_region_of` files each text by its net turn,
 and the conversion of that text is compared with its region's grammar,
 so a wrong conversion shows as a mismatch.
 
-Three enumerators cover the language families:
+Two enumerators cover the language families:
 
 * :func:`fm_knots` -- classical knots: any winding string whose last two
   windings are equal and whose final region is the center, carrying
   exactly the one final tuck;
-* :func:`single_tuck_knots` -- thin-blade knots with depth-1 tucks: each
-  valid internal site is independently tucked or not, and the final
-  site must be tucked, so a pattern's knots are one product over its
-  internal sites (the chunk up to each site, bare or tucked), closed by
-  the last chunk and the final tuck;
-* :func:`full_language` -- knots with arbitrary-depth tucks, enumerated
-  by their recursive structure (below).
+* :class:`_FullEnumerator` -- knots with tucks by their recursive
+  structure (below): :func:`full_language` lists every depth, and
+  :func:`single_tuck_knots` the depth-1 slice, the thin-blade knots
+  whose blocks are all one tucked pair (TTU or WWU).  Knots whose tucks
+  may hide behind the knot come from :func:`grammars.hidden_tuck_grammar`.
 
 Deep tucks do not combine freely.  A tuck tower (the U runs closing at
 one point) and the windings it spans form a block: the block opens with
@@ -71,12 +69,11 @@ def final_region_of(text: str, start: Region = Region.LEFT) -> Region:
     return _CYCLE[(_CYCLE_INDEX[start] + text.count("T") - text.count("W")) % 3]
 
 
-def depth1_sites(windings: str, opts: ValidityOptions = DEFAULT_OPTIONS) -> List[int]:
+def depth1_sites(windings: str) -> List[int]:
     """Positions admitting a depth-1 tuck: equal adjacent windings, at an
-    even distance from the end unless hidden tucks are allowed."""
+    even distance from the end."""
     n = len(windings)
-    first, step = (2, 1) if opts.allow_hidden_tucks else (2 + n % 2, 2)
-    return [p for p in range(first, n + 1, step) if windings[p - 2] == windings[p - 1]]
+    return [p for p in range(2 + n % 2, n + 1, 2) if windings[p - 2] == windings[p - 1]]
 
 
 # A winding pattern is a T/W stem, then its last letter again.  TT turns
@@ -98,34 +95,12 @@ def patterns_below(windings: int, turn: int) -> int:
     return ((1 << (windings - 1)) - 2 - skew) // 3
 
 
-def single_tuck_knots(
-    max_windings: int, opts: ValidityOptions = DEFAULT_OPTIONS
-) -> Iterator[str]:
-    """All depth-1-tuck knots with at most ``max_windings`` windings.
-
-    Every subset of the internal depth-1 sites gives a distinct knot;
-    the final site carries the mandatory closing tuck.
-    """
+def single_tuck_knots(max_windings: int) -> Iterator[str]:
+    """All depth-1-tuck knots with at most ``max_windings`` windings: the
+    depth-1 slice of the structural enumeration, bucket by bucket."""
+    enum = _FullEnumerator(depth_one=True)
     for n in range(2, max_windings + 1):
-        yield from _single_bucket(n, opts)
-
-
-def _single_bucket(n: int, opts: ValidityOptions) -> List[str]:
-    """The depth-1-tuck knots of ``n`` windings, pattern by pattern.
-
-    A pattern's knots are one product: the chunk up to each internal
-    site, bare or tucked, then the last chunk and the closing tuck.
-    """
-    members = []
-    for w in pattern_texts(n):
-        parts, start = [], 0
-        for p in depth1_sites(w, opts)[:-1]:  # the final site is always tucked
-            chunk = w[start:p]
-            parts.append((chunk, chunk + "U"))
-            start = p
-        parts.append((w[start:] + "U",))
-        members += map("".join, itertools.product(*parts))
-    return members
+        yield from enum.members(n)
 
 
 def decorate(windings: str, sites) -> str:
@@ -155,9 +130,12 @@ class _FullEnumerator:
     with its winding tally; ``interiors(j)`` lists block interiors of 2j
     windings.  Memoised per instance; strings are the canonical text of
     the knots (the apostrophe placement follows the block structure).
+    ``depth_one`` keeps only depth-1 tucks: every interior is empty, so
+    the only blocks are the one-pair TTU and WWU.
     """
 
-    def __init__(self):
+    def __init__(self, depth_one: bool = False):
+        self._depth_one = depth_one
         self._blocks: Dict[int, List[Tuple[str, int]]] = {}
         self._interiors: Dict[int, List[Tuple[str, int]]] = {}
         self._tails: Dict[int, List[str]] = {}
@@ -174,7 +152,7 @@ class _FullEnumerator:
         out: List[Tuple[str, int]] = []
         if j == 0:
             out.append(("", 0))
-        else:
+        elif not self._depth_one:
             for pair in self._PAIRS:
                 for text, net in self.interiors(j - 1):
                     out.append((pair + text + "U", self._net(pair) + net))
@@ -255,27 +233,28 @@ def oracle_enumerate(
 ) -> Iterator[KnotWord]:
     """Every valid knot with at most ``max_windings`` windings, parsed.
 
-    With a depth cap of 1 this decorates winding strings site by site;
-    without a cap it enumerates the recursive block structure.  Knots
-    come bucket by bucket: each winding count's members are listed,
-    canonicalised, checked for duplicates and sorted into text order,
-    then parsed one at a time as they are taken, so the first knot does
-    not wait for the last bucket.  The order is deterministic: ascending
-    winding count, then text order.
+    Knots with a depth cap of 1 or none come from the structural
+    enumeration, one winding count at a time: each bucket's members are
+    listed, canonicalised, checked for duplicates and sorted into text
+    order, then parsed one at a time as they are taken, so the first
+    knot does not wait for the last bucket.  Hidden tucks (depth 1 only)
+    come from :func:`grammars.hidden_tuck_grammar`, which builds every
+    bucket before the first knot goes out.  The order is deterministic:
+    ascending winding count, then text order.  Knots that need not end
+    on a tuck are not enumerable.
     """
-    if opts.max_tuck_depth == 1:
-        buckets = (_single_bucket(n, opts) for n in range(2, max_windings + 1))
-    elif opts.max_tuck_depth is None:
-        if opts.allow_hidden_tucks:
-            raise NotImplementedError(
-                "hidden tucks are only modelled for depth-1 knots"
-            )
-        enum = _FullEnumerator()
-        buckets = (_full_bucket(enum, n, True) for n in range(2, max_windings + 1))
+    if not opts.require_final_tuck or opts.allow_final_center_no_tuck:
+        raise NotImplementedError("only knots that end on a tuck are enumerable")
+    if opts.max_tuck_depth not in (1, None):
+        raise NotImplementedError("only depth cap 1 and unlimited depth are enumerable")
+    if opts.allow_hidden_tucks:
+        if opts.max_tuck_depth != 1:
+            raise NotImplementedError("hidden tucks are only modelled for depth-1 knots")
+        sizes = grammars.generate_with_sizes(grammars.hidden_tuck_grammar(), max_windings)
+        buckets = (list(texts) for _, texts in itertools.groupby(sizes, sizes.get))
     else:
-        raise NotImplementedError(
-            "only depth cap 1 and unlimited depth are enumerable"
-        )
+        enum = _FullEnumerator(depth_one=opts.max_tuck_depth == 1)
+        buckets = (_full_bucket(enum, n, True) for n in range(2, max_windings + 1))
     for members in buckets:
         members.sort(key=sort_key)
         for text in members:
@@ -344,33 +323,11 @@ def hidden_tuck_counts(max_windings: int) -> Dict[int, int]:
 
     Dropping the parity half of T3 (but keeping the window rule) makes
     every equal adjacent pair an optional internal site; the count per
-    winding count n works out to 2 * 3^(n-2).
+    winding count n, read from :func:`grammars.hidden_tuck_grammar`'s
+    series, works out to 2 * 3^(n-2).
     """
-    return {n: sum(row) for n, row in hidden_tuck_table(max_windings).items()}
-
-
-def hidden_tuck_table(max_windings: int) -> Dict[int, List[int]]:
-    """Hidden-tuck knots by winding count n, then net turn (#T - #W) mod 3.
-
-    A knot is a T/W stem, its last letter again and the final tuck;
-    every equal adjacent pair of the stem is an optional site, so a stem
-    stands for 2^(equal pairs) knots.  The walk weighs stems letter by
-    letter by (last letter, turn): an equal letter doubles the weight,
-    or closes the knot.
-    """
-    step = {"T": 1, "W": 2}
-    stems = {(c, step[c]): 1 for c in "TW"}  # one-letter stems
-    out = {}
-    for n in range(2, max_windings + 1):
-        out[n] = row = [0, 0, 0]
-        grown = {}
-        for (last, turn), weight in stems.items():
-            row[(turn + step[last]) % 3] += weight
-            for c in "TW":
-                key = (c, (turn + step[c]) % 3)
-                grown[key] = grown.get(key, 0) + (2 * weight if c == last else weight)
-        stems = grown
-    return out
+    series = grammars.count_by_size(grammars.hidden_tuck_grammar(), max_windings)
+    return {n: series[n] for n in range(2, max_windings + 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Production grammars for the tie-knot languages, with generation and counting.
 
-Four grammars are built in:
+Five grammars are built in:
 
 * :func:`fm_grammar` -- the classical Fink--Mao knots in region notation
   (flat facade, final tuck from the center);
@@ -8,6 +8,8 @@ Four grammars are built in:
   in winding notation;
 * :func:`single_tuck_clr_grammar` -- the same language in region
   notation, optionally restricted by the region of the final tuck;
+* :func:`hidden_tuck_grammar` -- depth-1 tucks that may sit behind the
+  knot, in winding notation, optionally restricted by final region;
 * :func:`full_grammar` -- the context-free language of knots with tucks
   of arbitrary depth, in winding notation.
 
@@ -22,7 +24,7 @@ grammar                   weights                  size of a member
 fm / single-tuck CLR      L,C,R = 1; U = 0         region symbols (moves)
 single-tuck TW            T,W = 1; final U = 1,    moves
                           inner U = 0
-full                      T,W = 1; U,' = 0         windings (moves - 1)
+hidden / full             T,W = 1; U,' = 0         windings (moves - 1)
 ========================  =======================  ======================
 
 :func:`count_by_size` fills a table of derivations per (nonterminal,
@@ -262,6 +264,33 @@ def single_tuck_tw_grammar() -> Grammar:
             "ftuck": ((t, t, U1), (w, w, U1)),
         },
     )
+
+
+def hidden_tuck_grammar(final: Optional[Region] = None) -> Grammar:
+    """Knots with depth-1 tucks that may sit behind the knot, winding notation.
+
+    Without T3's parity rule a tuck may follow any two equal bare
+    windings, so after each letter the next letter follows bare, or
+    repeats it and tucks, or repeats it and closes the knot: 2 * 3^(n-2)
+    knots of n windings.  The state ``T`` or ``W`` is the last letter;
+    passing ``final`` adds the net turn (#T - #W from L, mod 3) the rest
+    of the knot must still make, as in :func:`full_grammar`, and only a
+    closing letter that makes it ends a knot.  U weighs 0: size = windings.
+    """
+    turns = {"T": 1, "W": 2}
+    owed = (None,) if final is None else range(3)
+
+    def after(letter, need):  # the state once ``letter`` is laid, owing ``need`` before it
+        return N(letter if need is None else f"{letter}{(need - turns[letter]) % 3}")
+
+    goal = None if final is None else TURN_OF_REGION[final]
+    productions = {"tie": tuple((T(c), after(c, goal)) for c in turns)}
+    for c, turn in turns.items():
+        for need in owed:
+            productions[c if need is None else f"{c}{need}"] = tuple(
+                [(T(d), after(d, need)) for d in turns] + [(T(c), T("U", 0), after(c, need))]
+            ) + (((T(c), T("U", 0)),) if need in (None, turn) else ())
+    return Grammar(start="tie", productions=productions)
 
 
 _EXIT_REGION = {

@@ -206,6 +206,15 @@ def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, argv, env):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("klass", ["fm", "windings", "full"])
+@pytest.mark.parametrize("count", [False, True], ids=["listing", "count"])
+def test_hidden_tucks_are_refused_outside_the_single_class(capsys, klass, count):
+    argv = ["enumerate", "--class", klass, "--allow-hidden-tucks", "--max-windings", "5"]
+    code, out, err = run(capsys, *argv, *(["--count"] if count else []))
+    assert (code, out) == (2, "")
+    assert err == "error: hidden tucks are only enumerable for the single class\n"
+
+
 @pytest.mark.parametrize("command", ["name", "instructions", "aesthetics"])
 @pytest.mark.parametrize(
     "flag, text, message",

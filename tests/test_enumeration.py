@@ -3,12 +3,14 @@ import time
 from collections import Counter
 from dataclasses import astuple, replace
 
+import pytest
+
 from tieknot import enumeration as E
 from tieknot import grammars as G
 from tieknot import notation as N
 from tieknot.cli import main
 from tieknot.notation import Region, parse_tw, sort_key
-from tieknot.validity import ValidityOptions, validate
+from tieknot.validity import ValidityOptions, tuck_sites, validate
 
 
 def test_oracle_smallest_single_tuck():
@@ -28,6 +30,24 @@ def test_oracle_empty():
     assert list(E.oracle_enumerate(1)) == []
 
 
+@pytest.mark.parametrize("opts", [
+    ValidityOptions(require_final_tuck=False),
+    ValidityOptions(allow_final_center_no_tuck=True),
+    ValidityOptions(max_tuck_depth=2),
+    ValidityOptions(allow_hidden_tucks=True),
+], ids=["no-final-tuck", "final-center", "depth-2", "hidden-any-depth"])
+def test_oracle_refuses_what_it_cannot_enumerate(opts):
+    with pytest.raises(NotImplementedError):
+        list(E.oracle_enumerate(4, opts))
+
+
+def test_oracle_hidden_tucks_are_the_grammar_in_text_order():
+    opts = ValidityOptions(max_tuck_depth=1, allow_hidden_tucks=True)
+    texts = [k.serialize() for k in E.oracle_enumerate(7, opts)]
+    assert texts == G.generate(G.hidden_tuck_grammar(), 7)
+    assert len(texts) == sum(E.hidden_tuck_counts(7).values()) == 728
+
+
 def test_oracle_is_deterministic_and_duplicate_free():
     knots = [k.serialize() for k in E.oracle_enumerate(6)]
     assert knots == sorted(knots, key=lambda t: (sum(c in "TW" for c in t), sort_key(t)))
@@ -39,18 +59,41 @@ def test_every_single_tuck_knot_validates():
         assert validate(parse_tw(text)).valid, text
 
 
+def _decorations(n, sites_of):
+    """Each subset of each n-winding pattern's internal sites, decorated, sorted."""
+    out = []
+    for w in E.pattern_texts(n):
+        internal = [p for p in sites_of(w) if p < n]
+        for k in range(len(internal) + 1):
+            out += (E.decorate(w, set(c)) for c in itertools.combinations(internal, k))
+    return sorted(out)
+
+
 def test_single_tuck_buckets_decorate_every_subset_of_internal_sites():
-    # The oracle's definition: each subset of a pattern's internal sites,
-    # decorated, once.  Comparing sorted lists makes a duplicate fail too.
-    for hidden in (False, True):
-        opts = ValidityOptions(allow_hidden_tucks=hidden)
-        for n in range(2, 13):
-            expected = []
-            for w in E.pattern_texts(n):
-                internal = [p for p in E.depth1_sites(w, opts) if p < n]
-                for k in range(len(internal) + 1):
-                    expected += (E.decorate(w, set(c)) for c in itertools.combinations(internal, k))
-            assert sorted(E._single_bucket(n, opts)) == sorted(expected), (n, hidden)
+    # Each language's definition: each subset of a pattern's internal
+    # sites, decorated, once; the hidden-tuck sites are every position
+    # whose depth-1 window passes, whatever its parity.  Comparing sorted
+    # lists makes a duplicate fail too.
+    hidden_opts = ValidityOptions(allow_hidden_tucks=True, max_tuck_depth=1)
+
+    def hidden_sites(w):
+        return [p for p, _ in tuck_sites([N.WindDir(letter) for letter in w], hidden_opts)]
+
+    strict, hidden = {}, {}
+    for text in E.single_tuck_knots(12):
+        strict.setdefault(text.count("T") + text.count("W"), []).append(text)
+    for text, n in G.generate_with_sizes(G.hidden_tuck_grammar(), 12).items():
+        hidden.setdefault(n, []).append(text)
+    for n in range(2, 13):
+        assert sorted(strict[n]) == _decorations(n, E.depth1_sites), n
+        assert sorted(hidden[n]) == _decorations(n, hidden_sites), n
+
+
+def test_single_tuck_knots_are_the_depth_one_slice_of_the_full_language(full_oracle_12):
+    # A member whose U runs are all single has only depth-1 tucks.
+    shallow = {m for ms in full_oracle_12.values() for m in ms if "UU" not in m}
+    assert len(shallow) == 24882
+    assert set(E.single_tuck_knots(12)) == shallow
 
 
 def test_winding_patterns_small(listed_classes):
@@ -238,15 +281,32 @@ def test_hidden_tuck_census():
     assert sum(counts.values()) == 177146
 
 
-def test_hidden_tuck_table_matches_the_listing_by_final_region():
-    listed = Counter(
-        (text.count("T") + text.count("W"), E.final_region_of(text))
-        for text in E.single_tuck_knots(12, ValidityOptions(allow_hidden_tucks=True))
-    )
-    table = E.hidden_tuck_table(12)
-    assert list(table) == list(range(2, 13))
-    for n, row in table.items():
-        assert row == [listed[n, region] for region in sorted(Region, key=E.TURN_OF_REGION.get)]
+def test_hidden_tuck_grammar_is_the_validated_depth1_strings_to_8_windings():
+    # Every T/W string with or without a U after each winding, judged by
+    # validate with hidden tucks allowed: the grammar lists exactly the
+    # valid ones.
+    opts = ValidityOptions(allow_hidden_tucks=True, max_moves=None)
+    valid = {
+        text
+        for n in range(1, 9)
+        for letters in itertools.product(("T", "W", "TU", "WU"), repeat=n)
+        for text in ["".join(letters)]
+        if validate(parse_tw(text), opts).valid
+    }
+    assert len(valid) == 2186
+    assert set(G.generate_with_sizes(G.hidden_tuck_grammar(), 8)) == valid
+
+
+def test_region_final_hidden_tuck_grammars_split_the_plain_one():
+    plain = G.generate_with_sizes(G.hidden_tuck_grammar(), 9)
+    for region in Region:
+        assert G.generate_with_sizes(G.hidden_tuck_grammar(region), 9) == {
+            m: n for m, n in plain.items() if E.final_region_of(m) is region
+        }
+    total = G.count_by_size(G.hidden_tuck_grammar(), 40)
+    by_region = [G.count_by_size(G.hidden_tuck_grammar(region), 40) for region in Region]
+    assert [sum(column) for column in zip(*by_region)] == list(total)
+    assert [total[n] for n in range(2, 41)] == [2 * 3 ** (n - 2) for n in range(2, 41)]
 
 
 def test_hidden_census_extends_strict_census():
@@ -328,13 +388,11 @@ def test_cross_check_reports_a_dropped_member(monkeypatch):
 def test_depth1_sites_match_the_window_and_parity_rules_to_12_windings():
     from tieknot.validity import tuck_parity_ok, tuck_site_valid
 
-    for hidden in (False, True):
-        opts = ValidityOptions(allow_hidden_tucks=hidden)
-        for n in range(1, 13):
-            for letters in itertools.product("TW", repeat=n):
-                windings = [N.WindDir(letter) for letter in letters]
-                expected = [
-                    p for p in range(1, n + 1)
-                    if tuck_site_valid(windings, p, 1) and (hidden or tuck_parity_ok(n, p))
-                ]
-                assert E.depth1_sites("".join(letters), opts) == expected
+    for n in range(1, 13):
+        for letters in itertools.product("TW", repeat=n):
+            windings = [N.WindDir(letter) for letter in letters]
+            expected = [
+                p for p in range(1, n + 1)
+                if tuck_site_valid(windings, p, 1) and tuck_parity_ok(n, p)
+            ]
+            assert E.depth1_sites("".join(letters)) == expected
