@@ -4,9 +4,9 @@ Exit codes: 0 success (and, for ``validate``, a valid knot); 1 invalid
 knot or failed check; 2 usage or parse errors, which include a
 ``TIEKNOT_MAX_WINDINGS`` that is not an integer of at least 3, a
 ``sample`` count outside 0..population, a ``series`` order outside
-0..``SERIES_MAX_ORDER`` (1000), and a moves bound (``--max-windings``
+0..``SERIES_MAX_ORDER`` (1000), a moves bound (``--max-windings``
 under that cap) above ``SERIES_MAX_ORDER`` for ``enumerate``, ``sample``
-and ``census``.
+and ``census``, and ``crosscheck`` bounds below 3 moves or 2 windings.
 Enumeration output is plain text by default, with ``--format jsonl``
 / ``--format csv`` where a record stream makes sense.  The environment
 variable ``TIEKNOT_MAX_WINDINGS`` caps enumeration sizes, the
@@ -126,9 +126,9 @@ def cmd_validate(args) -> int:
 
 def cmd_convert(args) -> int:
     try:
-        if args.annotate:
-            word = parse_clr(args.string)
-            print(infer_orientations(word).serialize())
+        if args.annotate:  # the mirror image visits the reflected regions
+            text = args.string.translate(str.maketrans("LR", "RL")) if args.mirror else args.string
+            print(infer_orientations(parse_clr(text)).serialize())
         elif args.to_clr:
             knot = parse_tw(args.string, Region(args.start))
             if args.mirror:
@@ -363,6 +363,8 @@ def cmd_census(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     cap = _max_moves_cap()
+    if args.max_windings < 3 or args.full_windings < 2:  # no knot is that short
+        raise UsageError("crosscheck needs --max-windings >= 3 (moves) and --full-windings >= 2")
     report = enumeration.cross_check(min(args.max_windings, cap), min(args.full_windings, cap))
     print(report)
     return EXIT_OK if report.ok else EXIT_INVALID
@@ -404,8 +406,9 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="convert between the notations")
     p.add_argument("string")
-    p.add_argument("--to-clr", action="store_true", help="winding text to region text")
-    p.add_argument("--annotate", action="store_true", help="add i/o marks to region text")
+    direction = p.add_mutually_exclusive_group()
+    direction.add_argument("--to-clr", action="store_true", help="winding text to region text")
+    direction.add_argument("--annotate", action="store_true", help="add i/o marks to region text")
     p.add_argument("--mirror", action="store_true", help="reflect the knot first")
     p.add_argument("--start", default="L", choices=["L", "C", "R"])
 

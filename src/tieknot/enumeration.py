@@ -128,8 +128,9 @@ class _FullEnumerator:
 
     ``blocks(m)`` lists every complete block of 2m windings together
     with its winding tally; ``interiors(j)`` lists block interiors of 2j
-    windings.  Memoised per instance; strings are the canonical text of
-    the knots (the apostrophe placement follows the block structure).
+    windings.  Memoised per instance; strings are raw text, with an
+    apostrophe after every finished inner block even ahead of a winding
+    (``TTTTU'WWUUU``); :func:`canonicalize_tw` keeps those between tucks.
     ``depth_one`` keeps only depth-1 tucks: every interior is empty, so
     the only blocks are the one-pair TTU and WWU.
     """
@@ -205,18 +206,17 @@ class _FullEnumerator:
         return [p + tail for p in ("T", "W") for tail in self.tails(windings - 1)]
 
 
-def full_language(max_windings: int, canonical: bool = False) -> Dict[int, List[str]]:
+def full_language(max_windings: int) -> Dict[int, List[str]]:
     """Members of the arbitrary-depth language by winding count.
 
     The raw texts separate every finished inner tuck with an apostrophe,
-    even ahead of a winding; ``canonical`` rewrites them with the
-    canonical placement (separators only between adjacent tucks).  In
-    either form the enumeration is asserted duplicate-free, which checks
-    both the structural recursion and, for the canonical form, that the
-    rewrite loses nothing.
+    even ahead of a winding; :func:`canonicalize_tw` rewrites them with
+    the canonical placement (separators only between adjacent tucks).
+    The enumeration is asserted duplicate-free, which checks the
+    structural recursion.
     """
     enum = _FullEnumerator()
-    return {n: _full_bucket(enum, n, canonical) for n in range(2, max_windings + 1)}
+    return {n: _full_bucket(enum, n, False) for n in range(2, max_windings + 1)}
 
 
 def _full_bucket(enum: _FullEnumerator, n: int, canonical: bool) -> List[str]:

@@ -20,19 +20,19 @@ Item model.  A :class:`KnotWord` holds a start region and a tuple of
 items, each a :class:`WindDir` member (a winding, which is itself the
 one-letter string ``"T"`` or ``"W"``) or a :class:`Tuck`.  Its views
 are its windings, its ``(position, depth)`` tucks, its canonical text
-and its :class:`RegionWord` (items and region text).  One walk writes
-them all: :func:`parse_tw`'s, over the winding text.  Every other word
-is made through it: :func:`clr_to_tw` writes the winding text in its
-region walk, :func:`mirror` exchanges T and W in the text, and a word
-built from items (directly or by ``dataclasses.replace``) checks them
-and parses their text.  So every word carries all four views from
-construction, and :func:`tw_to_clr` and ``serialize`` are lookups.
-Views are not fields, so they play no part in ``==``, ``hash`` or
-``repr``.  A :class:`RegionWord` holds :class:`Visit` and
-:class:`Tuck` items.  An oriented word keeps the text its walk wrote:
-:func:`infer_orientations` writes items and text together, from six
-shared oriented visits.  Only a word that :func:`parse_clr` reads by
-tokens (or one built from items) is serialized on first use.  Beside
+and its :class:`RegionWord`.  A :class:`RegionWord` holds
+:class:`Visit` and :class:`Tuck` items; its views are the windings
+between its visits, its tucks, its region text and its winding text.
+Each notation has one reader whose walk writes all of a word's views:
+:func:`parse_tw` for winding text, which also writes the region word,
+and :func:`parse_clr` for region text.  Every other word is made
+through them or from views they wrote: :func:`clr_to_tw` parses the
+region word's winding text, :func:`mirror` exchanges T and W in the
+text, :func:`infer_orientations` writes oriented items and text and
+keeps the other views, and a word built from items (directly or by
+``dataclasses.replace``) checks them and parses their text.  So
+:func:`tw_to_clr` and ``serialize`` are lookups.  Views are not
+fields, so they play no part in ``==``, ``hash`` or ``repr``.  Beside
 :func:`tw_to_clr`, :func:`tw_text_to_clr` walks winding text from L
 straight to region text and builds no word (the cross-checks').
 """
@@ -267,7 +267,12 @@ class RegionWord:
 
     items: tuple = ()
 
-    _text = None  # a parse_clr word's text, kept on first use: most are never printed
+    def __post_init__(self):
+        """Check the items, then take every view from parsing their text."""
+        for item in self.items:
+            if not isinstance(item, (Visit, Tuck)):
+                raise TypeError(f"not a region item: {item!r}")
+        self.__dict__.update(parse_clr(_serialize(self.items)).__dict__, items=self.items)
 
     @property
     def visits(self) -> tuple:
@@ -278,11 +283,7 @@ class RegionWord:
         return tuple(v.region for v in self.visits)
 
     def serialize(self) -> str:
-        text = self._text
-        if text is None:
-            text = _serialize(self.items)
-            object.__setattr__(self, "_text", text)
-        return text
+        return self._text
 
     def __str__(self):
         return self.serialize()
@@ -360,18 +361,20 @@ def parse_tw(text: str, start: Region = Region.LEFT) -> KnotWord:
             raise _misplaced(ch, len(letters) - 1, depth < 0)
     if depth < 0:
         raise _misplaced("", len(letters) - 1, True)
-    region_word = _word(RegionWord, items=tuple(visits), _text="".join(letters))
     # The input is the canonical text: an apostrophe parses only between two tucks.
-    return _word(KnotWord, start=start, items=tuple(items), _windings=tuple(windings),
-                 _tucks=tuple(tucks), _text=text, _region_word=region_word)
+    windings, tucks = tuple(windings), tuple(tucks)
+    region_word = _word(RegionWord, items=tuple(visits), _text="".join(letters),
+                        _windings=windings, _tucks=tucks, _tw_text=text)
+    return _word(KnotWord, start=start, items=tuple(items), _windings=windings,
+                 _tucks=tucks, _text=text, _region_word=region_word)
 
 
-def _misplaced(ch: str, index: int, after_apostrophe: bool) -> NotationError:
-    """The error for winding text that cannot go on with ``ch`` at ``index``."""
+def _misplaced(ch: str, index: int, after_apostrophe: bool, first: str = "winding") -> NotationError:
+    """The error for text that cannot go on with ``ch`` at ``index`` (``first`` precedes a tuck)."""
     if after_apostrophe:  # the apostrophe before ``ch`` is not followed by a U
         return NotationError("' must sit between two U characters", index - 1)
     if ch == "U":
-        return NotationError("tuck before any winding", index)
+        return NotationError(f"tuck before any {first}", index)
     if ch == "'":
         return NotationError("' must sit between two U characters", index)
     return NotationError(f"unexpected character {ch!r}", index)
@@ -400,10 +403,10 @@ def canonicalize_tw(text: str) -> str:
     return _LOOSE_APOSTROPHE.sub("", text)
 
 
-_CLR_TOKENS = re.compile(r"U+|[LCR][io]?|.", re.DOTALL)
-_CLR_LETTERS = {
-    str(visit): visit
-    for visit in (Visit(r, o) for r in Region for o in (None, *Orientation))
+# For each region letter: its cycle index, its visit and, by mark, its marked visits.
+_CLR_STEPS = {
+    region.value: (index, _VISITS[index], {o.value: Visit(region, o) for o in Orientation})
+    for index, region in enumerate(_CYCLE)
 }
 
 
@@ -414,31 +417,52 @@ def parse_clr(text: str) -> RegionWord:
     ``U`` runs and apostrophes with the same grouping rules as
     :func:`parse_tw`; whitespace is dropped.  Adjacency violations (a
     repeated region) are a matter for validation, not parsing.
+
+    One walk writes the items, the windings between visits and the winding
+    text (None where a region repeats) and the ``(position, depth)`` tucks;
+    the word keeps them and the text it read.  Errors carry its index.
     """
     text = "".join(text.split())
-    items, index = [], 0
-    for symbol in _CLR_TOKENS.findall(text):
-        item = _CLR_LETTERS.get(symbol)
-        if item is not None:
-            items.append(item)
-        elif symbol[0] == "U":
-            if not items:
-                raise NotationError("tuck before any region visit", index)
-            items.append(_shared_tuck(len(symbol)))
-        elif symbol == "'":
-            if text[index - 1 : index] != "U" or text[index + 1 : index + 2] != "U":
-                raise NotationError("' must sit between two U characters", index)
+    items, windings, tucks, letters = [], [], [], []  # letters: of the winding text
+    index, visit, marks, depth = None, None, {}, 0  # of the last letter; depth as in parse_tw
+    for position, ch in enumerate(text):
+        step = _CLR_STEPS.get(ch)
+        if step is not None and depth >= 0:
+            to, visit, marks = step
+            if items:
+                direction = _DIRECTION[to - index]
+                windings.append(direction)
+                letters.append(direction)
+            items.append(visit)
+            index, depth = to, 0
+        elif ch in marks and items[-1] is visit:  # marks the visit just read
+            items[-1] = marks[ch]
+        elif ch == "U" and items:
+            if depth > 0:  # the run goes on: its tuck deepens
+                depth += 1
+                items[-1] = _shared_tuck(depth)
+                tucks[-1] = (len(windings), depth)
+            else:
+                depth = 1
+                items.append(_TUCK)
+                tucks.append((len(windings), 1))
+            letters.append(ch)
+        elif ch == "'" and depth > 0:
+            depth = -1
+            letters.append(ch)
         else:
-            raise NotationError(f"unexpected character {symbol!r}", index)
-        index += len(symbol)
-    return RegionWord(items=tuple(items))
+            raise _misplaced(ch, position, depth < 0, "region visit")
+    if depth < 0:
+        raise _misplaced("", len(text), True)
+    return _word(RegionWord, items=tuple(items), _text=text, _windings=tuple(windings),
+                 _tucks=tuple(tucks), _tw_text=None if None in windings else "".join(letters))
 
 
-# The oriented visits, shared by every oriented word: for each region the
-# "out" visit and its text, then the "in" one.
+# The oriented visits, shared with the marked ones parse_clr reads: for each
+# region the "out" visit and its text, then the "in" one.
 _ORIENTED = {
-    region: tuple((_CLR_LETTERS[text], text) for text in (region.value + "o", region.value + "i"))
-    for region in _CYCLE
+    Region(letter): tuple((marks[mark], letter + mark) for mark in "oi")
+    for letter, (_, _, marks) in _CLR_STEPS.items()
 }
 
 
@@ -452,22 +476,15 @@ def infer_orientations(word: RegionWord) -> RegionWord:
     oriented (it also breaks the rule that a knot ends on a tuck or a
     center visit).
 
-    One walk finds the anchor; a second writes the oriented items and
-    their text, which the word keeps.
+    The anchor's rank is the last tuck's position.  One walk writes the
+    oriented items and text, kept with the input's other views.
     """
-    anchor, rank = None, 0  # rank of the visit before the last tuck; visits read
-    for item in word.items:
-        if item.__class__ is Tuck:
-            anchor = rank - 1
-        else:
-            rank += 1
-    if anchor is None:
+    tucks = word._tucks
+    if not tucks:
         raise NotationError("no tuck to anchor orientations (word cannot end a knot)")
-    if anchor < 0:
-        raise NotationError("tuck before any region visit")
 
     items, letters = [], []
-    inward = anchor & 1  # the first visit is "out" when its rank has the anchor's parity
+    inward = tucks[-1][0] & 1  # the first visit is "out" when its rank has the anchor's parity
     after_tuck = False
     for item in word.items:
         if item.__class__ is Tuck:
@@ -482,7 +499,8 @@ def infer_orientations(word: RegionWord) -> RegionWord:
             letters.append(text)
             inward ^= 1
             after_tuck = False
-    return _word(RegionWord, items=tuple(items), _text="".join(letters))
+    return _word(RegionWord, items=tuple(items), _text="".join(letters),
+                 _windings=word._windings, _tucks=tucks, _tw_text=word._tw_text)
 
 
 def tw_to_clr(knot: KnotWord) -> RegionWord:
@@ -516,32 +534,18 @@ def clr_to_tw(word: RegionWord) -> KnotWord:
     """Convert region notation back to winding notation.
 
     Each visit-to-visit transition is one winding; a repeated region has
-    no winding direction and is rejected (the no-repeat rule).  The walk
-    writes the winding text, which :func:`parse_tw` makes the word.
+    no winding direction and is rejected (the no-repeat rule).  The word
+    keeps the winding text its walk wrote; :func:`parse_tw` reads it.
     """
     if not word.items:
         raise NotationError("empty region word has no start region")
-    if not isinstance(word.items[0], Visit):
-        raise NotationError("region word must begin with a visit")
-    start = word.items[0].region
-    letters = []
-    index = _CYCLE_INDEX[start]
-    for item in word.items[1:]:
-        if item.__class__ is Tuck:
-            if letters and letters[-1][-1] == "U":  # two adjacent tucks
-                letters.append("'")
-            letters.append("U" * item.depth)
-            continue
-        to = _CYCLE_INDEX[item.region]
-        direction = _DIRECTION[to - index]
-        if direction is None:
-            raise NotationError(f"repeated region {_CYCLE[to].value} has no winding direction")
-        letters.append(direction)
-        index = to
-    text = "".join(letters)
+    text = word._tw_text
+    if text is None:
+        region = word.regions[word._windings.index(None)]
+        raise NotationError(f"repeated region {region.value} has no winding direction")
     if text.startswith("U"):  # raised here: parse_tw's error would index text never written
         raise NotationError("tuck before any winding")
-    return parse_tw(text, start)
+    return parse_tw(text, word.items[0].region)
 
 
 _MIRROR = str.maketrans("TW", "WT")

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .notation import (
-    _CYCLE_INDEX,
-    _DIRECTION,
     _net_turns,
     KnotWord,
     NotationError,
@@ -241,7 +239,7 @@ def _judge(
 
 
 def validate_clr(word: RegionWord, opts: ValidityOptions = DEFAULT_OPTIONS) -> ValidityReport:
-    """Check a region-notation word: T1/T2 explicitly, the rest from its own visits.
+    """Check a region-notation word: T1/T2 explicitly, the rest from its own views.
 
     When the word contains a tuck, its orientations are fully determined
     by backtracking, so every explicit mark is checked against the
@@ -251,36 +249,27 @@ def validate_clr(word: RegionWord, opts: ValidityOptions = DEFAULT_OPTIONS) -> V
     with no winding form (empty, or a tuck before any winding) raises
     :class:`NotationError`, as :func:`~tieknot.notation.clr_to_tw` does.
 
-    One walk over the items finds the repeats, the marks, the anchor of
-    the forced orientations (the visit before the last tuck) and the
-    windings and tucks that the remaining rules judge, as
-    :func:`validate` judges them.
+    One walk over the items finds the repeats and the marks; the last
+    tuck's position anchors the forced orientations, and the windings and
+    tucks the word keeps are judged as :func:`validate` judges them.
     """
     items = word.items
-    repeats, marks, windings, tucks = [], [], [], []
-    index = None  # cycle index of the visit before
-    rank = 0  # visits read
-    anchor = None  # rank of the visit before the last tuck
+    repeats, marks = [], []
+    previous, rank = None, 0  # the region of the visit before; visits read
     for i, item in enumerate(items):
         if item.__class__ is Tuck:
-            anchor = rank - 1
-            tucks.append((len(windings), item.depth))
             continue
-        to = _CYCLE_INDEX[item.region]
-        if index is not None:
-            direction = _DIRECTION[to - index]
-            if direction is None:
-                repeats.append(Violation(RULE_NO_REPEAT, i, f"region {item.region.value} repeats"))
-            windings.append(direction)
-        index = to
+        if item.region is previous:
+            repeats.append(Violation(RULE_NO_REPEAT, i, f"region {previous.value} repeats"))
+        previous = item.region
         if item.orientation is not None:
             marks.append((i, rank, item.orientation))
         rank += 1
 
     violations = repeats
-    if anchor is not None:
-        if anchor < 0:
-            raise NotationError("tuck before any region visit")
+    tucks = word._tucks
+    if tucks:
+        anchor = tucks[-1][0]
         for i, rank, orientation in marks:
             if orientation is not (Orientation.IN if (anchor - rank) % 2 else Orientation.OUT):
                 before_tuck = i + 1 < len(items) and items[i + 1].__class__ is Tuck
@@ -307,8 +296,6 @@ def validate_clr(word: RegionWord, opts: ValidityOptions = DEFAULT_OPTIONS) -> V
         return ValidityReport(valid=False, violations=tuple(violations))
     if not items:
         raise NotationError("empty region word has no start region")
-    if items[0].__class__ is Tuck:
-        raise NotationError("region word must begin with a visit")
-    if len(items) > 1 and items[1].__class__ is Tuck:
+    if tucks and tucks[0][0] == 0:
         raise NotationError("tuck before any winding")
-    return _judge(items[0].region, windings, tucks, items[-1].__class__ is Tuck, opts)
+    return _judge(items[0].region, word._windings, tucks, items[-1].__class__ is Tuck, opts)

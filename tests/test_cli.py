@@ -79,6 +79,20 @@ def test_convert_annotate(capsys):
     assert out.strip() == "RiCoLiCoRiCoLiCoRiCoLiRoUCiRoCiLoU"
 
 
+def test_convert_annotate_mirror_annotates_the_mirror_image(capsys):
+    _, mirrored, _ = run(capsys, "convert", "--mirror", "LCRU")
+    assert mirrored.strip() == "start R: WWU"  # region text RCLU
+    code, out, _ = run(capsys, "convert", "--annotate", "--mirror", "LCRU")
+    assert (code, out.strip()) == (0, "RoCiLoU")
+    assert run(capsys, "convert", "--annotate", "RCLU")[1] == out
+
+
+def test_convert_to_clr_and_annotate_are_exclusive(capsys):
+    code, out, err = run(capsys, "convert", "--to-clr", "--annotate", "TTU")
+    assert (code, out) == (2, "")
+    assert "not allowed with argument" in err and "Traceback" not in err
+
+
 def test_convert_round_trip(capsys):
     _, clr, _ = run(capsys, "convert", "--to-clr", "TWTTU'UU")
     _, back, _ = run(capsys, "convert", clr.strip())
@@ -186,6 +200,8 @@ def test_aesthetics_non_canonical_start_is_one_line_error(capsys):
         (["census", "--no-full"], "-3"),
         (["enumerate", "--class", "fm", "--count"], "abc"),
         (["crosscheck"], "abc"),
+        (["crosscheck", "--max-windings", "2"], None),
+        (["crosscheck", "--full-windings", "1"], None),
         (["sample", "30000"], None),
         (["sample", "-1", "--max-windings", "6"], None),
         (["series", "full", "-1"], None),
@@ -193,6 +209,7 @@ def test_aesthetics_non_canonical_start_is_one_line_error(capsys):
     ],
     ids=[
         "env-census", "env-census-negative", "env-enumerate", "env-crosscheck",
+        "crosscheck-moves-below-3", "crosscheck-windings-below-2",
         "sample-too-many", "sample-negative", "series-negative", "series-past-cap",
     ],
 )

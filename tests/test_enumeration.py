@@ -267,7 +267,7 @@ def test_per_tuck_validity_boundary_of_full_language():
     # spans more than its own U run; the language keeps them while the
     # tuck-by-tuck reading rejects them.  Both facts are pinned here.
     opts = ValidityOptions(max_moves=None)
-    members = E.full_language(8, canonical=True)
+    members = {n: list(map(N.canonicalize_tw, ms)) for n, ms in E.full_language(8).items()}
     for n in range(2, 8):
         assert all(validate(parse_tw(m), opts).valid for m in members[n])
     diverging = [m for m in members[8] if not validate(parse_tw(m), opts).valid]

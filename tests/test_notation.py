@@ -13,6 +13,7 @@ from tieknot.notation import (
     Tuck,
     Visit,
     WindDir,
+    canonicalize_tw,
     classify_final,
     clr_to_tw,
     final_region,
@@ -367,8 +368,8 @@ def test_region_word_of_a_built_word_matches_a_step_by_step_walk(knot, start):
 
 
 def test_region_word_of_every_built_member_to_nine_windings_matches_the_steps():
-    for members in full_language(9, canonical=True).values():
-        for text in members:
+    for members in full_language(9).values():
+        for text in map(canonicalize_tw, members):
             for start in (Region.LEFT, Region.RIGHT):  # the canonical start and its mirror's
                 _assert_region_words_match_the_steps(parse_tw(text, start))
 
@@ -383,8 +384,8 @@ def test_text_walk_converts_every_single_tuck_knot_to_13_moves():
 
 
 def test_text_walk_converts_every_member_to_ten_windings():
-    for members in full_language(10, canonical=True).values():
-        for text in members:
+    for members in full_language(10).values():
+        for text in map(canonicalize_tw, members):
             _assert_text_walk_is_the_conversion(text)
 
 
@@ -461,3 +462,96 @@ def test_one_walk_parse_rejects_like_the_item_walk():
         with pytest.raises(NotationError) as raised:
             parse_tw(text)
         assert str(raised.value) == message
+
+
+# -- the one-walk region parse -------------------------------------------------
+# parse_clr reads region text once and keeps every view it writes.  The referee
+# is a token reader (a regex over U runs and marked letters) whose views come
+# from walks over the items it builds.
+
+_REFEREE_CLR_TOKENS = re.compile(r"U+|[LCR][io]?|.", re.DOTALL)
+
+
+def _referee_clr_items(text):
+    """Items of whitespace-free region text, or its NotationError."""
+    items, index = [], 0
+    for symbol in _REFEREE_CLR_TOKENS.findall(text):
+        if symbol[0] in "LCR":
+            mark = Orientation(symbol[1]) if len(symbol) == 2 else None
+            items.append(Visit(Region(symbol[0]), mark))
+        elif symbol[0] == "U":
+            if not items:
+                raise NotationError("tuck before any region visit", index)
+            items.append(Tuck(len(symbol)))
+        elif symbol == "'":
+            if text[index - 1 : index] != "U" or text[index + 1 : index + 2] != "U":
+                raise NotationError("' must sit between two U characters", index)
+        else:
+            raise NotationError(f"unexpected character {symbol!r}", index)
+        index += len(symbol)
+    return tuple(items)
+
+
+def _referee_clr_views(items):
+    """Windings (None at a repeat), (position, depth) tucks and winding text
+    (None when a region repeats) of region items, each by its own walk."""
+    regions = [item.region for item in items if isinstance(item, Visit)]
+    windings = tuple(
+        None if a is b else WindDir.T if step_region(a, WindDir.T) is b else WindDir.W
+        for a, b in zip(regions, regions[1:])
+    )
+    tucks, visits = [], 0
+    for item in items:
+        if isinstance(item, Tuck):
+            tucks.append((visits - 1, item.depth))
+        else:
+            visits += 1
+    text, winding = "", iter(windings)
+    for item in items[1:]:
+        if isinstance(item, Tuck):
+            text += ("'" if text.endswith("U") else "") + "U" * item.depth
+        else:
+            text += next(winding) or "?"
+    return windings, tuple(tucks), None if None in windings else text
+
+
+def _views(word):
+    return word._windings, word._tucks, word._tw_text
+
+
+@settings(max_examples=600)
+@given(st.text(alphabet="LCRUio' X\n", max_size=20))
+def test_one_walk_region_parse_is_the_token_reader(text):
+    stripped = "".join(text.split())
+    try:
+        expected = _referee_clr_items(stripped)
+    except NotationError as error:
+        with pytest.raises(NotationError) as raised:
+            parse_clr(text)
+        assert (str(raised.value), raised.value.position) == (str(error), error.position)
+        return
+    word = parse_clr(text)
+    assert word.items == expected and repr(word) == repr(RegionWord(expected))
+    assert all(item.__class__ in (Visit, Tuck) for item in word.items)
+    assert word.serialize() == stripped == RegionWord(expected).serialize()
+    assert _views(word) == _views(RegionWord(expected)) == _referee_clr_views(expected)
+
+
+def test_region_parse_of_every_member_to_nine_windings_keeps_the_knot_views():
+    for members in full_language(9).values():
+        for text in map(canonicalize_tw, members):
+            for start in Region:
+                knot = parse_tw(text, start)
+                kept = tw_to_clr(knot)
+                word = parse_clr(kept.serialize())
+                assert _views(word) == _views(kept) == (knot.windings, knot.tucks, text)
+                built = RegionWord(word.items)
+                assert built == word and built.serialize() == word.serialize()
+                assert _views(built) == _views(word) == _views(infer_orientations(word))
+                assert clr_to_tw(word) == knot
+
+
+def test_region_word_built_from_items_that_open_with_a_tuck_raises():
+    with pytest.raises(NotationError) as raised:
+        RegionWord((Tuck(1), Visit(Region.LEFT)))
+    assert str(raised.value) == "tuck before any region visit (at index 0)"
