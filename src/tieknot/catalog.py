@@ -36,9 +36,8 @@ from importlib import resources
 from typing import List, Optional
 
 from . import validity
-from .notation import KnotWord, Region, RegionWord, parse_tw, tw_to_clr
-from .enumeration import PATTERN_SKEW, TURN_OF_REGION, patterns_below
-from .enumeration import decorate, depth1_sites, final_region_of
+from .notation import TURN_OF_REGION, KnotWord, Region, RegionWord, final_region, parse_tw, tw_to_clr
+from .enumeration import PATTERN_SKEW, decorate, depth1_sites, patterns_below
 
 
 class NamingError(ValueError):
@@ -164,7 +163,7 @@ def name_of(knot: KnotWord) -> KnotName:
             extension += f"+p{p}d{d}"
         elif p < n:
             bits |= bit_of[p]
-    return KnotName(final_region_of(windings), pattern_rank(windings), bits, extension)
+    return KnotName(final_region(knot), pattern_rank(windings), bits, extension)
 
 
 def pattern_of(region: Region, rank: int) -> str:

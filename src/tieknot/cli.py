@@ -6,7 +6,9 @@ knot or failed check; 2 usage or parse errors, which include a
 ``sample`` count outside 0..population, a ``series`` order outside
 0..``SERIES_MAX_ORDER`` (1000), a moves bound (``--max-windings``
 under that cap) above ``SERIES_MAX_ORDER`` for ``enumerate``, ``sample``
-and ``census``, and ``crosscheck`` bounds below 3 moves or 2 windings.
+and ``census``, ``crosscheck`` bounds below 3 moves or 2 windings, and
+``--start`` with input that is not winding text.  ``convert --annotate``
+exits 1 on an i/o mark the last tuck contradicts, as ``validate --clr``.
 Enumeration output is plain text by default, with ``--format jsonl``
 / ``--format csv`` where a record stream makes sense.  The environment
 variable ``TIEKNOT_MAX_WINDINGS`` caps enumeration sizes, the
@@ -29,6 +31,7 @@ from .notation import (
     KnotWord,
     NotationError,
     Region,
+    Visit,
     classify_final,
     final_region,
     infer_orientations,
@@ -106,13 +109,21 @@ def _knot_line(knot: KnotWord) -> str:
     )
 
 
+def _start(args, winding: bool) -> Region:
+    """``--start`` for winding text (L by default); region text and names carry their own."""
+    if args.start is not None and not winding:
+        raise UsageError("--start applies only to winding text (--tw, or convert --to-clr)")
+    return Region(args.start or "L")
+
+
 def cmd_validate(args) -> int:
     opts = _options_from(args)
+    start = _start(args, args.tw is not None)
     try:
         if args.clr is not None:
             report = validity.validate_clr(parse_clr(args.clr), opts)
         else:
-            report = validity.validate(parse_tw(args.tw, Region(args.start)), opts)
+            report = validity.validate(parse_tw(args.tw, start), opts)
     except NotationError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -125,20 +136,24 @@ def cmd_validate(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    start = _start(args, args.to_clr)
     try:
         if args.annotate:  # the mirror image visits the reflected regions
             text = args.string.translate(str.maketrans("LR", "RL")) if args.mirror else args.string
-            print(infer_orientations(parse_clr(text)).serialize())
-        elif args.to_clr:
-            knot = parse_tw(args.string, Region(args.start))
-            if args.mirror:
-                knot = mirror(knot)
-            print(tw_to_clr(knot).serialize())
+            word = parse_clr(text)
+            oriented = infer_orientations(word)
+            for given, forced in zip(word.items, oriented.items):
+                if given.__class__ is Visit and given.orientation and given != forced:  # a wrong mark
+                    wrong = [violation for violation in validity.validate_clr(word).violations
+                             if violation.rule != validity.RULE_NO_REPEAT]  # the marks', in order
+                    print(f"error: {wrong[0]}", file=sys.stderr)
+                    return EXIT_INVALID
+            print(oriented.serialize())
         else:
-            knot = clr_to_tw(parse_clr(args.string))
+            knot = parse_tw(args.string, start) if args.to_clr else clr_to_tw(parse_clr(args.string))
             if args.mirror:
                 knot = mirror(knot)
-            print(f"start {knot.start.value}: {knot.serialize()}")
+            print(tw_to_clr(knot).serialize() if args.to_clr else f"start {knot.start.value}: {knot.serialize()}")
     except NotationError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -281,6 +296,7 @@ def cmd_series(args) -> int:
 
 
 def _resolve_knot(args) -> KnotWord:
+    start = _start(args, args.tw is not None)
     if args.name is not None:
         named = catalog.lookup(args.name)
         if named is not None:
@@ -288,7 +304,7 @@ def _resolve_knot(args) -> KnotWord:
         return catalog.knot_of(catalog.KnotName.parse(args.name))
     if args.clr is not None:
         return clr_to_tw(parse_clr(args.clr))
-    return parse_tw(args.tw, Region(args.start))
+    return parse_tw(args.tw, start)
 
 
 def _print_about_knot(args, describe) -> int:
@@ -376,9 +392,7 @@ def _add_knot_arguments(parser, with_name=False):
     group.add_argument("--clr", help="knot in region notation (L/C/R/U)")
     if with_name:
         group.add_argument("--name", help="knot name (R-1.0) or a registry name (Trinity)")
-    parser.add_argument(
-        "--start", default="L", choices=["L", "C", "R"], help="start region for --tw"
-    )
+    parser.add_argument("--start", choices=["L", "C", "R"], help="start region for --tw (default L)")
     if not with_name:
         parser.set_defaults(name=None)
 
@@ -410,7 +424,7 @@ def _parser() -> argparse.ArgumentParser:
     direction.add_argument("--to-clr", action="store_true", help="winding text to region text")
     direction.add_argument("--annotate", action="store_true", help="add i/o marks to region text")
     p.add_argument("--mirror", action="store_true", help="reflect the knot first")
-    p.add_argument("--start", default="L", choices=["L", "C", "R"])
+    p.add_argument("--start", choices=["L", "C", "R"], help="start region for --to-clr (default L)")
 
     p = sub.add_parser("enumerate", help="list all knots of a language")
     p.add_argument("--class", dest="klass", default="single",

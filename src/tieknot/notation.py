@@ -19,22 +19,24 @@ separated by ``'``.
 Item model.  A :class:`KnotWord` holds a start region and a tuple of
 items, each a :class:`WindDir` member (a winding, which is itself the
 one-letter string ``"T"`` or ``"W"``) or a :class:`Tuck`.  Its views
-are its windings, its ``(position, depth)`` tucks, its canonical text
-and its :class:`RegionWord`.  A :class:`RegionWord` holds
-:class:`Visit` and :class:`Tuck` items; its views are the windings
+are its windings, its ``(position, depth)`` tucks, its canonical text,
+its :class:`RegionWord` and its final region.  A :class:`RegionWord`
+holds :class:`Visit` and :class:`Tuck` items; its views are the windings
 between its visits, its tucks, its region text and its winding text.
 Each notation has one reader whose walk writes all of a word's views:
-:func:`parse_tw` for winding text, which also writes the region word,
-and :func:`parse_clr` for region text.  Every other word is made
-through them or from views they wrote: :func:`clr_to_tw` parses the
-region word's winding text, :func:`mirror` exchanges T and W in the
-text, :func:`infer_orientations` writes oriented items and text and
-keeps the other views, and a word built from items (directly or by
+:func:`parse_tw` for winding text, which also writes the region word
+and keeps the region of its last visit as the final region, and
+:func:`parse_clr` for region text.  Every other word is made through
+them or from views they wrote: :func:`clr_to_tw` parses the region
+word's winding text, :func:`mirror` exchanges T and W in the text,
+:func:`infer_orientations` writes oriented items and text and keeps the
+other views, and a word built from items (directly or by
 ``dataclasses.replace``) checks them and parses their text.  So
-:func:`tw_to_clr` and ``serialize`` are lookups.  Views are not
-fields, so they play no part in ``==``, ``hash`` or ``repr``.  Beside
-:func:`tw_to_clr`, :func:`tw_text_to_clr` walks winding text from L
-straight to region text and builds no word (the cross-checks').
+:func:`tw_to_clr`, :func:`final_region` and ``serialize`` are lookups.
+Views are not fields, so they play no part in ``==``, ``hash`` or
+``repr``.  Beside :func:`tw_to_clr`, :func:`tw_text_to_clr` walks
+winding text from L straight to region text and builds no word (the
+cross-checks').
 """
 
 from __future__ import annotations
@@ -106,11 +108,7 @@ TURN_OF_REGION = {step_region(Region.LEFT, WindDir.T, turn): turn for turn in ra
 
 def mirror_region(region: Region) -> Region:
     """Reflect left/right; the center is its own mirror image."""
-    if region is Region.LEFT:
-        return Region.RIGHT
-    if region is Region.RIGHT:
-        return Region.LEFT
-    return Region.CENTER
+    return _CYCLE[2 - _CYCLE_INDEX[region]]
 
 
 @dataclass(frozen=True)
@@ -139,11 +137,6 @@ def _word(cls, **state):
     word = object.__new__(cls)
     word.__dict__.update(state)
     return word
-
-
-def _net_turns(windings: tuple) -> int:
-    """Net turnwise steps #T - #W of a tuple of winding directions."""
-    return windings.count(WindDir.T) - windings.count(WindDir.W)
 
 
 _SORT_TABLE = str.maketrans("TWLCRU'", "0123456")
@@ -201,8 +194,8 @@ class KnotWord:
             if not isinstance(item, (WindDir, Tuck)):
                 raise TypeError(f"not a knot item: {item!r}")
         knot = parse_tw(_serialize(self.items), self.start)
-        self.__dict__.update(_windings=knot._windings, _tucks=knot._tucks,
-                             _text=knot._text, _region_word=knot._region_word)
+        self.__dict__.update(_windings=knot._windings, _tucks=knot._tucks, _text=knot._text,
+                             _region_word=knot._region_word, _final=knot._final)
 
     @property
     def windings(self) -> tuple:
@@ -234,7 +227,7 @@ class KnotWord:
             symbol_count=len(windings) + sum(depths),
             tuck_count=len(depths),
             max_tuck_depth=max(depths, default=0),
-            net_turn=_net_turns(windings) % 3,
+            net_turn=(_CYCLE_INDEX[self._final] - _CYCLE_INDEX[self.start]) % 3,
         )
 
     def serialize(self) -> str:
@@ -252,6 +245,10 @@ class Visit:
 
     region: Region
     orientation: Optional[Orientation] = None
+
+    def __post_init__(self):
+        if not isinstance(self.region, Region) or not isinstance(self.orientation, (Orientation, type(None))):
+            raise TypeError(f"not a region and mark: {self.region!r}, {self.orientation!r}")
 
     def __str__(self):
         mark = self.orientation.value if self.orientation else ""
@@ -322,13 +319,14 @@ def parse_tw(text: str, start: Region = Region.LEFT) -> KnotWord:
     is not by itself a valid knot).
 
     One walk over the characters writes the items, the windings, the
-    ``(position, depth)`` tucks and the region word with its text, and
-    the word keeps them all.  Every other way of making a word comes here.
-    Errors carry the index in the text.
+    ``(position, depth)`` tucks, the region word with its text and the
+    final region (that of the last visit), and the word keeps them all.
+    Every other way of making a word comes here.  Errors carry the index
+    in the text.
     """
     text = "".join(text.split())
     index = _CYCLE_INDEX[start]
-    steps = _WIND_STEPS[index]
+    steps, visit = _WIND_STEPS[index], _VISITS[index]
     items, windings, tucks = [], [], []
     # The region word: the start visit, then one visit per winding and the
     # tucks; its text has one letter per character read.
@@ -366,7 +364,7 @@ def parse_tw(text: str, start: Region = Region.LEFT) -> KnotWord:
     region_word = _word(RegionWord, items=tuple(visits), _text="".join(letters),
                         _windings=windings, _tucks=tucks, _tw_text=text)
     return _word(KnotWord, start=start, items=tuple(items), _windings=windings,
-                 _tucks=tucks, _text=text, _region_word=region_word)
+                 _tucks=tucks, _text=text, _region_word=region_word, _final=visit.region)
 
 
 def _misplaced(ch: str, index: int, after_apostrophe: bool, first: str = "winding") -> NotationError:
@@ -557,8 +555,10 @@ def mirror(knot: KnotWord) -> KnotWord:
 
 
 def final_region(knot: KnotWord) -> Region:
-    """Where the blade ends up: start advanced by #T - #W turnwise steps."""
-    return step_region(knot.start, WindDir.T, _net_turns(knot.windings))
+    """Where the blade ends up: the start advanced by #T - #W turnwise
+    steps, the region of the last visit.  The walk that made the word
+    kept it, so this is a lookup."""
+    return knot._final
 
 
 class FinalClass(str, Enum):

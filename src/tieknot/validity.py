@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .notation import (
-    _net_turns,
     KnotWord,
     NotationError,
     Orientation,
@@ -35,7 +34,7 @@ from .notation import (
     RegionWord,
     Tuck,
     WindDir,
-    step_region,
+    final_region,
 )
 
 RULE_NO_REPEAT = "T1"
@@ -164,16 +163,13 @@ def validate(knot: KnotWord, opts: ValidityOptions = DEFAULT_OPTIONS) -> Validit
     unless the center-ending exception is switched on; depth and length
     caps apply.  T1/T2 cannot be broken in this notation.
     """
-    items = knot.items
-    ends_in_tuck = bool(items) and isinstance(items[-1], Tuck)
-    return _judge(knot.start, knot.windings, knot.tucks, ends_in_tuck, opts)
+    return _judge(final_region(knot), knot.windings, knot.tucks, opts)
 
 
-def _judge(
-    start: Region, windings: Sequence[WindDir], tucks, ends_in_tuck: bool, opts: ValidityOptions
-) -> ValidityReport:
-    """The rules past T1/T2, for a knot given by its start region, windings,
-    ``(position, depth)`` tucks and whether its last item is a tuck."""
+def _judge(final: Region, windings: Sequence[WindDir], tucks, opts: ValidityOptions) -> ValidityReport:
+    """The rules past T1/T2, for a knot given by its windings, its
+    ``(position, depth)`` tucks and its final region.  The knot ends on a
+    tuck when its last tuck sits after its last winding."""
     violations = []
     n = len(windings)
 
@@ -216,24 +212,12 @@ def _judge(
                 )
             )
         if (n - position) % 2 and not opts.allow_hidden_tucks:  # T3's parity form
-            violations.append(
-                Violation(
-                    RULE_FRONT_TUCK,
-                    position,
-                    "tuck an odd number of windings from the end would sit behind the knot",
-                )
-            )
+            message = "tuck an odd number of windings from the end would sit behind the knot"
+            violations.append(Violation(RULE_FRONT_TUCK, position, message))
 
-    if opts.require_final_tuck and not ends_in_tuck:
-        ends_in_center = (
-            opts.allow_final_center_no_tuck
-            and n > 0
-            and step_region(start, WindDir.T, _net_turns(windings)) is Region.CENTER
-        )
-        if not ends_in_center:
-            violations.append(
-                Violation(RULE_ENDING, n, "knot must end on a tuck (or a center visit)")
-            )
+    ends_in_center = opts.allow_final_center_no_tuck and n > 0 and final is Region.CENTER
+    if opts.require_final_tuck and not (tucks and tucks[-1][0] == n) and not ends_in_center:
+        violations.append(Violation(RULE_ENDING, n, "knot must end on a tuck (or a center visit)"))
 
     return ValidityReport(valid=False, violations=tuple(violations)) if violations else _VALID
 
@@ -249,19 +233,20 @@ def validate_clr(word: RegionWord, opts: ValidityOptions = DEFAULT_OPTIONS) -> V
     with no winding form (empty, or a tuck before any winding) raises
     :class:`NotationError`, as :func:`~tieknot.notation.clr_to_tw` does.
 
-    One walk over the items finds the repeats and the marks; the last
-    tuck's position anchors the forced orientations, and the windings and
-    tucks the word keeps are judged as :func:`validate` judges them.
+    One walk over the items finds the repeats, the marks and the final
+    region (that of the last visit); the last tuck's position anchors the
+    forced orientations, and the windings and tucks the word keeps are
+    judged with that region as :func:`validate` judges a knot.
     """
     items = word.items
     repeats, marks = [], []
-    previous, rank = None, 0  # the region of the visit before; visits read
+    region, rank = None, 0  # of the visit before; visits read
     for i, item in enumerate(items):
         if item.__class__ is Tuck:
             continue
-        if item.region is previous:
-            repeats.append(Violation(RULE_NO_REPEAT, i, f"region {previous.value} repeats"))
-        previous = item.region
+        if item.region is region:
+            repeats.append(Violation(RULE_NO_REPEAT, i, f"region {region.value} repeats"))
+        region = item.region
         if item.orientation is not None:
             marks.append((i, rank, item.orientation))
         rank += 1
@@ -298,4 +283,4 @@ def validate_clr(word: RegionWord, opts: ValidityOptions = DEFAULT_OPTIONS) -> V
         raise NotationError("empty region word has no start region")
     if tucks and tucks[0][0] == 0:
         raise NotationError("tuck before any winding")
-    return _judge(items[0].region, word._windings, tucks, items[-1].__class__ is Tuck, opts)
+    return _judge(region, word._windings, tucks, opts)

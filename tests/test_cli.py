@@ -87,6 +87,21 @@ def test_convert_annotate_mirror_annotates_the_mirror_image(capsys):
     assert run(capsys, "convert", "--annotate", "RCLU")[1] == out
 
 
+@pytest.mark.parametrize("mirror", [[], ["--mirror"]], ids=["plain", "mirror"])
+def test_convert_annotate_refuses_a_mark_the_last_tuck_contradicts(capsys, mirror):
+    code, out, err = run(capsys, "convert", "--annotate", *mirror, "LiCoRiU")
+    assert (code, out) == (1, "")
+    assert err == "error: [T2] at 0: moves do not alternate direction\n"
+    assert run(capsys, "validate", "--clr", "LiCoRiU")[1].splitlines()[1] == err[len("error: "):-1]
+
+
+@pytest.mark.parametrize("mirror, annotated", [([], "LoCiRoU"), (["--mirror"], "RoCiLoU")],
+                         ids=["plain", "mirror"])
+def test_convert_annotate_keeps_the_marks_that_agree(capsys, mirror, annotated):
+    assert run(capsys, "convert", "--annotate", *mirror, "LoCiRoU") == (0, annotated + "\n", "")
+    assert run(capsys, "convert", "--annotate", *mirror, "LCiRU") == (0, annotated + "\n", "")
+
+
 def test_convert_to_clr_and_annotate_are_exclusive(capsys):
     code, out, err = run(capsys, "convert", "--to-clr", "--annotate", "TTU")
     assert (code, out) == (2, "")
@@ -186,6 +201,14 @@ def test_aesthetics_command(capsys):
     assert "symmetry 0" in out and "balance 3" in out and "Modern-L" in out
 
 
+@pytest.mark.parametrize("tw, code", [("TWT", 0), ("WW", 0), ("TW", 1)])
+def test_center_ending_gives_one_verdict_for_winding_and_region_text(capsys, tw, code):
+    _, clr, _ = run(capsys, "convert", "--to-clr", tw)
+    for flag, text in (("--tw", tw), ("--clr", clr.strip())):
+        assert run(capsys, "validate", flag, text, "--allow-final-center")[0] == code, (flag, text)
+        assert run(capsys, "validate", flag, text)[0] == 1
+
+
 def test_aesthetics_non_canonical_start_is_one_line_error(capsys):
     code, out, err = run(capsys, "aesthetics", "--tw", "WWU", "--start", "R")
     assert code == 1
@@ -206,11 +229,19 @@ def test_aesthetics_non_canonical_start_is_one_line_error(capsys):
         (["sample", "-1", "--max-windings", "6"], None),
         (["series", "full", "-1"], None),
         (["series", "single", str(SERIES_MAX_ORDER + 1)], None),
+        (["convert", "--start", "R", "LCRU"], None),
+        (["convert", "--annotate", "--start", "R", "LCRU"], None),
+        (["validate", "--clr", "LCRU", "--start", "R"], None),
+        (["aesthetics", "--clr", "LCRU", "--start", "R"], None),
+        (["name", "--name", "L-1.0", "--start", "R"], None),
+        (["instructions", "--name", "Trinity", "--start", "L"], None),
     ],
     ids=[
         "env-census", "env-census-negative", "env-enumerate", "env-crosscheck",
         "crosscheck-moves-below-3", "crosscheck-windings-below-2",
         "sample-too-many", "sample-negative", "series-negative", "series-past-cap",
+        "convert-region-start", "annotate-start", "validate-clr-start", "aesthetics-clr-start",
+        "name-start", "instructions-name-start",
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, argv, env):

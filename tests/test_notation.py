@@ -338,6 +338,21 @@ def test_final_region_of_text_matches_final_region(knot, start):
     assert final_region_of(text, start) is final_region(parse_tw(text, start))
 
 
+def test_final_region_is_kept_by_every_word_of_every_member_to_nine_windings():
+    reflected = {Region.LEFT: Region.RIGHT, Region.RIGHT: Region.LEFT, Region.CENTER: Region.CENTER}
+    for members in full_language(9).values():
+        for text in map(canonicalize_tw, members):
+            for start in Region:
+                expected = final_region_of(text, start)
+                knot = parse_tw(text, start)
+                words = (knot, KnotWord(start, knot.items), clr_to_tw(tw_to_clr(knot)))
+                assert [final_region(word) for word in words] == [expected] * 3, (text, start)
+                assert final_region(mirror(knot)) is reflected[expected]
+                other = step_region(start, WindDir.T)
+                assert final_region(dataclasses.replace(knot, start=other)) is final_region_of(text, other)
+                assert knot.metrics().net_turn == (text.count("T") - text.count("W")) % 3
+
+
 @given(knot_words)
 def test_classify_final_matches_residue_formula(knot):
     text = knot.serialize()
@@ -549,6 +564,12 @@ def test_region_parse_of_every_member_to_nine_windings_keeps_the_knot_views():
                 assert built == word and built.serialize() == word.serialize()
                 assert _views(built) == _views(word) == _views(infer_orientations(word))
                 assert clr_to_tw(word) == knot
+
+
+@pytest.mark.parametrize("region, orientation", [("L", None), (Region.LEFT, "o")])
+def test_visit_refuses_a_region_or_mark_that_is_not_one(region, orientation):
+    with pytest.raises(TypeError, match="not a region and mark"):
+        Visit(region, orientation)
 
 
 def test_region_word_built_from_items_that_open_with_a_tuck_raises():
