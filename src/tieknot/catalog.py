@@ -16,8 +16,9 @@ mod 3, which fixes the final region, in closed form.  A rank adds up the
 shorter patterns of the class and, at each W of the stem, the same-class
 patterns that put a T there instead; :func:`pattern_of` unranks by the
 same comparisons letter by letter (the recursive counting method of
-Nijenhuis & Wilf, *Combinatorial Algorithms*, 1978).  Both take
-O(windings) steps and keep nothing, so any rank names a buildable knot.
+Nijenhuis & Wilf, *Combinatorial Algorithms*, 1978).  Both take O(windings)
+steps from counts, so any rank names a buildable knot; a bounded memo keeps
+recent patterns' ranks for naming.
 
 Pattern ranks depend only on this library's canonical order, so they
 are stable here but not comparable to anyone else's published indices;
@@ -27,7 +28,6 @@ the tuck-bits component is canonical.
 from __future__ import annotations
 
 import math
-import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -154,7 +154,7 @@ def name_of(knot: KnotWord) -> KnotName:
         raise NamingError("no final depth-1 tuck to anchor the pattern name")
     # A valid knot ends in a tuck, and each of its depth-1 tucks sits on
     # a depth-1 site: equal windings, an even distance from the end.
-    bit_of = {p: 1 << i for i, p in enumerate(depth1_sites(windings)[:-1])}
+    rank, bit_of = (_pattern_facts if n <= 64 else _pattern_facts.__wrapped__)(windings)
     # Deep tucks ride in item order: towers at one position may stack
     # their depths either way round, and the order distinguishes the knots.
     bits, extension = 0, ""
@@ -163,7 +163,12 @@ def name_of(knot: KnotWord) -> KnotName:
             extension += f"+p{p}d{d}"
         elif p < n:
             bits |= bit_of[p]
-    return KnotName(final_region(knot), pattern_rank(windings), bits, extension)
+    return KnotName(final_region(knot), rank, bits, extension)
+
+
+@lru_cache(maxsize=4096)  # all 4,094 patterns to 13 moves; kept to 64 windings, a few MB
+def _pattern_facts(windings: str) -> tuple:  # the rank and each internal site's tuck bit
+    return pattern_rank(windings), {p: 1 << i for i, p in enumerate(depth1_sites(windings)[:-1])}
 
 
 def pattern_of(region: Region, rank: int) -> str:
@@ -226,9 +231,9 @@ def symmetry(knot: KnotWord) -> int:
 
 
 def balance(knot: KnotWord) -> int:
-    """Number of changes between runs of T and runs of W, tucks ignored."""
-    windings = knot.windings
-    return sum(map(operator.ne, windings, windings[1:]))
+    """Changes between runs of T and of W, tucks ignored: the TW and WT pairs, counted."""
+    windings = "".join(knot.windings)
+    return windings.count("TW") + windings.count("WT")
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ knot or failed check; 2 usage or parse errors, which include a
 ``sample`` count outside 0..population, a ``series`` order outside
 0..``SERIES_MAX_ORDER`` (1000), a moves bound (``--max-windings``
 under that cap) above ``SERIES_MAX_ORDER`` for ``enumerate``, ``sample``
-and ``census``, ``crosscheck`` bounds below 3 moves or 2 windings, and
-``--start`` with input that is not winding text.  ``convert --annotate``
-exits 1 on an i/o mark the last tuck contradicts, as ``validate --clr``.
+and ``census``, ``crosscheck`` bounds below 3 moves or 2 windings, a
+negative ``validate --max-moves`` or ``--max-tuck-depth``, ``--start`` with
+input that is not winding text, and a repeated region given to ``convert``;
+``--annotate`` exits 1 on an i/o mark the last tuck contradicts, as ``validate --clr``.
 Enumeration output is plain text by default, with ``--format jsonl``
 / ``--format csv`` where a record stream makes sense.  The environment
 variable ``TIEKNOT_MAX_WINDINGS`` caps enumeration sizes, the
@@ -76,6 +77,9 @@ def _max_moves(args) -> int:
 
 
 def _options_from(args) -> validity.ValidityOptions:
+    for flag, cap in (("--max-moves", args.max_moves), ("--max-tuck-depth", args.max_tuck_depth)):
+        if cap is not None and cap < 0:
+            raise UsageError(f"{flag} must be >= 0, got {cap}")
     return validity.ValidityOptions(
         require_final_tuck=not args.no_final_tuck,
         allow_final_center_no_tuck=args.allow_final_center,
@@ -138,7 +142,8 @@ def cmd_validate(args) -> int:
 def cmd_convert(args) -> int:
     start = _start(args, args.to_clr)
     try:
-        if args.annotate:  # the mirror image visits the reflected regions
+        if args.annotate:  # convert's refusals first; the mirror image visits the reflected regions
+            clr_to_tw(parse_clr(args.string))  # a repeated region has no winding direction
             text = args.string.translate(str.maketrans("LR", "RL")) if args.mirror else args.string
             word = parse_clr(text)
             oriented = infer_orientations(word)

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from collections import Counter
@@ -89,6 +90,49 @@ def test_name_of_refuses_before_it_ranks_with_the_same_answers():
                 assert (len(windings), 1) not in knot.tucks and answer == NO_ANCHOR, text
             refusals[answer.split(":")[0]] += 1
     assert set(refusals) == {"cannot name an invalid knot", "not a winding pattern", NO_ANCHOR}
+
+
+def _thrash_pattern_memo():
+    """Name more distinct patterns than the memo holds, one after another."""
+    memo = C._pattern_facts
+    for rank in range(1, memo.cache_info().maxsize + 2):
+        C.name_of(C.knot_of(C.KnotName(Region.LEFT, rank, 0)))
+        assert memo.cache_info().currsize <= memo.cache_info().maxsize
+    assert memo.cache_info().currsize == memo.cache_info().maxsize
+
+
+def test_pattern_memo_names_as_the_referee_cleared_warm_and_thrashed():
+    knots = [parse_tw(canonicalize_tw(text)) for members in full_language(10).values()
+             for text in members]
+    expected = [_name_or_refusal(_ranked_name, knot) for knot in knots]
+    memo = C._pattern_facts
+    memo.cache_clear()
+    for state in ("cleared", "warm", "thrashed"):
+        if state == "thrashed":
+            _thrash_pattern_memo()
+        answers = [_name_or_refusal(C.name_of, knot) for knot in knots]
+        assert answers == expected, state
+        assert memo.cache_info().currsize <= memo.cache_info().maxsize, state
+    assert memo.cache_info().hits > 0
+
+
+def test_name_of_ranks_each_pattern_once_while_it_is_remembered(monkeypatch):
+    ranked = Counter()
+    rank = C.pattern_rank
+    monkeypatch.setattr(C, "pattern_rank", lambda windings: ranked.update([windings]) or rank(windings))
+    C._pattern_facts.cache_clear()
+    names = [C.name_of(knot) for knot in oracle_enumerate(9, ValidityOptions(max_tuck_depth=1))]
+    assert len(names) > len(ranked) and set(ranked.values()) == {1}
+
+
+@pytest.mark.parametrize("windings, kept", [(64, True), (65, False)])
+def test_pattern_memo_keeps_patterns_to_64_windings(windings, kept):
+    stem = ("TW" * windings)[: windings - 1]
+    knot = parse_tw(stem + stem[-1] + "U")  # a pattern: a stem, its last letter again, a tuck
+    memo = C._pattern_facts
+    memo.cache_clear()
+    assert C.name_of(knot) == _ranked_name(knot)
+    assert memo.cache_info().currsize == kept  # a longer one would hold O(windings)
 
 
 def test_name_extension_for_deep_tucks():
@@ -270,6 +314,13 @@ def test_aesthetics_named_knots():
     assert C.symmetry(TRINITY) == 1
     assert C.balance(parse_tw("TTU")) == 0
     assert C.symmetry(parse_tw("TTU")) == 0
+
+
+def test_balance_counts_unequal_neighbours_to_12_windings():
+    for n in range(1, 13):
+        for letters in itertools.product("TW", repeat=n):
+            knot = parse_tw("".join(letters) + "U")
+            assert C.balance(knot) == sum(a != b for a, b in zip(letters, letters[1:])), letters
 
 
 def test_aesthetics_mirror_invariant():

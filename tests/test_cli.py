@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import inspect
 import io
 import json
 import os
@@ -6,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -13,8 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tieknot
-from tieknot import enumeration
+from tieknot import catalog, enumeration, grammars, notation, validity
 from tieknot.cli import SERIES_MAX_ORDER, main
+from test_golden import FULL_JSONL_11_SHA256
 
 
 def run(capsys, *argv):
@@ -100,6 +104,22 @@ def test_convert_annotate_refuses_a_mark_the_last_tuck_contradicts(capsys, mirro
 def test_convert_annotate_keeps_the_marks_that_agree(capsys, mirror, annotated):
     assert run(capsys, "convert", "--annotate", *mirror, "LoCiRoU") == (0, annotated + "\n", "")
     assert run(capsys, "convert", "--annotate", *mirror, "LCiRU") == (0, annotated + "\n", "")
+
+
+@pytest.mark.parametrize("mirror", [[], ["--mirror"]], ids=["plain", "mirror"])
+@pytest.mark.parametrize("text", ["LLU", "LCLLU"])
+def test_convert_annotate_refuses_a_repeated_region_as_convert_does(capsys, mirror, text):
+    refusal = (2, "", "parse error: repeated region L has no winding direction\n")
+    assert run(capsys, "convert", *mirror, text) == refusal
+    assert run(capsys, "convert", "--annotate", *mirror, text) == refusal
+
+
+@pytest.mark.parametrize("flag, violation", [
+    ("--max-moves", "[cap] at 2: 3 moves exceed the cap of 0"),
+    ("--max-tuck-depth", "[cap] at 2: depth-1 tuck exceeds the depth cap of 0"),
+])
+def test_validate_cap_of_zero_still_judges(capsys, flag, violation):
+    assert run(capsys, "validate", "--tw", "TTU", flag, "0") == (1, f"invalid\n{violation}\n", "")
 
 
 def test_convert_to_clr_and_annotate_are_exclusive(capsys):
@@ -235,13 +255,16 @@ def test_aesthetics_non_canonical_start_is_one_line_error(capsys):
         (["aesthetics", "--clr", "LCRU", "--start", "R"], None),
         (["name", "--name", "L-1.0", "--start", "R"], None),
         (["instructions", "--name", "Trinity", "--start", "L"], None),
+        (["validate", "--tw", "TTU", "--max-moves", "-1"], None),
+        (["validate", "--tw", "TTU", "--max-tuck-depth", "-1"], None),
     ],
     ids=[
         "env-census", "env-census-negative", "env-enumerate", "env-crosscheck",
         "crosscheck-moves-below-3", "crosscheck-windings-below-2",
         "sample-too-many", "sample-negative", "series-negative", "series-past-cap",
         "convert-region-start", "annotate-start", "validate-clr-start", "aesthetics-clr-start",
-        "name-start", "instructions-name-start",
+        "name-start", "instructions-name-start", "validate-negative-moves",
+        "validate-negative-depth",
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, argv, env):
@@ -401,6 +424,47 @@ def test_enumerate_full_streams_its_first_record(monkeypatch):
         code = main(["enumerate", "--class", "full", "--format", "jsonl", "--max-windings", "16"])
     assert code == 0
     assert json.loads(stdout.getvalue())["tw"] == "TTU"
+
+
+def _count_calls(monkeypatch, calls, module, names):
+    """Count in ``calls`` each call to ``module``'s functions ``names``, wherever the package
+    binds them."""
+    namespaces = [tieknot, *(value for value in vars(tieknot).values() if inspect.ismodule(value))]
+    for name in names:
+        original = getattr(module, name)
+
+        def counting(*args, _name=f"{module.__name__}.{name}", _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for namespace in namespaces:
+            for attr, value in list(vars(namespace).items()):
+                if value is original:
+                    monkeypatch.setattr(namespace, attr, counting)
+
+
+def test_record_stream_validates_once_converts_twice_and_derives_nothing(capsys, monkeypatch):
+    grammar_functions = [name for name, value in vars(grammars).items()
+                         if inspect.isfunction(value) and value.__module__ == grammars.__name__]
+    calls = Counter()
+    _count_calls(monkeypatch, calls, validity, ["validate"])
+    _count_calls(monkeypatch, calls, notation, ["tw_to_clr"])
+    _count_calls(monkeypatch, calls, grammars, grammar_functions)
+    code, out, _ = run(capsys, "enumerate", "--class", "full", "--format", "jsonl",
+                       "--max-windings", "8")
+    records = len(out.splitlines())
+    assert (code, records) == (0, 642)  # the full language to 7 windings
+    assert calls == {"tieknot.validity.validate": records, "tieknot.notation.tw_to_clr": 2 * records}
+
+
+def test_record_stream_is_unchanged_with_the_pattern_memo_cold_and_warm(capsys):
+    catalog._pattern_facts.cache_clear()
+    argv = ["enumerate", "--class", "full", "--format", "jsonl", "--max-windings", "11"]
+    for state in ("cold", "warm"):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), state
+        assert hashlib.sha256(out.encode()).hexdigest() == FULL_JSONL_11_SHA256, state
+    assert catalog._pattern_facts.cache_info().hits > 0
 
 
 @pytest.mark.parametrize("windings", [24, 61])
