@@ -154,7 +154,7 @@ def name_of(knot: KnotWord) -> KnotName:
         raise NamingError("no final depth-1 tuck to anchor the pattern name")
     # A valid knot ends in a tuck, and each of its depth-1 tucks sits on
     # a depth-1 site: equal windings, an even distance from the end.
-    rank, bit_of = (_pattern_facts if n <= 64 else _pattern_facts.__wrapped__)(windings)
+    rank, bit_of = _facts_of(windings)
     # Deep tucks ride in item order: towers at one position may stack
     # their depths either way round, and the order distinguishes the knots.
     bits, extension = 0, ""
@@ -164,6 +164,10 @@ def name_of(knot: KnotWord) -> KnotName:
         elif p < n:
             bits |= bit_of[p]
     return KnotName(final_region(knot), rank, bits, extension)
+
+
+def _facts_of(windings: str) -> tuple:  # _pattern_facts, memoized only to 64 windings
+    return (_pattern_facts if len(windings) <= 64 else _pattern_facts.__wrapped__)(windings)
 
 
 @lru_cache(maxsize=4096)  # all 4,094 patterns to 13 moves; kept to 64 windings, a few MB
@@ -213,12 +217,12 @@ def knot_of(name: KnotName) -> KnotWord:
     if name.extension:
         raise NamingError("names with deep-tuck extensions are not constructible")
     windings = pattern_of(name.region, name.pattern_index)
-    sites = depth1_sites(windings)[:-1]  # all but the final site
-    if name.tuck_bits >= (1 << len(sites)):
+    _, bit_of = _facts_of(windings)  # its internal sites: all but the final one
+    if name.tuck_bits >= (1 << len(bit_of)):
         raise NamingError(
-            f"tuck bits {name.tuck_bits} out of range: pattern has {len(sites)} internal sites"
+            f"tuck bits {name.tuck_bits} out of range: pattern has {len(bit_of)} internal sites"
         )
-    chosen = {p for i, p in enumerate(sites) if name.tuck_bits & (1 << i)}
+    chosen = {p for p, bit in bit_of.items() if name.tuck_bits & bit}
     return parse_tw(decorate(windings, chosen))
 
 

@@ -213,8 +213,8 @@ def _count_knots(args, wanted) -> int:
     if args.klass in ("single", "full"):
         grammar, shift = _GRAMMAR_CLASSES["hidden" if args.allow_hidden_tucks else args.klass]
         degree = max_moves - 1 + shift
-        series = grammars.count_by_size(grammar(None), degree)
-        kept = series if wanted is None else grammars.count_by_size(grammar(wanted), degree)
+        kept = grammars.count_by_size(grammar(wanted), degree)
+        series = grammars.count_by_size(grammar(None), degree) if wanted is not None and args.progress else kept
         buckets = [(n, series[n + shift], kept[n + shift]) for n in lengths]
     else:
         buckets = []

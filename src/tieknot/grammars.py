@@ -9,9 +9,10 @@ Five grammars are built in:
 * :func:`single_tuck_clr_grammar` -- the same language in region
   notation, optionally restricted by the region of the final tuck;
 * :func:`hidden_tuck_grammar` -- depth-1 tucks that may sit behind the
-  knot, in winding notation, optionally restricted by final region;
+  knot, in winding notation;
 * :func:`full_grammar` -- the context-free language of knots with tucks
-  of arbitrary depth, in winding notation.
+  of arbitrary depth, in winding notation.  Both restrict to a final
+  region by :func:`intersect` with a net-turn automaton.
 
 Every terminal carries a size weight so that the coefficient of z^d in
 the counting series means exactly what the published series for each
@@ -37,7 +38,7 @@ suite verifies against a grammar-free enumeration oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, reduce
 from itertools import product
 from typing import Optional
 
@@ -273,24 +274,14 @@ def hidden_tuck_grammar(final: Optional[Region] = None) -> Grammar:
     windings, so after each letter the next letter follows bare, or
     repeats it and tucks, or repeats it and closes the knot: 2 * 3^(n-2)
     knots of n windings.  The state ``T`` or ``W`` is the last letter;
-    passing ``final`` adds the net turn (#T - #W from L, mod 3) the rest
-    of the knot must still make, as in :func:`full_grammar`, and only a
-    closing letter that makes it ends a knot.  U weighs 0: size = windings.
+    passing ``final`` keeps the knots that end there (:func:`intersect`
+    with the net-turn automaton).  U weighs 0: size = windings.
     """
-    turns = {"T": 1, "W": 2}
-    owed = (None,) if final is None else range(3)
-
-    def after(letter, need):  # the state once ``letter`` is laid, owing ``need`` before it
-        return N(letter if need is None else f"{letter}{(need - turns[letter]) % 3}")
-
-    goal = None if final is None else TURN_OF_REGION[final]
-    productions = {"tie": tuple((T(c), after(c, goal)) for c in turns)}
-    for c, turn in turns.items():
-        for need in owed:
-            productions[c if need is None else f"{c}{need}"] = tuple(
-                [(T(d), after(d, need)) for d in turns] + [(T(c), T("U", 0), after(c, need))]
-            ) + (((T(c), T("U", 0)),) if need in (None, turn) else ())
-    return Grammar(start="tie", productions=productions)
+    U = T("U", 0)
+    bare = ((T("T"), N("T")), (T("W"), N("W")))  # the next letter, laid bare
+    productions = {"tie": bare, **{c: bare + ((T(c), U, N(c)), (T(c), U)) for c in "TW"}}
+    grammar = Grammar(start="tie", productions=productions)
+    return grammar if final is None else intersect(grammar, _net_turn_automaton(final))
 
 
 _EXIT_REGION = {
@@ -344,11 +335,8 @@ def full_grammar(final: Optional[Region] = None) -> Grammar:
     the window must still contribute for the window rule to hold.  T and
     W weigh 1; U and ' weigh 0, so size = winding count = moves - 1.
 
-    Passing ``final`` keeps only the knots that end there: the top level
-    becomes a chain ``body0``..``body2`` holding the net turn (#T - #W
-    from L, mod 3) the rest of the knot must still make, and only a
-    closing tuck that makes it ends a knot.  ``None`` keeps the plain
-    top level.
+    Passing ``final`` keeps the knots that end there: :func:`intersect`
+    with the net-turn automaton keeps the interiors and tucks whole.
     """
     t, w = T("T"), T("W")
     U = T("U", 0)
@@ -358,35 +346,24 @@ def full_grammar(final: Optional[Region] = None) -> Grammar:
     # still owes -k, so after a step of turn s it owes -(k + s).
     pairs = (((t, t), 2), ((t, w), 0), ((w, t), 0), ((w, w), 1))
     tucks = (((N("ttuck2"),), 2), ((N("wtuck2"),), 1))
-    if final is None:
-        productions = {
-            "tie": ((N("prefix"), N("body")),),
-            "prefix": ((t,), (w,), ()),
-            "body": ((N("pair"), N("body")), (N("tuck"), N("body")), (N("tuck"),)),
-            "pair": tuple(items for items, _ in pairs),
-            "tuck": tuple(items for items, _ in tucks),
-        }
-    else:
-        goal = TURN_OF_REGION[final]
-        productions = {"tie": tuple(
-            prefix + (N(f"body{(goal - turn) % 3}"),) for prefix, turn in (((t,), 1), ((w,), 2), ((), 0))
-        )}
-        for need in range(3):
-            productions[f"body{need}"] = tuple(
-                items + (N(f"body{(need - turn) % 3}"),) for items, turn in pairs + tucks
-            ) + tuple(items for items, turn in tucks if turn == need)
-    productions["ttuck2"] = ((t, t, N("w0"), U), (t, w, N("w1"), U))
-    productions["wtuck2"] = ((w, w, N("w0"), U), (w, t, N("w2"), U))
+    productions = {
+        "tie": ((t, N("body")), (w, N("body")), (N("body"),)),
+        "body": tuple(items + (N("body"),) for items, _ in pairs) + ((N("tuck"), N("body")), (N("tuck"),)),
+        "tuck": tuple(items for items, _ in tucks),
+        "ttuck2": ((t, t, N("w0"), U), (t, w, N("w1"), U)),
+        "wtuck2": ((w, w, N("w0"), U), (w, t, N("w2"), U)),
+    }
     for k in range(3):
         productions[f"w{k}"] = tuple(
             [items + (N(f"w{(k + turn) % 3}"), U) for items, turn in pairs[::-1]]
             + [items + (sep, N(f"w{(k + turn) % 3}"), U) for items, turn in tucks]
         ) + (((),) if k == 0 else ())
-    return Grammar(start="tie", productions=productions)
+    grammar = Grammar(start="tie", productions=productions)
+    return grammar if final is None else intersect(grammar, _net_turn_automaton(final))
 
 
 # ---------------------------------------------------------------------------
-# The finite automaton for the single-tuck language.
+# Finite automata: the single-tuck machine, and a grammar's product with one.
 
 
 @dataclass(frozen=True)
@@ -469,3 +446,49 @@ def single_tuck_automaton() -> Automaton:
         accepting=frozenset({"end"}),
         transitions=transitions,
     )
+
+
+def intersect(grammar: Grammar, automaton: Automaton) -> Grammar:
+    """The members of ``grammar`` that a deterministic ``automaton`` (one
+    symbol per edge, one edge per state and symbol) accepts, as a grammar:
+    the product of Bar-Hillel, Perles and Shamir (1961).  A nonterminal
+    whose members all move every state alike stays whole; any other ``A``
+    becomes ``A|p|q``, its members that lead from state p to state q."""
+    step = {(source, label): target for source, label, target in automaton.transitions}
+    if len(step) < len(automaton.transitions) or any(len(label) != 1 for _, label in step):
+        raise GrammarError("automaton is not deterministic")
+    # None is the state that a missing edge leads to, and that no edge leaves.
+    states = [*dict.fromkeys((automaton.initial, *(s for edge in automaton.transitions for s in edge[::2]))), None]
+    reach = {name: {p: set() for p in states} for name in grammar.productions}  # from each state, where members lead
+
+    def ends(item, p):
+        return reach[item.name][p] if isinstance(item, N) else {reduce(lambda r, c: step.get((r, c)), item.symbol, p)}
+
+    def paths(alt, p):  # each way along ``alt`` from state p: its (item, from, to) parts, and where it ends
+        walks = [((), p)]
+        for item in alt:
+            walks = [(done + ((item, r, q),), q) for done, r in walks for q in sorted(ends(item, r), key=states.index)]
+        return walks
+
+    while (grown := {name: {p: {q for alt in alts for _, q in paths(alt, p)} for p in states}
+                     for name, alts in grammar.productions.items()}) != reach:
+        reach.update(grown)
+    split = {name for name, to in reach.items() if any(len(qs) > 1 for qs in to.values())}  # members move states unalike
+
+    def form(item, p, q):  # the item from state p to state q
+        return N(f"{item.name}|{p}|{q}") if isinstance(item, N) and item.name in split else item
+
+    roots = [walk[0] for walk, q in paths((N(grammar.start),), automaton.initial) if q in automaton.accepting]
+    productions, queue = {}, list(roots)
+    for item, p, q in queue:  # each product nonterminal, once built, queues its parts
+        if (name := form(item, p, q).name) not in productions:
+            walks = [walk for alt in grammar.productions[item.name] for walk, end in paths(alt, p) if end == q]
+            productions[name] = tuple(tuple(form(*part) for part in walk) for walk in walks)
+            queue += [part for walk in walks for part in walk if isinstance(part[0], N)]
+    productions.setdefault(grammar.start, tuple((form(*root),) for root in roots))  # unless the start stays whole
+    return Grammar(start=grammar.start, productions=productions)
+
+
+def _net_turn_automaton(final: Region) -> Automaton:  # #T - #W mod 3 from L; accepts the knots ending in ``final``
+    edges = tuple((k, c, (k + turn) % 3) for k in range(3) for c, turn in (("T", 1), ("W", 2), ("U", 0), ("'", 0)))
+    return Automaton(frozenset(range(3)), 0, frozenset({TURN_OF_REGION[final]}), edges)

@@ -5,8 +5,9 @@ from collections import Counter
 
 import pytest
 
+from tieknot import enumeration as E
 from tieknot import grammars as G
-from tieknot.notation import Region, sort_key
+from tieknot.notation import TURN_OF_REGION, Region, sort_key
 
 THE_TWENTY = {
     "TTTTU", "TTWWU", "TWTTU", "TWWWU",
@@ -263,3 +264,67 @@ def test_single_tuck_grammar_equals_depth1_validity_to_9_symbols():
                 assert text not in members
                 continue
             assert validate(knot, opts).valid == (text in members), text
+
+
+# ---------------------------------------------------------------------------
+# The product of a grammar with a deterministic automaton.
+
+
+def net_turn_automaton(region):
+    """#T - #W mod 3 from L, accepting the words whose final region is ``region``."""
+    turn = {"T": 1, "W": 2, "U": 0, "'": 0}
+    return G.Automaton(
+        states=frozenset(range(3)), initial=0, accepting=frozenset({TURN_OF_REGION[region]}),
+        transitions=tuple((k, c, (k + t) % 3) for k in range(3) for c, t in turn.items()),
+    )
+
+
+@pytest.mark.parametrize("factory", [G.full_grammar, G.hidden_tuck_grammar], ids=lambda f: f.__name__)
+def test_intersect_keeps_what_the_automaton_accepts_to_9_windings(factory):
+    plain = G.generate_with_sizes(factory(), 9)
+    for region in Region:
+        automaton = net_turn_automaton(region)
+        assert G.generate_with_sizes(G.intersect(factory(), automaton), 9) == {
+            m: n for m, n in plain.items() if automaton.accepts(m)
+        }
+
+
+@pytest.mark.parametrize("factory", [G.full_grammar, G.hidden_tuck_grammar], ids=lambda f: f.__name__)
+def test_intersect_with_an_automaton_that_accepts_everything_keeps_the_counts(factory):
+    anything = G.Automaton(
+        states=frozenset({"s"}), initial="s", accepting=frozenset({"s"}),
+        transitions=tuple(("s", c, "s") for c in "TWU'"),
+    )
+    assert G.count_by_size(G.intersect(factory(), anything), 40) == G.count_by_size(factory(), 40)
+
+
+def test_intersect_with_no_two_us_in_a_row_is_the_single_tuck_language():
+    # A partial automaton, not a group: the second U of a row has no edge.
+    no_uu = G.Automaton(
+        states=frozenset({"bare", "U"}), initial="bare", accepting=frozenset({"bare", "U"}),
+        transitions=tuple((s, c, "U" if c == "U" else "bare") for s in ("bare", "U") for c in "TWU'"
+                          if (s, c) != ("U", "U")),
+    )
+    members = G.generate(G.intersect(G.full_grammar(), no_uu), 12)
+    assert len(members) == 24882
+    assert set(members) == set(E.single_tuck_knots(12))
+
+
+def test_intersect_refuses_a_nondeterministic_automaton():
+    with pytest.raises(G.GrammarError, match="not deterministic"):
+        G.intersect(G.full_grammar(), G.single_tuck_automaton())  # an empty label, and TT beside T
+    twice = G.Automaton(
+        states=frozenset({"a", "b"}), initial="a", accepting=frozenset({"a"}),
+        transitions=(("a", "T", "a"), ("a", "T", "b")),
+    )
+    with pytest.raises(G.GrammarError, match="not deterministic"):
+        G.intersect(G.full_grammar(), twice)
+
+
+def test_region_final_full_grammar_keeps_the_tuck_interiors_whole():
+    # Every member of a tuck interior or of one tuck kind turns the knot
+    # by the same amount, so the product keeps them as they are.
+    plain, product = G.full_grammar().productions, G.full_grammar(Region.RIGHT).productions
+    for name in ("w0", "w1", "w2", "ttuck2", "wtuck2"):
+        assert product[name] == plain[name]
+    assert {name.split("|")[0] for name in product if "|" in name} == {"tie", "body", "tuck"}
