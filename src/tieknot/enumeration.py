@@ -6,13 +6,15 @@ or knots by their recursive block structure.  The census lists
 nothing: it reads the winding patterns' closed-form counts
 (:func:`pattern_count`, which :mod:`tieknot.catalog` ranks names with)
 and the grammars' counting series, and :func:`cross_check` compares
-the enumerators with the grammars.  The referee compares texts: each
-knot's region text comes from :func:`~tieknot.notation.tw_text_to_clr`,
-a walk over its winding text, so a cross-check parses no knot and
-builds no word.  The region split and the conversion stay separate,
-text by text: :func:`final_region_of` files each text by its net turn,
-and the conversion of that text is compared with its region's grammar,
-so a wrong conversion shows as a mismatch.
+the enumerators with the grammars.  The referee compares texts: the
+knots filed under one final region get their region texts from one
+call of :func:`~tieknot.notation.tw_texts_to_clr`, which reads their
+joined winding texts through a table of fixed-length runs, so a
+cross-check parses no knot and builds no word.  The region split and
+the conversion stay separate: :func:`final_region_of` files each text
+on its own net turn, and each region's conversions are compared with
+that region's grammar, so a wrong conversion shows as a mismatch.
+Mismatch examples are listed in library order (:func:`sort_key`).
 
 Two enumerators cover the language families:
 
@@ -52,7 +54,7 @@ from .notation import (
     canonicalize_tw,
     parse_tw,
     sort_key,
-    tw_text_to_clr,
+    tw_texts_to_clr,
 )
 from .validity import DEFAULT_OPTIONS, ValidityOptions
 
@@ -114,9 +116,9 @@ def fm_knots(max_windings: int) -> Iterator[str]:
     """Classical knots as region strings: center-final winding patterns
     carrying exactly the final tuck, walked from L."""
     for n in range(2, max_windings + 1):
-        for w in pattern_texts(n):
-            if final_region_of(w) is Region.CENTER:
-                yield tw_text_to_clr(w + "U")
+        yield from tw_texts_to_clr(
+            [w + "U" for w in pattern_texts(n) if final_region_of(w) is Region.CENTER]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +364,8 @@ def _compare_sets(name: str, left: Iterable[str], right: Iterable[str]) -> Check
     left, right = set(left), set(right)
     if left == right:
         return CheckLine(name, True, f"{len(left)} members")
-    extra = sorted(left - right)[:3]
-    missing = sorted(right - left)[:3]
+    extra = sorted(left - right, key=sort_key)[:3]
+    missing = sorted(right - left, key=sort_key)[:3]
     return CheckLine(
         name, False, f"only-left {extra} / only-right {missing}"
     )
@@ -399,7 +401,7 @@ def cross_check(max_moves: int = 13, full_max_windings: int = 13) -> CrossCheckR
             _compare_sets(
                 f"{region.name.lower()}-final single-tuck knots to {max_moves} moves",
                 clr,
-                map(tw_text_to_clr, texts),
+                tw_texts_to_clr(texts),
             )
         )
 

@@ -34,9 +34,11 @@ other views, and a word built from items (directly or by
 ``dataclasses.replace``) checks them and parses their text.  So
 :func:`tw_to_clr`, :func:`final_region` and ``serialize`` are lookups.
 Views are not fields, so they play no part in ``==``, ``hash`` or
-``repr``.  Beside :func:`tw_to_clr`, :func:`tw_text_to_clr` walks
-winding text from L straight to region text and builds no word (the
-cross-checks').
+``repr``.  Beside :func:`tw_to_clr`, :func:`tw_texts_to_clr` turns a
+batch of winding texts, started at L, straight into region texts and
+builds no word (the cross-checks'): it reads the texts joined by
+newlines in runs of six characters, each looked up in a table filled
+on demand.  :func:`tw_text_to_clr` is its one-text case.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 
 class NotationError(ValueError):
@@ -512,20 +514,64 @@ def tw_to_clr(knot: KnotWord) -> RegionWord:
     return knot._region_word
 
 
-def tw_text_to_clr(text: str) -> str:
-    """``tw_to_clr(parse_tw(text)).serialize()`` for whitespace-free
-    winding text that :func:`parse_tw` accepts, built without a word:
-    from L, each ``T``/``W`` writes the next region, and ``U`` and ``'``
-    copy through."""
-    index, letters = 0, [_CYCLE_LETTERS[0]]  # the walk starts at L
-    for ch in text:
+_RUN = 6  # characters of joined text read per table lookup
+# By the cycle index a run starts on: run -> (its region letters, the index it
+# ends on).  Filled on demand, and only with runs of the five symbols below, so
+# it holds at most 3 * (5 + 5**2 + ... + 5**6) = 58,590 entries.
+_RUN_TABLE = tuple({} for _ in _CYCLE)
+_RUN_SYMBOLS = str.maketrans("", "", "TWU'\n")
+
+
+def _convert_run(run: str, start: int) -> tuple:
+    """The table entry for ``run`` read from cycle index ``start``: each
+    ``T``/``W`` writes the next region, a newline ends a text and starts
+    the next one at L, and every other character copies through."""
+    index, letters = start, []
+    for ch in run:
         turn = _TURN.get(ch)
-        if turn is None:
-            letters.append(ch)
-        else:
+        if turn is not None:
             index = (index + turn) % 3
             letters.append(_CYCLE_LETTERS[index])
-    return "".join(letters)
+        elif ch == "\n":
+            index = 0
+            letters.append("\n" + _CYCLE_LETTERS[0])
+        else:
+            letters.append(ch)
+    entry = ("".join(letters), index)
+    if not run.translate(_RUN_SYMBOLS):  # a run with a stray character is not stored
+        _RUN_TABLE[start][run] = entry
+    return entry
+
+
+def tw_texts_to_clr(texts: Iterable[str]) -> list:
+    """``tw_to_clr(parse_tw(text)).serialize()`` for each whitespace-free
+    winding text that :func:`parse_tw` accepts, built without a word: from
+    L, each ``T``/``W`` writes the next region, and ``U`` and ``'`` copy
+    through.
+
+    The texts are joined with newlines and the joined text is read in runs
+    of ``_RUN`` characters, each looked up in a table by the cycle index it
+    starts on; the region text is split back at the newlines.  A newline
+    inside a text would split it, so it is refused.
+    """
+    texts = list(texts)
+    if not texts:
+        return []
+    joined = "\n".join(texts)
+    if joined.count("\n") != len(texts) - 1:
+        text = next(text for text in texts if "\n" in text)
+        raise _misplaced("\n", text.index("\n"), False)
+    table, index, parts = _RUN_TABLE, 0, [_CYCLE_LETTERS[0]]  # the walk starts at L
+    for position in range(0, len(joined), _RUN):
+        run = joined[position:position + _RUN]
+        letters, index = table[index].get(run) or _convert_run(run, index)
+        parts.append(letters)
+    return "".join(parts).split("\n")
+
+
+def tw_text_to_clr(text: str) -> str:
+    """The region text of one winding text: :func:`tw_texts_to_clr` of one."""
+    return tw_texts_to_clr((text,))[0]
 
 
 def clr_to_tw(word: RegionWord) -> KnotWord:

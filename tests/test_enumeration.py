@@ -361,8 +361,13 @@ def test_cross_check_builds_no_word(monkeypatch):
 
 
 def test_cross_check_reports_a_wrong_region_text(monkeypatch, capsys):
-    walk = E.tw_text_to_clr  # give TTU (L C R, then the tuck) a wrong last region
-    monkeypatch.setattr(E, "tw_text_to_clr", lambda text: "LCLU" if text == "TTU" else walk(text))
+    batch = E.tw_texts_to_clr  # give TTU (L C R, then the tuck) a wrong last region
+
+    def wrong_for_ttu(texts):
+        texts = list(texts)
+        return ["LCLU" if text == "TTU" else clr for text, clr in zip(texts, batch(texts))]
+
+    monkeypatch.setattr(E, "tw_texts_to_clr", wrong_for_ttu)
     report = E.cross_check(9, 6)
     assert not report.ok
     broken = [str(line) for line in report.lines if not line.ok]
@@ -383,6 +388,31 @@ def test_cross_check_reports_a_dropped_member(monkeypatch):
         "single-tuck knots to 9 moves: MISMATCH (only-left ['TTWWU'] / only-right [])",
         "left-final single-tuck knots to 9 moves: MISMATCH (only-left ['LCRCLU'] / only-right [])",
     ]
+
+
+def test_cross_check_lists_examples_in_library_order(monkeypatch):
+    members = E.single_tuck_knots
+    dropped = {"TTUWWU", "TTWWU"}  # by code point U < W; in the library's order W < U
+    monkeypatch.setattr(
+        E, "single_tuck_knots", lambda *args: (t for t in members(*args) if t not in dropped)
+    )
+    broken = [str(line) for line in E.cross_check(9, 6).lines if not line.ok]
+    assert broken == [
+        "single-tuck knots to 9 moves: MISMATCH (only-left ['TTWWU', 'TTUWWU'] / only-right [])",
+        "left-final single-tuck knots to 9 moves: "
+        "MISMATCH (only-left ['LCRCLU', 'LCRUCLU'] / only-right [])",
+    ]
+
+
+def test_crosscheck_report_is_the_same_with_a_cold_and_a_warm_run_table(capsys):
+    argv = ["crosscheck", "--max-windings", "9", "--full-windings", "6"]
+    for runs in N._RUN_TABLE:
+        runs.clear()
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    assert sum(map(len, N._RUN_TABLE)) > 0
+    assert main(argv) == 0
+    assert capsys.readouterr().out == cold
 
 
 def test_depth1_sites_match_the_window_and_parity_rules_to_12_windings():

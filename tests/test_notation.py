@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import re
 
 import pytest
@@ -25,8 +26,10 @@ from tieknot.notation import (
     sort_key,
     step_region,
     tw_text_to_clr,
+    tw_texts_to_clr,
     tw_to_clr,
 )
+from tieknot import notation as N
 from tieknot.enumeration import final_region_of, full_language, single_tuck_knots
 
 TRINITY = "TWWWTTTUTTU"
@@ -412,6 +415,99 @@ def test_text_walk_is_the_conversion(text):
     except NotationError:
         return
     _assert_text_walk_is_the_conversion(text)
+
+
+# -- the batch conversion -----------------------------------------------------
+# tw_texts_to_clr reads joined texts through a table of fixed-length runs.
+# The referee walks each text one character at a time.
+
+_WALK_TURN = {"T": 1, "W": 2}
+
+
+def _walk_to_clr(text):
+    """Region text of winding text: from L, each T/W writes the next region
+    along the cycle L C R, and every other character copies through."""
+    index, letters = 0, ["L"]
+    for ch in text:
+        turn = _WALK_TURN.get(ch)
+        if turn is None:
+            letters.append(ch)
+        else:
+            index = (index + turn) % 3
+            letters.append("LCR"[index])
+    return "".join(letters)
+
+
+def _clear_run_table():
+    for runs in N._RUN_TABLE:
+        runs.clear()
+
+
+def _assert_batches_match_the_walk(texts):
+    expected = [_walk_to_clr(text) for text in texts]
+    assert tw_texts_to_clr(texts) == expected
+    assert tw_texts_to_clr(iter(texts)) == expected
+    assert [tw_text_to_clr(text) for text in texts] == expected
+
+
+def test_batches_of_every_length_to_40_match_the_walk():
+    rng = random.Random(22)
+    texts = ["", "", "T", "U", "'"] + [
+        "".join(rng.choice("TWU'") for _ in range(length))
+        for length in range(41)  # both sides of every multiple of the run length
+        for _ in range(3)
+    ]
+    assert tw_texts_to_clr([]) == []
+    _clear_run_table()  # a cold table, then a warm one
+    for _ in range(2):
+        _assert_batches_match_the_walk(texts)
+        _assert_batches_match_the_walk(texts[::-1])
+        for text in texts:
+            _assert_batches_match_the_walk([text])
+
+
+@given(st.lists(st.text(alphabet="TWU'", max_size=40), max_size=12))
+def test_random_batches_match_the_walk(texts):
+    _assert_batches_match_the_walk(texts)
+
+
+def test_one_batch_converts_every_single_tuck_knot_to_13_moves():
+    texts = list(single_tuck_knots(12))
+    assert len(texts) == 24882
+    assert tw_texts_to_clr(texts) == [tw_to_clr(parse_tw(text)).serialize() for text in texts]
+
+
+@pytest.mark.parametrize(
+    "texts, position", [(["T\nU"], 1), (["\n"], 0), (["TTU", "TU\n"], 2), (["", "WW\nU", "T"], 2)]
+)
+def test_a_newline_inside_a_text_is_refused(texts, position):
+    with pytest.raises(NotationError, match="unexpected character") as caught:
+        tw_texts_to_clr(texts)
+    assert caught.value.position == position
+    if len(texts) == 1:
+        with pytest.raises(NotationError):
+            tw_text_to_clr(texts[0])
+
+
+_RUN_TABLE_BOUND = 3 * sum(5**length for length in range(1, N._RUN + 1))
+
+
+def test_runs_with_other_characters_are_copied_but_not_stored():
+    assert _RUN_TABLE_BOUND == 58590
+    _clear_run_table()
+    assert tw_texts_to_clr(["TTxWWU", "TWTW"]) == ["LCRxCLU", "LCLCL"]
+    assert "TTxWWU" not in N._RUN_TABLE[0]
+    assert N._RUN_TABLE[0]["\nTWTW"] == ("\nLCLCL", 0)  # the run after it is stored
+    rng = random.Random(2022)
+    for _ in range(300):
+        texts = [
+            "".join(rng.choice("TWU'TWU'xLC R\t\u00e9") for _ in range(rng.randrange(41)))
+            for _ in range(rng.randrange(8))
+        ]
+        _assert_batches_match_the_walk(texts)
+    stored = [run for runs in N._RUN_TABLE for run in runs]
+    assert 0 < len(stored) <= _RUN_TABLE_BOUND
+    assert all(len(run) <= N._RUN and not set(run) - set("TWU'\n") for run in stored)
 
 
 # -- the one-walk parse -------------------------------------------------------
