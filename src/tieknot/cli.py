@@ -4,9 +4,9 @@ Exit codes: 0 success (and, for ``validate``, a valid knot); 1 invalid
 knot or failed check; 2 usage or parse errors, which include a
 ``TIEKNOT_MAX_WINDINGS`` that is not an integer of at least 3, a
 ``sample`` count outside 0..population, a ``series`` order outside
-0..``SERIES_MAX_ORDER`` (1000), a moves bound (``--max-windings``
-under that cap) above ``SERIES_MAX_ORDER`` for ``enumerate``, ``sample``
-and ``census``, ``crosscheck`` bounds below 3 moves or 2 windings, a
+0..``SERIES_MAX_ORDER`` (1000), a moves bound (``--max-windings``)
+below 0 or, under that cap, above ``SERIES_MAX_ORDER`` for ``enumerate``,
+``sample`` and ``census``, ``crosscheck`` bounds below 3 moves or 2 windings, a
 negative ``validate --max-moves`` or ``--max-tuck-depth``, ``--start`` with
 input that is not winding text, and a repeated region given to ``convert``;
 ``--annotate`` exits 1 on an i/o mark the last tuck contradicts, as ``validate --clr``.
@@ -68,8 +68,10 @@ SERIES_MAX_ORDER = 1000  # bounds the work: `series full` grows as the order squ
 
 
 def _max_moves(args) -> int:
-    """``--max-windings`` under the environment cap, refused above
-    ``SERIES_MAX_ORDER``: the counting tables grow as a series' do."""
+    """``--max-windings`` under the environment cap, refused below 0 and
+    above ``SERIES_MAX_ORDER``: the counting tables grow as a series' do."""
+    if args.max_windings < 0:
+        raise UsageError(f"--max-windings must be >= 0, got {args.max_windings}")
     max_moves = min(args.max_windings, _max_moves_cap())
     if max_moves > SERIES_MAX_ORDER:
         raise UsageError(f"--max-windings must be at most {SERIES_MAX_ORDER} moves, got {max_moves}")
@@ -171,6 +173,7 @@ def _enumerate_knots(args):
         opts = validity.ValidityOptions(
             max_tuck_depth=1 if args.klass == "single" else None,
             allow_hidden_tucks=args.allow_hidden_tucks,
+            max_moves=None,  # --max-windings bounds the listing
         )
         yield from enumeration.oracle_enumerate(max_moves - 1, opts)
         return

@@ -243,8 +243,11 @@ def oracle_enumerate(
     come from :func:`grammars.hidden_tuck_grammar`, which builds every
     bucket before the first knot goes out.  The order is deterministic:
     ascending winding count, then text order.  Knots that need not end
-    on a tuck are not enumerable.
+    on a tuck are not enumerable.  A move cap in ``opts`` caps the
+    winding count at one less.
     """
+    if opts.max_moves is not None:
+        max_windings = min(max_windings, opts.max_moves - 1)
     if not opts.require_final_tuck or opts.allow_final_center_no_tuck:
         raise NotImplementedError("only knots that end on a tuck are enumerable")
     if opts.max_tuck_depth not in (1, None):

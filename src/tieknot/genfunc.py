@@ -11,12 +11,18 @@ series it recovers the smallest constant-coefficient linear recurrence
 consistent with all of them, hence a rational form, or reports that
 none exists within the requested order.  All linear algebra is done
 over the rationals with :class:`fractions.Fraction`.
+
+:func:`parse_rational` writes out a form's implied ``*`` and ``^`` as
+``**``, and Python's own parser reads the result.
 """
 
 from __future__ import annotations
 
+import ast
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 from typing import Optional
 
@@ -238,8 +244,7 @@ def _lstsq_exact(matrix, rhs, unknowns):
 
 
 # ---------------------------------------------------------------------------
-# A small expression reader for rational generating functions, accepting
-# the usual written forms like "z^3/((1+z)(1-2z))" or "2z^4(2z^2-2z-1)".
+# Reading written forms like "z^3/((1+z)(1-2z))" with Python's own parser.
 
 _TOKEN_CHARS = set("0123456789z+-*/^() ")
 
@@ -248,95 +253,50 @@ def parse_rational(text: str) -> RationalGF:
     """Read an integer-coefficient rational function of z.
 
     Supports + - * / ^ and parentheses, with multiplication implied by
-    adjacency (``2z``, ``z(1+z)``).  Exponents must be nonnegative
-    integers.
+    adjacency (``2z``, ``z(1+z)``).  Exponents are nonnegative integers
+    and ``^`` does not chain (write ``(z^1)^8``).  Python's parser reads
+    the text once ``*`` is written out and ``^`` written as ``**``; what
+    it cannot read, or what nests too deeply for it, raises ValueError.
     """
-    tokens = _tokenize(text)
-    value, rest = _parse_sum(tokens)
-    if rest:
-        raise ValueError(f"trailing input: {''.join(map(str, rest))!r}")
-    return value.normalized()
-
-
-def _tokenize(text):
     bad = set(text) - _TOKEN_CHARS
     if bad:
         raise ValueError(f"unexpected characters {sorted(bad)!r}")
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == " ":
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(int(text[i:j]))
-            i = j
-        else:
-            tokens.append(ch)
-            i += 1
-    return tokens
+    if re.search(r"\^(?! *[0-9])", text):
+        raise ValueError("^ must be followed by an integer")
+    source, previous = [], "("
+    for token in re.findall(r"[0-9]+|\S", text):
+        if previous[-1] in "0123456789z)" and token[0] in "0123456789z(":
+            source.append("*")  # implied multiplication
+        source.append("**" if token == "^" else str(int(token)) if token.isdigit() else token)
+        previous = token
+    try:
+        return _evaluate(ast.parse(" ".join(source), mode="eval").body).normalized()
+    except SyntaxError as exc:
+        raise ValueError(f"not a rational function of z: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError("expression nested too deeply") from None
 
 
-def _parse_sum(tokens):
-    value, tokens = _parse_product(tokens)
-    while tokens and tokens[0] in ("+", "-"):
-        op, *tokens = tokens
-        right, tokens = _parse_product(tokens)
-        value = _add(value, right) if op == "+" else _add(value, _negate(right))
-    return value, tokens
-
-
-def _parse_product(tokens):
-    value, tokens = _parse_power(tokens)
-    while tokens:
-        head = tokens[0]
-        if head in ("*", "/"):
-            op, *rest = tokens
-            right, tokens = _parse_power(rest)
-            value = _mul(value, right) if op == "*" else _div(value, right)
-        elif head == "(" or head == "z" or isinstance(head, int):
-            right, tokens = _parse_power(tokens)  # implied multiplication
-            value = _mul(value, right)
-        else:
-            break
-    return value, tokens
-
-
-def _parse_power(tokens):
-    value, tokens = _parse_atom(tokens)
-    if tokens and tokens[0] == "^":
-        if len(tokens) < 2 or not isinstance(tokens[1], int):
-            raise ValueError("^ must be followed by an integer")
-        exponent, tokens = tokens[1], tokens[2:]
-        out = RationalGF((1,))
-        for _ in range(exponent):
-            out = _mul(out, value)
-        value = out
-    return value, tokens
-
-
-def _parse_atom(tokens):
-    if not tokens:
-        raise ValueError("unexpected end of expression")
-    head, *rest = tokens
-    if head == "-":
-        value, rest = _parse_power(rest)
-        return _negate(value), rest
-    if head == "+":
-        return _parse_power(rest)
-    if isinstance(head, int):
-        return RationalGF((head,)), rest
-    if head == "z":
-        return RationalGF((0, 1)), rest
-    if head == "(":
-        value, rest = _parse_sum(rest)
-        if not rest or rest[0] != ")":
-            raise ValueError("unbalanced parenthesis")
-        return value, rest[1:]
-    raise ValueError(f"unexpected token {head!r}")
+def _evaluate(node) -> RationalGF:
+    """The form a parsed expression denotes: integers, z (the only name
+    the characters allow), unary + and -, + - * /, and ** to an integer."""
+    if isinstance(node, ast.Constant):
+        return RationalGF((node.value,))
+    if isinstance(node, ast.Name):
+        return RationalGF((0, 1))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        value = _evaluate(node.operand)
+        return _negate(value) if isinstance(node.op, ast.USub) else value
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        if not isinstance(node.right, ast.Constant):
+            raise ValueError("^ does not chain: bracket the power first")
+        value, base = RationalGF((1,)), _evaluate(node.left)
+        for _ in range(node.right.value):
+            value = _mul(value, base)
+        return value
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPERATIONS:
+        return _OPERATIONS[type(node.op)](_evaluate(node.left), _evaluate(node.right))
+    raise ValueError(f"not a rational function of z: unexpected {type(node).__name__}")
 
 
 def _pmul(a, b):
@@ -348,10 +308,8 @@ def _pmul(a, b):
 
 
 def _add(a: RationalGF, b: RationalGF) -> RationalGF:
-    num = tuple(
-        x + y
-        for x, y in _zip_pad(_pmul(a.numerator, b.denominator), _pmul(b.numerator, a.denominator))
-    )
+    left, right = _pmul(a.numerator, b.denominator), _pmul(b.numerator, a.denominator)
+    num = tuple(x + y for x, y in zip_longest(left, right, fillvalue=0))
     return RationalGF(num, _pmul(a.denominator, b.denominator))
 
 
@@ -373,8 +331,4 @@ def _div(a: RationalGF, b: RationalGF) -> RationalGF:
     return RationalGF(num, den)
 
 
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    a = tuple(a) + (0,) * (n - len(a))
-    b = tuple(b) + (0,) * (n - len(b))
-    return zip(a, b)
+_OPERATIONS = {ast.Add: _add, ast.Sub: lambda a, b: _add(a, _negate(b)), ast.Mult: _mul, ast.Div: _div}

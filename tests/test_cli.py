@@ -622,6 +622,41 @@ def test_enumerate_progress(capsys):
     assert "[4 windings: 12 knots]" in err
 
 
+def test_enumerate_lists_past_the_default_move_cap_under_a_raised_env_cap(capsys, monkeypatch):
+    # The validity options' default cap of 13 moves must not bound the
+    # listing: --max-windings under TIEKNOT_MAX_WINDINGS does.
+    monkeypatch.setenv("TIEKNOT_MAX_WINDINGS", "15")
+    argv = ["enumerate", "--class", "single", "--max-windings", "15", "--progress"]
+    code, listed, progress = run(capsys, *argv)
+    assert code == 0
+    assert "[14 windings: " in progress
+    assert run(capsys, *argv, "--count") == (0, f"{len(listed.splitlines())}\n", progress)
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--class", "single"],
+    ["enumerate", "--class", "full", "--count"],
+    ["sample", "1"],
+    ["census"],
+], ids=["enumerate", "enumerate-count", "sample", "census"])
+def test_a_negative_moves_bound_exits_2(capsys, argv):
+    assert run(capsys, *argv, "--max-windings", "-5") == (
+        2, "", "error: --max-windings must be >= 0, got -5\n"
+    )
+
+
+@pytest.mark.parametrize("bound", ["0", "1", "2"])
+def test_a_moves_bound_below_3_answers_with_no_knots(capsys, bound):
+    header = enumeration.CensusRow.CSV_HEADER.replace(",", "\t") + "\n"
+    for argv, out in [
+        (["enumerate", "--class", "single"], ""),
+        (["enumerate", "--class", "full", "--count"], "0\n"),
+        (["sample", "0"], ""),
+        (["census"], header),
+    ]:
+        assert run(capsys, *argv, "--max-windings", bound) == (0, out, ""), argv
+
+
 def test_crosscheck_honours_the_env_cap(capsys, monkeypatch):
     monkeypatch.setenv("TIEKNOT_MAX_WINDINGS", "6")
     with _wall_bound(2):

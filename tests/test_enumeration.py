@@ -41,6 +41,21 @@ def test_oracle_refuses_what_it_cannot_enumerate(opts):
         list(E.oracle_enumerate(4, opts))
 
 
+def test_oracle_caps_windings_one_below_the_move_cap():
+    moves = Counter(k.winding_count + 1 for k in E.oracle_enumerate(14))
+    assert max(moves) == 13 and sum(moves.values()) == 266_682
+    capped = [k.serialize() for k in E.oracle_enumerate(14, ValidityOptions(max_moves=8))]
+    assert capped == [k.serialize() for k in E.oracle_enumerate(7, ValidityOptions(max_moves=None))]
+    assert list(E.oracle_enumerate(14, ValidityOptions(max_moves=2))) == []
+
+
+@pytest.mark.parametrize("hidden, listed", [(False, 24_882), (True, 177_146)], ids=["strict", "hidden"])
+def test_oracle_lists_only_knots_its_options_validate(hidden, listed):
+    opts = ValidityOptions(max_tuck_depth=1, allow_hidden_tucks=hidden)
+    verdicts = Counter(validate(k, opts).valid for k in E.oracle_enumerate(14, opts))
+    assert verdicts == {True: listed}
+
+
 def test_oracle_hidden_tucks_are_the_grammar_in_text_order():
     opts = ValidityOptions(max_tuck_depth=1, allow_hidden_tucks=True)
     texts = [k.serialize() for k in E.oracle_enumerate(7, opts)]

@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tieknot import genfunc as F
 from tieknot import grammars as G
@@ -121,10 +125,118 @@ def test_series_text_forms():
     assert series.as_polynomial_text() == "2*z^1 + 5*z^3"
 
 
-def test_parse_rational_rejects_junk():
+# Every form the tests, the README and the demos read, then edge forms
+# of the written syntax, each with the normalized numerator and
+# denominator it reads as.
+READ_FORMS = [
+    ("z^3/((1+z)(1-2z))", (0, 0, 0, 1), (1, -1, -2)),
+    ("2z^3(2z+1)/(1-6z^2)", (0, 0, 0, 2, 4), (1, 0, -6)),
+    ("1/(1-z)", (1,), (1, -1)),
+    ("2z^4(2z^2-2z-1)/(1-6z^2)", (0, 0, 0, 0, -2, -4, 4), (1, 0, -6)),
+    ("z^3(2z^3-2z^2+z+1)/(1-6z^2)", (0, 0, 0, 1, 1, -2, 2), (1, 0, -6)),
+    ("z^3/(1-z-2z^2)", (0, 0, 0, 1), (1, -1, -2)),
+    ("2z^4/((1-2z)(1+z))", (0, 0, 0, 0, 2), (1, -1, -2)),
+    ("z/(1-z)", (0, 1), (1, -1)),
+    ("1/(1-2z)", (1,), (1, -2)),
+    ("z/(1-z) + 1/(1-2z)", (1, 0, -2), (1, -3, 2)),
+    ("2 z", (0, 2), (1,)),
+    (" z ^ 3 ", (0, 0, 0, 1), (1,)),
+    ("1 2", (2,), (1,)),
+    ("007z", (0, 7), (1,)),
+    ("--z", (0, 1), (1,)),
+    ("-+z", (0, -1), (1,)),
+    ("z^0", (1,), (1,)),
+    ("(z)^2", (0, 0, 1), (1,)),
+    ("2z^2z", (0, 0, 0, 2), (1,)),
+    ("(1+z)2", (2, 2), (1,)),
+    ("z(1+z)(1-z)", (0, 1, 0, -1), (1,)),
+    ("0", (), (1,)),
+    ("z", (0, 1), (1,)),
+    ("-z", (0, -1), (1,)),
+    ("+z", (0, 1), (1,)),
+    ("42", (42,), (1,)),
+    ("z*z", (0, 0, 1), (1,)),
+    ("z 2", (0, 2), (1,)),
+    ("2 3z", (0, 6), (1,)),
+    ("z z", (0, 0, 1), (1,)),
+    ("(z)(z)", (0, 0, 1), (1,)),
+    ("z-z", (), (1,)),
+    ("z^10", (0,) * 10 + (1,), (1,)),
+    ("(1+z)^3", (1, 3, 3, 1), (1,)),
+    ("(2z)^2", (0, 0, 4), (1,)),
+    ("2^3", (8,), (1,)),
+    ("-2^2", (-4,), (1,)),
+    ("-z^2", (0, 0, -1), (1,)),
+    ("2*-z^2", (0, 0, -2), (1,)),
+    ("1 - -z", (1, 1), (1,)),
+    ("2(-z)", (0, -2), (1,)),
+    ("z^2(1+z)", (0, 0, 1, 1), (1,)),
+    ("z^2 3", (0, 0, 3), (1,)),
+    ("6/(2-4z)", (3,), (1, -2)),
+    ("-1/(-1+z)", (1,), (1, -1)),
+    ("(1-z)/(1-z)", (1, -1), (1, -1)),
+    ("z/2", (0, 1), (2,)),
+    ("1/2/(1-z)", (1,), (2, -2)),
+    ("1/2z", (0, 1), (2,)),
+    ("z^3/2z", (0, 0, 0, 0, 1), (2,)),
+    ("((z))", (0, 1), (1,)),
+    ("0z", (), (1,)),
+    ("1/(1-z)^2", (1,), (1, -2, 1)),
+    ("z/(1-z)-z/(1-z)", (), (1, -2, 1)),
+    ("0/(1+z)", (), (1, 1)),
+    ("(1-z)^0", (1,), (1,)),
+]
+
+
+@pytest.mark.parametrize("text, numerator, denominator", READ_FORMS)
+def test_parse_rational_reads_the_written_forms(text, numerator, denominator):
+    assert F.parse_rational(text) == F.RationalGF(numerator, denominator)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("z +", ValueError),
+    ("q^2", ValueError),
+    ("()", ValueError),
+    ("z^(2)", ValueError),
+    ("z^-1", ValueError),
+    ("2^z", ValueError),
+    ("z**2", ValueError),
+    ("z//2", ValueError),
+    ("", ValueError),
+    (" ", ValueError),
+    ("z^1^8", ValueError),
+    ("+z^1^8", ValueError),
+    ("(z", ValueError),
+    ("z)", ValueError),
+    ("z^", ValueError),
+    ("^2", ValueError),
+    ("z\t", ValueError),
+    ("1.5", ValueError),
+    ("1/z", ZeroDivisionError),
+    ("1/(z-z)", ZeroDivisionError),
+])
+def test_parse_rational_rejects_junk(text, error):
+    with pytest.raises(error) as refusal:
+        F.parse_rational(text)
+    assert "\n" not in str(refusal.value)
+
+
+@pytest.mark.parametrize(
+    "text", ["(" * 2000 + "z" + ")" * 2000, "-" * 5000 + "z"], ids=["2000-parentheses", "5000-minus-signs"]
+)
+def test_parse_rational_refuses_deep_nesting_as_a_value_error(text):
     with pytest.raises(ValueError):
-        F.parse_rational("z +")
-    with pytest.raises(ValueError):
-        F.parse_rational("q^2")
-    with pytest.raises(ZeroDivisionError):
-        F.parse_rational("1/z")
+        F.parse_rational(text)
+
+
+_EXPONENT = re.compile(r"\^ *([0-9]+)")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="0123456789z+-*/^() ", min_size=1, max_size=11))
+def test_parse_rational_raises_only_value_and_zero_division_errors(text):
+    assume(all(int(e) < 100 for e in _EXPONENT.findall(text)))
+    try:
+        F.parse_rational(text)
+    except (ValueError, ZeroDivisionError):
+        pass
