@@ -45,6 +45,7 @@ from dataclasses import astuple, dataclass
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from . import grammars
+from .genfunc import Series, compare
 from .notation import (
     _CYCLE,
     _CYCLE_INDEX,
@@ -374,6 +375,12 @@ def _compare_sets(name: str, left: Iterable[str], right: Iterable[str]) -> Check
     )
 
 
+def _compare_counts(name: str, counted: Series, series: Series) -> CheckLine:
+    mismatch = compare(counted, series)
+    detail = f"total {counted.total()}"
+    return CheckLine(name, mismatch is None, detail if mismatch is None else f"{detail}; {mismatch}")
+
+
 def cross_check(max_moves: int = 13, full_max_windings: int = 13) -> CrossCheckReport:
     """Compare every enumerator against its grammar, bucket by bucket.
 
@@ -429,30 +436,14 @@ def cross_check(max_moves: int = 13, full_max_windings: int = 13) -> CrossCheckR
         )
     )
 
+    counted = Series(len(structural.get(n, ())) for n in range(full_max_windings + 1))
     series = grammars.count_by_size(grammars.full_grammar(), full_max_windings)
-    per_bucket_ok = all(
-        series[n] == len(structural.get(n, ())) for n in range(2, full_max_windings + 1)
-    )
-    lines.append(
-        CheckLine(
-            "arbitrary-depth counts vs grammar series",
-            per_bucket_ok,
-            f"total {sum(len(v) for v in structural.values())}",
-        )
-    )
+    lines.append(_compare_counts("arbitrary-depth counts vs grammar series", counted, series))
 
-    single_series = grammars.count_by_size(
-        grammars.single_tuck_tw_grammar(), max_moves
-    )
-    rows = census(max_moves - 1, include_full=False)
-    census_ok = all(single_series[row.move_count] == row.single_tuck_knots for row in rows)
-    lines.append(
-        CheckLine(
-            "census single-tuck column vs grammar series",
-            census_ok,
-            f"total {sum(r.single_tuck_knots for r in rows)}",
-        )
-    )
+    rows = census(max_moves - 1, include_full=False)  # by moves, from 3
+    column = Series((0, 0, 0, *(row.single_tuck_knots for row in rows)))
+    series = grammars.count_by_size(grammars.single_tuck_tw_grammar(), max_moves)
+    lines.append(_compare_counts("census single-tuck column vs grammar series", column, series))
 
     return CrossCheckReport(tuple(lines))
 

@@ -9,11 +9,14 @@ counts handled here pass two million well before order 15).
 :func:`fit_recurrence` goes the other way: given enough terms of a
 series it recovers the smallest constant-coefficient linear recurrence
 consistent with all of them, hence a rational form, or reports that
-none exists within the requested order.  All linear algebra is done
-over the rationals with :class:`fractions.Fraction`.
+none exists within the requested order.  One Berlekamp-Massey pass over
+the terms, in :class:`fractions.Fraction` arithmetic, finds it; the
+pass stops as soon as the recurrence outgrows the requested order.
 
 :func:`parse_rational` writes out a form's implied ``*`` and ``^`` as
-``**``, and Python's own parser reads the result.
+``**``, and Python's own parser reads the result.  It refuses exponents
+and degrees above ``MAX_DEGREE`` and polynomials over ``MAX_BITS``
+coefficient bits, so every text is read or refused in bounded time.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 
@@ -163,90 +166,48 @@ def expand(gf: RationalGF, order: int) -> Series:
 def fit_recurrence(series: Series, max_order: int) -> Optional[RationalGF]:
     """Recover a rational generating function from a series, if one exists.
 
-    Searches recurrence orders r = 0..max_order for constants q_1..q_r
-    with a[n] = q_1 a[n-1] + ... + q_r a[n-r] holding for every
-    available index past the leading zeros, returning the smallest-order
-    match as an integer RationalGF (num/den cleared of fractions), or
-    None.  Requires at least 2*max_order + lead terms so a fit is
-    genuinely overdetermined.
+    One Berlekamp-Massey pass (Massey, 1969) over the terms from the
+    first nonzero one finds the shortest recurrence
+    a[n] = q_1 a[n-1] + ... + q_r a[n-r] that every available index past
+    the leading zeros satisfies, and returns it as an integer RationalGF
+    (num/den cleared of fractions), or None as soon as r passes
+    ``max_order``.  Requires at least 2*max_order + lead terms, with
+    which a recurrence of order <= max_order is unique.
     """
     coeffs = list(series.coefficients)
-    lead = 0
-    while lead < len(coeffs) and coeffs[lead] == 0:
-        lead += 1
+    lead = next((i for i, c in enumerate(coeffs) if c), len(coeffs))
     if lead == len(coeffs):
         return RationalGF((0,), (1,))
     if len(coeffs) < 2 * max_order + lead:
         raise ValueError(
             f"need at least {2 * max_order + lead} coefficients to fit order {max_order}"
         )
-
-    for r in range(0, max_order + 1):
-        q = _solve_recurrence(coeffs, lead, r)
-        if q is None:
-            continue
-        # Clear fractions: D(z) = 1 - q1 z - ... - qr z^r, scaled to integers.
-        denominators = [f.denominator for f in q] or [1]
-        scale = 1
-        for d in denominators:
-            scale = scale * d // gcd(scale, d)
-        den = [scale] + [-(f * scale) for f in q]
-        den = [int(c) for c in den]
-        num = _pmul(den, coeffs)[: lead + r]
-        return RationalGF(tuple(num), tuple(den)).normalized()
-    return None
-
-
-def _solve_recurrence(coeffs, lead, r):
-    """Fractions q solving a[n] = sum q_i a[n-i] for all n >= lead + r,
-    or None.  r = 0 means the series terminates after the lead block."""
-    rows = range(lead + r, len(coeffs))
-    if r == 0:
-        return [] if all(coeffs[n] == 0 for n in rows) else None
-    matrix = [[Fraction(coeffs[n - i]) for i in range(1, r + 1)] for n in rows]
-    rhs = [Fraction(coeffs[n]) for n in rows]
-    solution = _lstsq_exact(matrix, rhs, r)
-    if solution is None:
-        return None
-    for n in rows:
-        if sum(solution[i - 1] * coeffs[n - i] for i in range(1, r + 1)) != coeffs[n]:
-            return None
-    return solution
-
-
-def _lstsq_exact(matrix, rhs, unknowns):
-    """Solve an overdetermined exact linear system by elimination;
-    None when inconsistent, a particular solution (free vars = 0) when
-    underdetermined."""
-    rows = [row[:] + [b] for row, b in zip(matrix, rhs)]
-    pivots = []
-    row_at = 0
-    for col in range(unknowns):
-        pivot = next((i for i in range(row_at, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[row_at], rows[pivot] = rows[pivot], rows[row_at]
-        factor = rows[row_at][col]
-        rows[row_at] = [v / factor for v in rows[row_at]]
-        for i in range(len(rows)):
-            if i != row_at and rows[i][col] != 0:
-                scale = rows[i][col]
-                rows[i] = [v - scale * w for v, w in zip(rows[i], rows[row_at])]
-        pivots.append(col)
-        row_at += 1
-    for i in range(row_at, len(rows)):
-        if rows[i][-1] != 0:
-            return None
-    solution = [Fraction(0)] * unknowns
-    for rank, col in enumerate(pivots):
-        solution[col] = rows[rank][-1]
-    return solution
+    # den is 1 - q_1 z - ... - q_r z^r; before is den as it was before the
+    # last change of order r, last the discrepancy there, gap the steps since.
+    terms = coeffs[lead:]
+    den, before, last, gap, order = [Fraction(1)], [Fraction(1)], Fraction(1), 1, 0
+    for n, term in enumerate(terms):
+        miss = sum((den[i] * terms[n - i] for i in range(1, len(den))), Fraction(term))
+        if miss:
+            shift = [0] * gap + [miss / last * c for c in before]
+            den, previous = [a - b for a, b in zip_longest(den, shift, fillvalue=0)], den
+            if 2 * order <= n:
+                before, last, gap, order = previous, miss, 0, n + 1 - order
+                if order > max_order:
+                    return None
+        gap += 1
+    scale = lcm(*(c.denominator for c in den))
+    den = [int(c * scale) for c in den]
+    num = [sum(d * coeffs[n - i] for i, d in enumerate(den[: n + 1])) for n in range(lead + order)]
+    return RationalGF(tuple(num), tuple(den)).normalized()
 
 
 # ---------------------------------------------------------------------------
 # Reading written forms like "z^3/((1+z)(1-2z))" with Python's own parser.
 
 _TOKEN_CHARS = set("0123456789z+-*/^() ")
+MAX_DEGREE = 1000  # the largest exponent, and degree of any polynomial built, that the reader accepts
+MAX_BITS = 1 << 20  # the most coefficient bits, all told, of any polynomial built
 
 
 def parse_rational(text: str) -> RationalGF:
@@ -257,6 +218,8 @@ def parse_rational(text: str) -> RationalGF:
     and ``^`` does not chain (write ``(z^1)^8``).  Python's parser reads
     the text once ``*`` is written out and ``^`` written as ``**``; what
     it cannot read, or what nests too deeply for it, raises ValueError.
+    So does an exponent or polynomial degree above ``MAX_DEGREE``, and a
+    polynomial over ``MAX_BITS`` coefficient bits, so reading is bounded.
     """
     bad = set(text) - _TOKEN_CHARS
     if bad:
@@ -290,16 +253,27 @@ def _evaluate(node) -> RationalGF:
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
         if not isinstance(node.right, ast.Constant):
             raise ValueError("^ does not chain: bracket the power first")
+        if node.right.value > MAX_DEGREE:
+            raise ValueError(f"exponent {node.right.value} is above {MAX_DEGREE}")
         value, base = RationalGF((1,)), _evaluate(node.left)
         for _ in range(node.right.value):
-            value = _mul(value, base)
+            value = _bounded(_mul(value, base))
         return value
     if isinstance(node, ast.BinOp) and type(node.op) in _OPERATIONS:
-        return _OPERATIONS[type(node.op)](_evaluate(node.left), _evaluate(node.right))
+        return _bounded(_OPERATIONS[type(node.op)](_evaluate(node.left), _evaluate(node.right)))
     raise ValueError(f"not a rational function of z: unexpected {type(node).__name__}")
 
 
+def _bounded(value: RationalGF) -> RationalGF:
+    for poly in (value.numerator, value.denominator):
+        if sum(c.bit_length() for c in poly) > MAX_BITS:
+            raise ValueError(f"a polynomial takes more than {MAX_BITS} coefficient bits")
+    return value
+
+
 def _pmul(a, b):
+    if len(a) + len(b) - 2 > MAX_DEGREE:  # refused before the work is done
+        raise ValueError(f"a polynomial would have degree above {MAX_DEGREE}")
     out = [0] * (len(a) + len(b) - 1 or 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):

@@ -405,6 +405,19 @@ def test_cross_check_reports_a_dropped_member(monkeypatch):
     ]
 
 
+def test_cross_check_names_the_first_count_that_disagrees(monkeypatch):
+    language = E.full_language
+
+    def one_short_at_7_windings(max_windings):
+        return {n: members[1:] if n == 7 else members for n, members in language(max_windings).items()}
+
+    monkeypatch.setattr(E, "full_language", one_short_at_7_windings)
+    lines = [str(line) for line in E.cross_check(9, 8).lines]
+    assert "arbitrary-depth counts vs grammar series: MISMATCH " \
+        "(total 2537; first mismatch at z^7: 383 != 384)" in lines
+    assert "census single-tuck column vs grammar series: ok (total 690)" in lines
+
+
 def test_cross_check_lists_examples_in_library_order(monkeypatch):
     members = E.single_tuck_knots
     dropped = {"TTUWWU", "TTWWU"}  # by code point U < W; in the library's order W < U

@@ -1,3 +1,4 @@
+import math
 import re
 
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import strategies as st
 
 from tieknot import genfunc as F
 from tieknot import grammars as G
+from tieknot.cli import _GRAMMAR_SERIES, _PATTERN_SERIES, main
 from tieknot.notation import Region
+from test_cli import _wall_bound
 
 
 def test_expand_fm_form():
@@ -240,3 +243,136 @@ def test_parse_rational_raises_only_value_and_zero_division_errors(text):
         F.parse_rational(text)
     except (ValueError, ZeroDivisionError):
         pass
+
+
+# For every counting series, the smallest order at which fit_recurrence
+# fits it and the form it gives (None: no fit up to order 16), as the
+# order-by-order elimination found them.  Every series is counted to 36
+# terms, so that every order up to 16 has enough terms after the
+# longest lead of zeros (four, in l-final and windings-l).
+FIT_TERMS = 36
+FIT_TABLE = {
+    "fm": (2, (0, 0, 0, 1), (1, -1, -2)),
+    "single": (2, (0, 0, 0, 2, 4), (1, 0, -6)),
+    "r-final": (4, (0, 0, 0, 1, 1, -2, 2), (1, 0, -6)),
+    "l-final": (3, (0, 0, 0, 0, 2, 4, -4), (1, 0, -6)),
+    "c-final": (4, (0, 0, 0, 1, 1, -2, 2), (1, 0, -6)),
+    "full": None,
+    "windings-l": (2, (0, 0, 0, 0, 2), (1, -1, -2)),
+    "windings-c": (2, (0, 0, 0, 1), (1, -1, -2)),
+    "windings-r": (2, (0, 0, 0, 1), (1, -1, -2)),
+    "hidden": (1, (0, 0, 2), (1, -3)),
+    "full-l": None,
+    "full-c": None,
+    "full-r": None,
+}
+
+
+def _table_series(name, capsys):
+    """``series NAME`` as the CLI prints it, the hidden-tuck series, or
+    the full grammar's series ending in one region (``full-l`` etc.)."""
+    if name == "hidden":
+        return G.count_by_size(G.hidden_tuck_grammar(), FIT_TERMS - 1)
+    if name.startswith("full-"):
+        return G.count_by_size(G.full_grammar(Region(name[-1].upper())), FIT_TERMS - 1)
+    assert main(["series", name, str(FIT_TERMS - 1)]) == 0
+    return F.Series(int(c) for c in capsys.readouterr().out.split(", "))
+
+
+def test_fit_table_covers_every_series_the_cli_prints():
+    printed = {*_GRAMMAR_SERIES, *_PATTERN_SERIES}
+    assert set(FIT_TABLE) == printed | {"hidden", "full-l", "full-c", "full-r"}
+
+
+@pytest.mark.parametrize("name", sorted(FIT_TABLE))
+def test_fit_recurrence_gives_each_series_its_recorded_form(name, capsys):
+    series = _table_series(name, capsys)
+    assert len(series) == FIT_TERMS
+    first = FIT_TABLE[name]
+    for order in range(17):
+        fitted = F.fit_recurrence(series, order)
+        if first is None or order < first[0]:
+            assert fitted is None, order
+        else:
+            assert fitted == F.RationalGF(first[1], first[2]), order
+
+
+@pytest.mark.parametrize("name", sorted(FIT_TABLE))
+def test_fit_recurrence_needs_twice_the_order_past_the_leading_zeros(name, capsys):
+    series = F.Series(_table_series(name, capsys)[:33])
+    lead = next(i for i, c in enumerate(series) if c)
+    for order in range(18):
+        if 2 * order + lead > len(series):
+            with pytest.raises(ValueError):
+                F.fit_recurrence(series, order)
+        else:
+            F.fit_recurrence(series, order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 3), st.integers(0, 4), st.data())
+def test_fit_recurrence_recovers_integer_recurrences(order, lead, extra, data):
+    q = data.draw(st.lists(st.integers(-4, 4), min_size=order, max_size=order))
+    terms = data.draw(st.lists(st.integers(-9, 9), min_size=order, max_size=order))
+    while len(terms) < 30:
+        terms.append(sum(c * terms[-1 - i] for i, c in enumerate(q)))
+    terms = [0] * lead + terms
+    first = next((i for i, c in enumerate(terms) if c), 0)
+    series = F.Series(terms[: first + 2 * order + extra])
+    fitted = F.fit_recurrence(series, order)
+    assert F.compare(F.expand(fitted, len(series)), series) is None
+    assert len(fitted.denominator) - 1 <= order
+
+
+def test_fit_recurrence_finds_no_rational_full_series_to_order_40_in_bounded_time():
+    series = G.count_by_size(G.full_grammar(), 200)
+    with _wall_bound(2):
+        assert F.fit_recurrence(series, 40) is None
+
+
+def _tuck_depth_cap(depth):
+    """Accepts the words with at most ``depth`` U's in a row: state q
+    counts the U's just read; T, W and ' go back to 0."""
+    edges = [(q, c, 0) for q in range(depth + 1) for c in "TW'"]
+    edges += [(q, "U", q + 1) for q in range(depth)]
+    states = frozenset(range(depth + 1))
+    return G.Automaton(states=states, initial=0, accepting=states, transitions=tuple(edges))
+
+
+# The full language with every tuck at most D deep, by windings: D = 1
+# is the single-tuck series, D = 2 is rational too, and D = 3 has no
+# rational form of order <= 40 (all checked guesses on 201 terms).
+@pytest.mark.parametrize("depth, total, form", [
+    (1, 24882, F.parse_rational("(2z^2+4z^3)/(1-6z^2)")),
+    (2, 81978, F.parse_rational("(2z^2+4z^3+6z^4+12z^5)/(1-7z^2-2z^4)")),
+    (3, 165210, None),
+])
+def test_tuck_depth_capped_series(depth, total, form):
+    grammar = G.intersect(G.full_grammar(), _tuck_depth_cap(depth))
+    series = G.count_by_size(grammar, 200)
+    assert F.Series(series[:13]).total() == total
+    assert F.fit_recurrence(series, 40) == form
+
+
+# Each of these would take seconds to minutes, or more memory than the
+# machine has, without the reader's bounds.
+@pytest.mark.parametrize("text", [
+    "(z^99)^99",
+    "z^99999999",
+    "2^99999999",
+    "((2^1000)^1000)^1000",
+    "((1+z)^1000)^1000",
+    "(1+z)^1000(1+z)^1000",
+])
+def test_parse_rational_refuses_too_large_a_form_in_bounded_time(text):
+    with _wall_bound(3), pytest.raises(ValueError):
+        F.parse_rational(text)
+
+
+def test_parse_rational_reads_up_to_its_bounds():
+    assert F.parse_rational("(1+z)^1000").numerator == tuple(math.comb(1000, k) for k in range(1001))
+    assert F.parse_rational(f"z^{F.MAX_DEGREE}").numerator == (0,) * F.MAX_DEGREE + (1,)
+    with pytest.raises(ValueError, match="exponent"):
+        F.parse_rational(f"z^{F.MAX_DEGREE + 1}")
+    with pytest.raises(ValueError, match="degree"):
+        F.parse_rational(f"z^{F.MAX_DEGREE}z")

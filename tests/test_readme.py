@@ -8,5 +8,5 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def test_readme_library_examples():
     results = doctest.testfile(str(README), module_relative=False, encoding="utf-8")
-    assert results.attempted >= 14
+    assert results.attempted >= 15
     assert results.failed == 0
