@@ -14,7 +14,10 @@ cross-check parses no knot and builds no word.  The region split and
 the conversion stay separate: :func:`final_region_of` files each text
 on its own net turn, and each region's conversions are compared with
 that region's grammar, so a wrong conversion shows as a mismatch.
-Mismatch examples are listed in library order (:func:`sort_key`).
+A set that disagrees names its first size bucket that differs (grammar
+sizes against the oracle texts' letter counts), both sides' counts
+there, and up to three examples from it in library order
+(:func:`sort_key`).
 
 Two enumerators cover the language families:
 
@@ -364,15 +367,25 @@ class CrossCheckReport:
         return "\n".join(str(line) for line in self.lines)
 
 
-def _compare_sets(name: str, left: Iterable[str], right: Iterable[str]) -> CheckLine:
-    left, right = set(left), set(right)
+def _compare_sets(name: str, grammar: dict, oracle: Iterable[str], unit: str, size) -> CheckLine:
+    """The grammar's members (with their sizes) against the oracle's texts
+    (sized by ``size``, in ``unit``).  A mismatch names the first size
+    whose buckets differ, both sides' counts there, and up to three
+    members that only one side has in that bucket."""
+    left, right = set(grammar), set(oracle)
     if left == right:
         return CheckLine(name, True, f"{len(left)} members")
-    extra = sorted(left - right, key=sort_key)[:3]
-    missing = sorted(right - left, key=sort_key)[:3]
-    return CheckLine(
-        name, False, f"only-left {extra} / only-right {missing}"
-    )
+    first = min([grammar[t] for t in left - right] + [size(t) for t in right - left])
+    extra = sorted((t for t in left - right if grammar[t] == first), key=sort_key)[:3]
+    missing = sorted((t for t in right - left if size(t) == first), key=sort_key)[:3]
+    counts = sum(n == first for n in grammar.values()), sum(size(t) == first for t in right)
+    return CheckLine(name, False, f"first mismatch at {first} {unit}: {counts[0]} vs {counts[1]} members; "
+                                  f"only-left {extra} / only-right {missing}")
+
+
+def _letters(letters: str, plus: int = 0):
+    # A text's size from its letter counts: regions or windings, plus one for a winding text's moves.
+    return lambda text: sum(map(text.count, letters)) + plus
 
 
 def _compare_counts(name: str, counted: Series, series: Series) -> CheckLine:
@@ -393,14 +406,17 @@ def cross_check(max_moves: int = 13, full_max_windings: int = 13) -> CrossCheckR
     fm_limit = min(max_moves, 9)
     fm_members = grammars.generate_with_sizes(grammars.fm_grammar(), fm_limit)
     lines.append(
-        _compare_sets(f"classical knots to {fm_limit} moves", fm_members, fm_knots(fm_limit - 1))
+        _compare_sets(f"classical knots to {fm_limit} moves", fm_members, fm_knots(fm_limit - 1),
+                      "moves", _letters("LCR"))
     )
 
     single = grammars.generate_with_sizes(
         grammars.single_tuck_tw_grammar(), max_moves
     )
     oracle = list(single_tuck_knots(max_moves - 1))
-    lines.append(_compare_sets(f"single-tuck knots to {max_moves} moves", single, oracle))
+    lines.append(
+        _compare_sets(f"single-tuck knots to {max_moves} moves", single, oracle, "moves", _letters("TW", 1))
+    )
 
     by_region = {Region.LEFT: [], Region.RIGHT: [], Region.CENTER: []}
     for text in oracle:
@@ -412,6 +428,8 @@ def cross_check(max_moves: int = 13, full_max_windings: int = 13) -> CrossCheckR
                 f"{region.name.lower()}-final single-tuck knots to {max_moves} moves",
                 clr,
                 tw_texts_to_clr(texts),
+                "moves",
+                _letters("LCR"),
             )
         )
 
@@ -425,6 +443,8 @@ def cross_check(max_moves: int = 13, full_max_windings: int = 13) -> CrossCheckR
             f"arbitrary-depth knots to {full_max_windings} windings",
             full_members,
             flat,
+            "windings",
+            _letters("TW"),
         )
     )
     canonical = {canonicalize_tw(m) for m in flat}

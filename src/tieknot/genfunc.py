@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
+from operator import mul
 from typing import Optional
 
 
@@ -255,13 +256,26 @@ def _evaluate(node) -> RationalGF:
             raise ValueError("^ does not chain: bracket the power first")
         if node.right.value > MAX_DEGREE:
             raise ValueError(f"exponent {node.right.value} is above {MAX_DEGREE}")
-        value, base = RationalGF((1,)), _evaluate(node.left)
-        for _ in range(node.right.value):
-            value = _bounded(_mul(value, base))
-        return value
+        return _power(_evaluate(node.left), node.right.value)
     if isinstance(node, ast.BinOp) and type(node.op) in _OPERATIONS:
         return _bounded(_OPERATIONS[type(node.op)](_evaluate(node.left), _evaluate(node.right)))
     raise ValueError(f"not a rational function of z: unexpected {type(node).__name__}")
+
+
+def _power(base: RationalGF, exponent: int) -> RationalGF:
+    """``base ** exponent`` by squaring, refused as multiplying the base in
+    one factor at a time would be: on degree at the first power past
+    ``MAX_DEGREE``, unless a smaller power has too many bits."""
+    degree = max(len(base.numerator), len(base.denominator)) - 1
+    if degree > 0 and exponent > MAX_DEGREE // degree:
+        return _mul(_power(base, MAX_DEGREE // degree), base)  # _pmul refuses it
+    value = RationalGF((1,))
+    while exponent:
+        if exponent & 1:
+            value = _bounded(_mul(value, base))
+        exponent >>= 1
+        base = _bounded(_mul(base, base)) if exponent else base
+    return value
 
 
 def _bounded(value: RationalGF) -> RationalGF:
@@ -274,11 +288,9 @@ def _bounded(value: RationalGF) -> RationalGF:
 def _pmul(a, b):
     if len(a) + len(b) - 2 > MAX_DEGREE:  # refused before the work is done
         raise ValueError(f"a polynomial would have degree above {MAX_DEGREE}")
-    out = [0] * (len(a) + len(b) - 1 or 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
+    reverse = b[::-1]  # coefficient k sums a[i] * b[k - i], one C-level pass each
+    return tuple(sum(map(mul, a[max(k - len(b) + 1, 0) :], reverse[max(len(b) - 1 - k, 0) :]))
+                 for k in range(len(a) + len(b) - 1 or 1))
 
 
 def _add(a: RationalGF, b: RationalGF) -> RationalGF:

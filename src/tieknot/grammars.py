@@ -28,18 +28,19 @@ single-tuck TW            T,W = 1; final U = 1,    moves
 hidden / full             T,W = 1; U,' = 0         windings (moves - 1)
 ========================  =======================  ======================
 
-:func:`count_by_size` fills a table of derivations per (nonterminal,
-size), one size at a time; :func:`generate` builds each nonterminal's
-members from the same splits of a size among an alternative's items.
-For unambiguous grammars the two agree bucket by bucket, which the test
-suite verifies against a grammar-free enumeration oracle.
+:func:`count_by_size` fills one row of derivation counts per
+nonterminal, size by size, by row lookups and convolutions over each
+alternative's nonterminals; :func:`generate` builds members from the
+splits with nonzero counts.  For unambiguous grammars the two agree by
+bucket, which the tests check against a grammar-free enumeration oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from itertools import product
+from operator import mul
 from typing import Optional
 
 from .genfunc import Series
@@ -102,8 +103,7 @@ def count_by_size(grammar: Grammar, max_size: int) -> Series:
     unambiguous) this equals the number of distinct members.  A cycle of
     zero-weight productions that makes a count diverge is an error.
     """
-    count = _count_tables(grammar, max_size)
-    return Series(tuple(count(grammar.start, size) for size in range(max_size + 1)))
+    return Series(tuple(_count_tables(grammar, max_size)[1][grammar.start]))
 
 
 def _nullable(grammar: Grammar) -> set:
@@ -116,70 +116,70 @@ def _nullable(grammar: Grammar) -> set:
     return found
 
 
-def _shares(items, size, count, nullable):
-    """Yield each split of ``size`` among ``items``: one size per item (a
-    terminal takes its weight, the last nonterminal what the others
-    leave) and the product of the nonterminals' counts, never 0.
-
-    A count is read only once the other parts are known to be nonzero:
-    those before it by their counts and, when it takes all of ``size``,
-    those after it (all at size 0) by being nullable.
-    """
-    sizes, places, weight = _layout(items)
-    sizes = list(sizes)
-
-    def split(j, left, ways):
-        if j == len(places):
-            yield tuple(sizes), ways
-            return
-        for share in range(left + 1) if j < len(places) - 1 else (left,):
-            if share == size and any(items[k].name not in nullable for k in places[j + 1 :]):
-                continue
-            sizes[places[j]] = share
-            more = count(items[places[j]].name, share)
-            if more:
-                yield from split(j + 1, left - share, ways * more)
-
-    if size > weight and places or size == weight:
-        yield from split(0, size - weight, 1)
-    del split  # it refers to itself: break the cycle so that no collection is needed
-
-
-@lru_cache(maxsize=1024)
-def _layout(items):
-    # The terminals' sizes (their weights), the nonterminals' places, and the terminals' total weight.
-    sizes = tuple(item.weight if isinstance(item, T) else None for item in items)
-    return sizes, tuple(k for k, item in enumerate(items) if isinstance(item, N)), sum(filter(None, sizes))
+def _ways(rows, folds, m):
+    """Derivations of two or more nonterminals with count rows ``rows`` sharing ``m``, convolved
+    pairwise through ``folds``, whose entry at ``m - 1`` is made again now that it is final."""
+    acc = rows[0]
+    for row, fold in zip(rows[1:-1], folds):
+        for i in range(max(m - 1, 0), m + 1):
+            fold[i] = sum(map(mul, acc[: i + 1], row[i::-1]))
+        acc = fold
+    return sum(map(mul, acc[: m + 1], rows[-1][m::-1]))
 
 
 def _count_tables(grammar: Grammar, max_size: int):
-    """``count(name, size)``: derivations of a nonterminal at a size up to
-    ``max_size``, read from tables filled one size at a time, so that only
-    zero-weight steps recurse.  A count reached again while being filled
-    reads as 0; if it then ends nonzero, it lies on a zero-weight cycle
-    and diverges."""
+    """The compiled alternatives and ``rows[name][size]``, derivations at
+    each size up to ``max_size``, filled size by size with row lookups
+    (one nonterminal) and convolutions (more).  A weight-0 alternative
+    reads the part that takes all of a size once those before it have
+    members of size 0 and those after are nullable: the last part first,
+    but at size 0 the first, while they have members.  Sizes 0 and 1 fill
+    depth first along these reads, larger ones in the order of size 1.  A
+    count read before it is filled reads as 0; if it then ends nonzero, it
+    lies on a zero-weight cycle."""
     nullable = _nullable(grammar)
-    counts = {name: [] for name in grammar.productions}
-    reentered = set()
+    compiled = {name: [(sum(i.weight for i in alt if isinstance(i, T)), [i.name for i in alt if isinstance(i, N)], alt)
+                       for alt in alts] for name, alts in grammar.productions.items()}  # weight, nonterminals, items
+    rows, unit = {name: [0] * (max_size + 1) for name in compiled}, [1] + [0] * max_size
+    lookups = {name: [(w, rows[names[0]] if names else unit) for w, names, _ in alts if len(names) < 2]
+               for name, alts in compiled.items()}
+    products = {name: [(w, [rows[n] for n in names], [[0] * (max_size + 1) for _ in names[2:]])
+                       for w, names, _ in alts if len(names) > 1] for name, alts in compiled.items()}
 
-    def count(name, size):
-        row = counts[name]
-        if size == len(row):
-            row.append(None)
-            alts = grammar.productions[name]
-            row[size] = sum(ways for alt in alts for _, ways in _shares(alt, size, count, nullable))
-            if row[size] and (name, size) in reentered:
-                raise GrammarError(f"zero-weight cycle through {name!r} at size {size}")
-        if row[size] is None:
-            reentered.add((name, size))
-            return 0
-        return row[size]
+    def fill(name):
+        total = sum(row[size - w] for w, row in lookups[name] if size >= w)
+        rows[name][size] = total = total + sum(_ways(r, folds, size - w) for w, r, folds in products[name] if size >= w)
+        if total and name in read_early:
+            raise GrammarError(f"zero-weight cycle through {name!r} at size {size}")
 
-    for size in range(max_size + 1):
-        for name in grammar.productions:
-            count(name, size)
-    del count  # it refers to itself: break the cycle so that no collection is needed
-    return lambda name, size: counts[name][size]
+    def reads(name):
+        done[name] = False
+        for weight, names, _ in compiled[name]:
+            for j in () if weight else range(len(names)) if size == 0 else reversed(range(len(names))):
+                if all(rows[n][0] for n in names[:j]) and nullable.issuperset(names[j + 1 :] if size else names[1:]):
+                    yield names[j]
+
+    for size in range(min(max_size, 1) + 1):
+        order, read_early, done = [], set(), {}
+        for root in compiled:
+            stack = [] if root in done else [(root, reads(root))]
+            while stack:
+                name, pending = stack[-1]
+                for read in pending:
+                    if read not in done:
+                        stack.append((read, reads(read)))
+                        break
+                    if not done[read]:  # it is being filled
+                        read_early.add(read)
+                else:
+                    stack.pop()
+                    done[name] = True
+                    order.append(name)
+                    fill(name)
+    for size in range(2, max_size + 1):
+        for name in order:
+            fill(name)
+    return compiled, rows
 
 
 def generate(grammar: Grammar, max_size: int) -> list:
@@ -197,27 +197,27 @@ def generate_with_sizes(grammar: Grammar, max_size: int) -> dict:
     the order of the splits of each size, then of the parts' members.
 
     Each nonterminal's members at each size are built once, from the
-    splits the count tables were filled with (Nijenhuis and Wilf's
-    recursive method)."""
-    count, nullable = _count_tables(grammar, max_size), _nullable(grammar)
-
-    @cache
-    def members(name, size):
-        # Every derivation of `name` at exactly `size`, as text.
-        out = []
-        for alt in grammar.productions[name]:
-            for sizes, _ in _shares(alt, size, count, nullable):
-                pieces = (members(i.name, n) if isinstance(i, N) else (i.symbol,) for i, n in zip(alt, sizes))
-                out += map("".join, product(*pieces))
-        return out
-
-    sizes = {}
+    splits with nonzero counts (Nijenhuis and Wilf's recursive method)."""
+    compiled, rows = _count_tables(grammar, max_size)
+    sizes, built = {}, {}
     for size in range(max_size + 1):
-        for text in members(grammar.start, size):
+        for text in _members(grammar.start, size, compiled, rows, built):
             known = sizes.setdefault(text, size)
             assert known == size, f"member {text!r} derived at two sizes"
-    del members  # it refers to itself: break the cycle so that no collection is needed
     return sizes
+
+
+def _members(name, size, compiled, rows, built):
+    # Every derivation of `name` at `size`: per alternative, per split with nonzero counts.
+    if (name, size) not in built:
+        out = built[name, size] = []
+        for weight, names, alt in compiled[name]:
+            *first, last = [rows[n] for n in names] or [[1] + [0] * size]  # no nonterminal: the size is its weight
+            for head in product(*([k for k in range(size - weight + 1) if row[k]] for row in first)):
+                if (rest := size - weight - sum(head)) >= 0 and last[rest]:
+                    parts = iter([_members(n, k, compiled, rows, built) for n, k in zip(names, (*head, rest))])
+                    out += map("".join, product(*(next(parts) if isinstance(i, N) else (i.symbol,) for i in alt)))
+    return built[name, size]
 
 
 # ---------------------------------------------------------------------------

@@ -352,6 +352,21 @@ def test_series_full_400_answers_in_bounded_time(capsys):
     assert len(out.split(", ")) == 401
 
 
+def test_series_full_1000_answers_in_bounded_time(capsys):
+    with _wall_bound(2):
+        code, out, err = run(capsys, "series", "full", "1000")
+    assert (code, err) == (0, "")
+    assert len(out.split(", ")) == 1001
+
+
+def test_full_right_final_count_to_1000_moves_answers_in_bounded_time(capsys, monkeypatch):
+    monkeypatch.setenv("TIEKNOT_MAX_WINDINGS", "1001")
+    with _wall_bound(3.5):
+        code, out, err = run(capsys, "enumerate", "--count", "--class", "full", "--final", "R", "--max-windings", "1000")
+    assert (code, err) == (0, "")
+    assert (len(out.strip()), out[:15]) == (551, "108581323268138")
+
+
 def test_name_too_long_to_print_is_one_line_error(capsys):
     # About 14,400 windings: the pattern rank has more digits than an int prints.
     with _wall_bound(2):

@@ -387,7 +387,8 @@ def test_cross_check_reports_a_wrong_region_text(monkeypatch, capsys):
     assert not report.ok
     broken = [str(line) for line in report.lines if not line.ok]
     assert broken == [
-        "right-final single-tuck knots to 9 moves: MISMATCH (only-left ['LCRU'] / only-right ['LCLU'])"
+        "right-final single-tuck knots to 9 moves: MISMATCH "
+        "(first mismatch at 3 moves: 1 vs 1 members; only-left ['LCRU'] / only-right ['LCLU'])"
     ]
     assert main(["crosscheck", "--max-windings", "9", "--full-windings", "6"]) == 1
     assert capsys.readouterr().out == f"{report}\n"
@@ -400,9 +401,31 @@ def test_cross_check_reports_a_dropped_member(monkeypatch):
     )
     broken = [str(line) for line in E.cross_check(9, 6).lines if not line.ok]
     assert broken == [
-        "single-tuck knots to 9 moves: MISMATCH (only-left ['TTWWU'] / only-right [])",
-        "left-final single-tuck knots to 9 moves: MISMATCH (only-left ['LCRCLU'] / only-right [])",
+        "single-tuck knots to 9 moves: MISMATCH "
+        "(first mismatch at 5 moves: 12 vs 11 members; only-left ['TTWWU'] / only-right [])",
+        "left-final single-tuck knots to 9 moves: MISMATCH "
+        "(first mismatch at 5 moves: 4 vs 3 members; only-left ['LCRCLU'] / only-right [])",
     ]
+
+
+def test_cross_check_set_lines_name_the_first_bucket_that_disagrees(monkeypatch):
+    # One member dropped at 7 windings and one at 8: the line names the
+    # 7-winding bucket, with both sides' counts there and only its examples.
+    language = E.full_language
+    dropped = {7: language(8)[7][0], 8: language(8)[8][0]}
+
+    def short(max_windings):
+        return {n: [m for m in members if m != dropped.get(n)] for n, members in language(max_windings).items()}
+
+    monkeypatch.setattr(E, "full_language", short)
+    lines = [str(line) for line in E.cross_check(9, 8).lines]
+    assert f"arbitrary-depth knots to 8 windings: MISMATCH " \
+        f"(first mismatch at 7 windings: 384 vs 383 members; only-left [{dropped[7]!r}] / only-right [])" in lines
+    # A member the oracle adds is filed by its letter count: windings here.
+    monkeypatch.setattr(E, "full_language", lambda n: {**language(n), 4: [*language(n)[4], "TWTWU"]})
+    assert "arbitrary-depth knots to 8 windings: MISMATCH " \
+        "(first mismatch at 4 windings: 20 vs 21 members; only-left [] / only-right ['TWTWU'])" \
+        in [str(line) for line in E.cross_check(9, 8).lines]
 
 
 def test_cross_check_names_the_first_count_that_disagrees(monkeypatch):
@@ -426,9 +449,10 @@ def test_cross_check_lists_examples_in_library_order(monkeypatch):
     )
     broken = [str(line) for line in E.cross_check(9, 6).lines if not line.ok]
     assert broken == [
-        "single-tuck knots to 9 moves: MISMATCH (only-left ['TTWWU', 'TTUWWU'] / only-right [])",
-        "left-final single-tuck knots to 9 moves: "
-        "MISMATCH (only-left ['LCRCLU', 'LCRUCLU'] / only-right [])",
+        "single-tuck knots to 9 moves: MISMATCH "
+        "(first mismatch at 5 moves: 12 vs 10 members; only-left ['TTWWU', 'TTUWWU'] / only-right [])",
+        "left-final single-tuck knots to 9 moves: MISMATCH "
+        "(first mismatch at 5 moves: 4 vs 2 members; only-left ['LCRCLU', 'LCRUCLU'] / only-right [])",
     ]
 
 

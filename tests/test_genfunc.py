@@ -1,4 +1,5 @@
 import math
+import random
 import re
 
 import pytest
@@ -376,3 +377,56 @@ def test_parse_rational_reads_up_to_its_bounds():
         F.parse_rational(f"z^{F.MAX_DEGREE + 1}")
     with pytest.raises(ValueError, match="degree"):
         F.parse_rational(f"z^{F.MAX_DEGREE}z")
+
+
+def _repeated_power(base, exponent):
+    # The reader's earlier rule: multiply the base in one factor at a time, bounding each product.
+    value = F.RationalGF((1,))
+    for _ in range(exponent):
+        value = F._bounded(F._mul(value, base))
+    return value
+
+
+def _outcome(power, base, exponent):
+    try:
+        return power(base, exponent)
+    except ValueError as refusal:
+        return str(refusal)
+
+
+POWER_BASES = ["1+z", "2-3z", "z", "3", "-1", "0", "(1+z)/(1-2z)", "z/(1-z^2)", "7z^3+1", "1000z^2-999"]
+
+
+@pytest.mark.parametrize("bounds", [(F.MAX_DEGREE, F.MAX_BITS), (40, 300)], ids=["reader", "small"])
+def test_powers_by_squaring_match_repeated_products_and_their_refusals(bounds, monkeypatch):
+    monkeypatch.setattr(F, "MAX_DEGREE", bounds[0])
+    monkeypatch.setattr(F, "MAX_BITS", bounds[1])
+    refused = 0
+    for text in POWER_BASES:
+        base = F.parse_rational(text)
+        for exponent in range(41):
+            expected = _outcome(_repeated_power, base, exponent)
+            assert _outcome(F._power, base, exponent) == expected, (text, exponent)
+            refused += isinstance(expected, str)
+    assert refused > 0 if bounds[0] == 40 else refused == 0
+
+
+def test_polynomial_product_matches_the_schoolbook_loop():
+    def schoolbook(a, b):
+        out = [0] * (len(a) + len(b) - 1 or 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return tuple(out)
+
+    rng = random.Random(7)
+    for _ in range(2000):
+        a, b = (tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, 8))) for _ in range(2))
+        assert F._pmul(a, b) == schoolbook(a, b), (a, b)
+
+
+def test_large_powers_finish_in_bounded_time():
+    with _wall_bound(0.3):
+        assert F.parse_rational("(1+z)^1000").numerator == tuple(math.comb(1000, k) for k in range(1001))
+    with _wall_bound(0.3), pytest.raises(ValueError, match="coefficient bits"):
+        F.parse_rational("((2^1000)^1000)^1000")

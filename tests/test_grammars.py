@@ -1,6 +1,7 @@
 import functools
 import gc
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -328,3 +329,133 @@ def test_region_final_full_grammar_keeps_the_tuck_interiors_whole():
     for name in ("w0", "w1", "w2", "ttuck2", "wtuck2"):
         assert product[name] == plain[name]
     assert {name.split("|")[0] for name in product if "|" in name} == {"tie", "body", "tuck"}
+
+
+# ---------------------------------------------------------------------------
+# The compiled engine against the split engine it replaced, kept here as
+# the referee: a lazily recursive count(name, size) whose sizes come from
+# one generator of splits.
+
+
+def _shares(items, size, count, nullable):
+    """Each split of ``size`` among ``items`` (a terminal takes its weight,
+    the last nonterminal what the others leave) with the product of the
+    nonterminals' counts, never 0.  A count is read only once the other
+    parts are known to be nonzero: those before it by their counts and,
+    when it takes all of ``size``, those after it by being nullable."""
+    sizes = [item.weight if isinstance(item, G.T) else None for item in items]
+    places = [k for k, item in enumerate(items) if isinstance(item, G.N)]
+    weight = sum(filter(None, sizes))
+
+    def split(j, left, ways):
+        if j == len(places):
+            yield tuple(sizes), ways
+            return
+        for share in range(left + 1) if j < len(places) - 1 else (left,):
+            if share == size and any(items[k].name not in nullable for k in places[j + 1:]):
+                continue
+            sizes[places[j]] = share
+            more = count(items[places[j]].name, share)
+            if more:
+                yield from split(j + 1, left - share, ways * more)
+
+    if size > weight and places or size == weight:
+        yield from split(0, size - weight, 1)
+
+
+def _split_count_tables(grammar, max_size):
+    nullable = G._nullable(grammar)
+    counts = {name: [] for name in grammar.productions}
+    reentered = set()
+
+    def count(name, size):
+        row = counts[name]
+        if size == len(row):
+            row.append(None)
+            alts = grammar.productions[name]
+            row[size] = sum(ways for alt in alts for _, ways in _shares(alt, size, count, nullable))
+            if row[size] and (name, size) in reentered:
+                raise G.GrammarError(f"zero-weight cycle through {name!r} at size {size}")
+        if row[size] is None:
+            reentered.add((name, size))
+            return 0
+        return row[size]
+
+    for size in range(max_size + 1):
+        for name in grammar.productions:
+            count(name, size)
+    return count, nullable
+
+
+def split_count_by_size(grammar, max_size):
+    count, _ = _split_count_tables(grammar, max_size)
+    return [count(grammar.start, size) for size in range(max_size + 1)]
+
+
+def split_generate_with_sizes(grammar, max_size):
+    count, nullable = _split_count_tables(grammar, max_size)
+
+    @functools.cache
+    def members(name, size):
+        out = []
+        for alt in grammar.productions[name]:
+            for sizes, _ in _shares(alt, size, count, nullable):
+                pieces = (members(i.name, n) if isinstance(i, G.N) else (i.symbol,) for i, n in zip(alt, sizes))
+                out += map("".join, itertools.product(*pieces))
+        return out
+
+    sizes = {}
+    for size in range(max_size + 1):
+        for text in members(grammar.start, size):
+            sizes.setdefault(text, size)
+    return sizes
+
+
+def random_grammar(seed):
+    """At most four nonterminals with one to three alternatives of zero to
+    three items each: terminals of weight 0, 1 and 2 (each its own
+    symbol, so a text has one size) and nonterminals, which make unit
+    productions, self-embedding, zero-weight cycles and ambiguity."""
+    rng = random.Random(seed)
+    names = ["s", "a", "b", "c"][: rng.randint(1, 4)]
+    terminals = [G.T("u", 0), G.T("x"), G.T("y", 2)]
+
+    def item():
+        return G.N(rng.choice(names)) if rng.random() < 0.45 else rng.choice(terminals)
+
+    productions = {
+        name: tuple(tuple(item() for _ in range(rng.randint(0, 3))) for _ in range(rng.randint(1, 3)))
+        for name in names
+    }
+    return G.Grammar(start="s", productions=productions)
+
+
+def outcome(engine, grammar, max_size):
+    try:
+        result = engine(grammar, max_size)
+    except G.GrammarError as error:
+        return "GrammarError", str(error)
+    return list(result.items()) if isinstance(result, dict) else list(result)
+
+
+PARITY_SEEDS = range(300)
+
+
+def test_compiled_engine_matches_the_split_engine_on_random_grammars():
+    errors = 0
+    for seed in PARITY_SEEDS:
+        grammar = random_grammar(seed)
+        counted = outcome(split_count_by_size, grammar, 12)
+        assert outcome(G.count_by_size, grammar, 12) == counted, (seed, grammar.to_text())
+        generated = outcome(split_generate_with_sizes, grammar, 6)
+        assert outcome(G.generate_with_sizes, grammar, 6) == generated, (seed, grammar.to_text())
+        errors += counted[0] == "GrammarError"
+    # The seeds reach both verdicts often enough to mean something.
+    assert 30 <= errors <= 270
+
+
+def test_compiled_engine_matches_the_split_engine_on_the_built_in_grammars():
+    for factory in BUILT_IN_GRAMMARS:
+        grammar = factory()
+        assert list(G.count_by_size(grammar, 30)) == split_count_by_size(grammar, 30)
+        assert list(G.generate_with_sizes(grammar, 8).items()) == list(split_generate_with_sizes(grammar, 8).items())
