@@ -36,7 +36,7 @@ from importlib import resources
 from typing import List, Optional
 
 from . import validity
-from .notation import TURN_OF_REGION, KnotWord, Region, RegionWord, final_region, parse_tw, tw_to_clr
+from .notation import TURN_OF_REGION, KnotWord, Region, RegionWord, _word, parse_tw, tw_to_clr
 from .enumeration import PATTERN_SKEW, decorate, depth1_sites, patterns_below
 
 
@@ -62,7 +62,7 @@ class KnotName:
 
     def __str__(self):
         try:
-            return f"{self.region.value}-{self.pattern_index}.{self.tuck_bits}{self.extension}"
+            return f"{self.region._value_}-{self.pattern_index}.{self.tuck_bits}{self.extension}"
         except ValueError:  # a number past Python's int-to-string digit limit
             number = max(self.pattern_index, self.tuck_bits)
             what = "pattern rank" if number == self.pattern_index else "tuck-bit number"
@@ -138,15 +138,15 @@ def name_of(knot: KnotWord) -> KnotName:
     injective.  Knots without the anchoring shallow final tuck (for
     example a bare depth-2 ending) fall outside the pattern scheme.
     """
-    if knot.start is not Region.LEFT:
+    if knot.start != "L":  # a region equals its letter, read faster than the member Region.LEFT
         raise NamingError("names assume the canonical start region L")
     report = validity.validate(knot, _UNCAPPED)
     if not report.valid:
         raise NamingError(f"cannot name an invalid knot: {report.violations[0]}")
     # Refuse knots outside the scheme before ranking: first a pattern
     # without a final depth-1 site (pattern_rank's own check), then one
-    # whose final site carries no depth-1 tuck.
-    windings, tucks = "".join(knot.windings), knot.tucks
+    # whose final site carries no depth-1 tuck.  The windings are the text without its tucks.
+    windings, tucks = knot._text.replace("U", "").replace("'", ""), knot._tucks
     n = len(windings)
     if n < 2 or windings[-1] != windings[-2]:
         raise NamingError(_NO_FINAL_SITE)
@@ -163,7 +163,8 @@ def name_of(knot: KnotWord) -> KnotName:
             extension += f"+p{p}d{d}"
         elif p < n:
             bits |= bit_of[p]
-    return KnotName(final_region(knot), rank, bits, extension)
+    # Checked above, so the name is made without KnotName's input checks.
+    return _word(KnotName, region=knot._final, pattern_index=rank, tuck_bits=bits, extension=extension)
 
 
 def _facts_of(windings: str) -> tuple:  # _pattern_facts, memoized only to 64 windings
@@ -228,7 +229,7 @@ def knot_of(name: KnotName) -> KnotWord:
 
 def symmetry(knot: KnotWord) -> int:
     """|#R - #L| over the region sequence of the knot."""
-    regions = tw_to_clr(knot).serialize()
+    regions = tw_to_clr(knot)._text
     rights = regions.count("R")
     lefts = regions.count("L")
     return abs(rights - lefts)
@@ -236,7 +237,7 @@ def symmetry(knot: KnotWord) -> int:
 
 def balance(knot: KnotWord) -> int:
     """Changes between runs of T and of W, tucks ignored: the TW and WT pairs, counted."""
-    windings = "".join(knot.windings)
+    windings = knot._text.replace("U", "").replace("'", "")
     return windings.count("TW") + windings.count("WT")
 
 

@@ -3,7 +3,8 @@
 Exit codes: 0 success (and, for ``validate``, a valid knot); 1 invalid
 knot or failed check; 2 usage or parse errors, which include a
 ``TIEKNOT_MAX_WINDINGS`` that is not an integer of at least 3, a
-``sample`` count outside 0..population, a ``series`` order outside
+``sample`` count outside 0..population, a ``sample`` population above
+``SAMPLE_MAX_POPULATION`` (2**20) knots, a ``series`` order outside
 0..``SERIES_MAX_ORDER`` (1000), a moves bound (``--max-windings``)
 below 0 or, under that cap, above ``SERIES_MAX_ORDER`` for ``enumerate``,
 ``sample`` and ``census``, ``crosscheck`` bounds below 3 moves or 2 windings, a
@@ -65,6 +66,7 @@ def _max_moves_cap() -> int:
 
 
 SERIES_MAX_ORDER = 1000  # bounds the work: `series full` grows as the order squared
+SAMPLE_MAX_POPULATION = 1 << 20  # bounds the listing `sample` draws from: 17 moves fit, 18 do not
 
 
 def _max_moves(args) -> int:
@@ -91,6 +93,19 @@ def _options_from(args) -> validity.ValidityOptions:
     )
 
 
+class _TuckFragments(dict):
+    """Each ``(position, depth)`` tuck's JSON object text: a memo of at most 4,096 tucks."""
+
+    def __missing__(self, tuck):
+        fragment = '{"position": %d, "depth": %d}' % tuck
+        if len(self) < 4096:
+            self[tuck] = fragment
+        return fragment
+
+
+_tuck_fragment = _TuckFragments().__getitem__
+
+
 def _knot_line(knot: KnotWord) -> str:
     """The knot's schema-v1 JSONL record, written field by field.
 
@@ -98,19 +113,20 @@ def _knot_line(knot: KnotWord) -> str:
     default separators: its strings hold only letters, digits and
     ``'+-.``, which JSON copies unescaped.  ``name`` and ``tuck_bits``
     are null for a knot outside the naming scheme or whose name is too
-    long to print.
+    long to print.  The word's kept views are read directly.
     """
-    tucks = ", ".join([f'{{"position": {p}, "depth": {d}}}' for p, d in knot.tucks])
+    tucks = ", ".join(map(_tuck_fragment, knot._tucks))
     try:
         name = catalog.name_of(knot)
         naming = f'"{name}", "tuck_bits": {name.tuck_bits}'
     except catalog.NamingError:
         naming = 'null, "tuck_bits": null'
+    windings = len(knot._windings)
     return (
-        f'{{"tw": "{knot.serialize()}", "clr": "{tw_to_clr(knot).serialize()}", '
-        f'"start": "{knot.start.value}", "windings": {knot.winding_count}, '
-        f'"moves": {knot.move_count}, "tucks": [{tucks}], '
-        f'"final_region": "{final_region(knot).value}", "symmetry": {catalog.symmetry(knot)}, '
+        f'{{"tw": "{knot._text}", "clr": "{tw_to_clr(knot)._text}", '
+        f'"start": "{knot.start._value_}", "windings": {windings}, '
+        f'"moves": {windings + 1}, "tucks": [{tucks}], '
+        f'"final_region": "{knot._final._value_}", "symmetry": {catalog.symmetry(knot)}, '
         f'"balance": {catalog.balance(knot)}, "name": {naming}}}'
     )
 
@@ -350,14 +366,16 @@ def cmd_aesthetics(args) -> int:
 
 def cmd_sample(args) -> int:
     max_moves = _max_moves(args)
+    grammar = grammars.single_tuck_tw_grammar()
+    population = grammars.count_by_size(grammar, max_moves).total()  # counted, not listed
+    knots = f"the single-tuck knots of at most {max_moves} moves"
+    if population > SAMPLE_MAX_POPULATION:
+        raise UsageError(f"sample draws from at most {SAMPLE_MAX_POPULATION} knots, but {knots} number {population}")
+    if not 0 <= args.count <= population:
+        raise UsageError(f"sample count must be between 0 and {population} ({knots}), got {args.count}")
     # Ordered by (moves, text) like the enumeration oracle's list, so a
     # seed draws the same knots; only the knots drawn are parsed.
-    texts = grammars.generate(grammars.single_tuck_tw_grammar(), max_moves)
-    if not 0 <= args.count <= len(texts):
-        raise UsageError(
-            f"sample count must be between 0 and {len(texts)} (the single-tuck knots "
-            f"of at most {max_moves} moves), got {args.count}"
-        )
+    texts = grammars.generate(grammar, max_moves)
     rng = random.Random(args.seed)
     for index in sorted(rng.sample(range(len(texts)), args.count)):
         knot = parse_tw(texts[index])

@@ -55,7 +55,7 @@ from .notation import (
     TURN_OF_REGION,
     KnotWord,
     Region,
-    canonicalize_tw,
+    canonicalize_tws,
     parse_tw,
     sort_key,
     tw_texts_to_clr,
@@ -229,7 +229,7 @@ def _full_bucket(enum: _FullEnumerator, n: int, canonical: bool) -> List[str]:
     """The members of ``n`` windings, asserted duplicate-free."""
     members = enum.members(n)
     if canonical:
-        members = [canonicalize_tw(m) for m in members]
+        members = canonicalize_tws(members)
     assert len(members) == len(set(members)), f"duplicate member at {n} windings"
     return members
 
@@ -447,7 +447,7 @@ def cross_check(max_moves: int = 13, full_max_windings: int = 13) -> CrossCheckR
             _letters("TW"),
         )
     )
-    canonical = {canonicalize_tw(m) for m in flat}
+    canonical = set(canonicalize_tws(flat))
     lines.append(
         CheckLine(
             "canonical apostrophe placement is lossless",

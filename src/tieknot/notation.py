@@ -38,7 +38,8 @@ Views are not fields, so they play no part in ``==``, ``hash`` or
 batch of winding texts, started at L, straight into region texts and
 builds no word (the cross-checks'): it reads the texts joined by
 newlines in runs of six characters, each looked up in a table filled
-on demand.  :func:`tw_text_to_clr` is its one-text case.
+on demand.  :func:`tw_text_to_clr` is its one-text case, as
+:func:`canonicalize_tw` is of the batch :func:`canonicalize_tws`.
 """
 
 from __future__ import annotations
@@ -134,8 +135,9 @@ _shared_tuck = lru_cache(maxsize=64)(Tuck)
 
 
 def _word(cls, **state):
-    """A word of ``cls`` with its fields and views set as given, for a
-    reader that has already checked and walked the items."""
+    """An instance of the frozen dataclass ``cls`` (a word, or a name) with
+    its fields and views set as given, for a reader that has already
+    checked and walked its input: ``__post_init__`` does not run."""
     word = object.__new__(cls)
     word.__dict__.update(state)
     return word
@@ -380,27 +382,48 @@ def _misplaced(ch: str, index: int, after_apostrophe: bool, first: str = "windin
     return NotationError(f"unexpected character {ch!r}", index)
 
 
-_STRAY_APOSTROPHE = re.compile(r"(?<!U)'|'\Z")  # not after a tuck, or last
+def _joined(texts: list) -> str:
+    """The texts joined by newlines; a newline inside one would split it, so it is refused."""
+    joined = "\n".join(texts)
+    if joined.count("\n") != len(texts) - 1:
+        text = next(text for text in texts if "\n" in text)
+        raise _misplaced("\n", text.index("\n"), False)
+    return joined
+
+
+_STRAY_APOSTROPHE = re.compile(r"(?<!U)'|'(?=\n|\Z)")  # not after a tuck, or ending a text
 _LOOSE_APOSTROPHE = re.compile(r"'(?!U)")  # after a tuck but not before one
 
 
-def canonicalize_tw(text: str) -> str:
-    """Canonical apostrophe placement: keep a ``'`` only between two
-    adjacent tucks (a U on both sides).
+def canonicalize_tws(texts: Iterable[str]) -> list:
+    """Canonical apostrophe placement for each winding text: keep a ``'``
+    only between two adjacent tucks (a U on both sides).
 
     Winding text produced structurally (for example by the
     arbitrary-depth grammar) may carry a separator after every finished
     tuck, including before a winding, where it is redundant: the tuck
     grouping is already determined by the U runs.  Dropping those
     separators never merges two runs, and on the knot languages handled
-    here the map is injective (the cross-checks verify this).
+    here the map is injective (the cross-checks verify this).  One regex
+    pass reads the texts joined by newlines, so a newline inside a text is
+    refused; a stray apostrophe is found by counting, and its index is
+    within its text.
     """
-    if "'" not in text:
-        return text
-    stray = _STRAY_APOSTROPHE.search(text)
-    if stray is not None:
-        raise NotationError("' must follow a tuck", stray.start())
-    return _LOOSE_APOSTROPHE.sub("", text)
+    texts = list(texts)
+    if not texts:
+        return []
+    joined = _joined(texts)
+    if "'" not in joined:
+        return texts
+    if joined.count("'") != joined.count("U'") or "'\n" in joined or joined[-1] == "'":  # a stray one
+        index = _STRAY_APOSTROPHE.search(joined).start()
+        raise NotationError("' must follow a tuck", index - joined.rfind("\n", 0, index) - 1)
+    return _LOOSE_APOSTROPHE.sub("", joined).split("\n")
+
+
+def canonicalize_tw(text: str) -> str:
+    """The canonical text of one winding text: :func:`canonicalize_tws` of one."""
+    return canonicalize_tws((text,))[0]
 
 
 # For each region letter: its cycle index, its visit and, by mark, its marked visits.
@@ -557,10 +580,7 @@ def tw_texts_to_clr(texts: Iterable[str]) -> list:
     texts = list(texts)
     if not texts:
         return []
-    joined = "\n".join(texts)
-    if joined.count("\n") != len(texts) - 1:
-        text = next(text for text in texts if "\n" in text)
-        raise _misplaced("\n", text.index("\n"), False)
+    joined = _joined(texts)
     table, index, parts = _RUN_TABLE, 0, [_CYCLE_LETTERS[0]]  # the walk starts at L
     for position in range(0, len(joined), _RUN):
         run = joined[position:position + _RUN]

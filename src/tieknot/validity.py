@@ -34,7 +34,6 @@ from .notation import (
     RegionWord,
     Tuck,
     WindDir,
-    final_region,
 )
 
 RULE_NO_REPEAT = "T1"
@@ -163,7 +162,7 @@ def validate(knot: KnotWord, opts: ValidityOptions = DEFAULT_OPTIONS) -> Validit
     unless the center-ending exception is switched on; depth and length
     caps apply.  T1/T2 cannot be broken in this notation.
     """
-    return _judge(final_region(knot), knot.windings, knot.tucks, opts)
+    return _judge(knot._final, knot._windings, knot._tucks, opts)
 
 
 def _judge(final: Region, windings: Sequence[WindDir], tucks, opts: ValidityOptions) -> ValidityReport:
@@ -172,21 +171,22 @@ def _judge(final: Region, windings: Sequence[WindDir], tucks, opts: ValidityOpti
     tuck when its last tuck sits after its last winding."""
     violations = []
     n = len(windings)
+    max_moves, max_depth, hidden = opts.max_moves, opts.max_tuck_depth, opts.allow_hidden_tucks
 
-    if opts.max_moves is not None and n + 1 > opts.max_moves:
+    if max_moves is not None and n + 1 > max_moves:
         violations.append(
-            Violation(RULE_CAP, n, f"{n + 1} moves exceed the cap of {opts.max_moves}")
+            Violation(RULE_CAP, n, f"{n + 1} moves exceed the cap of {max_moves}")
         )
 
     last = 0  # where the tuck before sits
     for position, depth in tucks:
         stacked, last = position == last, position
-        if opts.max_tuck_depth is not None and depth > opts.max_tuck_depth:
+        if max_depth is not None and depth > max_depth:
             violations.append(
                 Violation(
                     RULE_CAP,
                     position,
-                    f"depth-{depth} tuck exceeds the depth cap of {opts.max_tuck_depth}",
+                    f"depth-{depth} tuck exceeds the depth cap of {max_depth}",
                 )
             )
             continue
@@ -199,10 +199,12 @@ def _judge(final: Region, windings: Sequence[WindDir], tucks, opts: ValidityOpti
                 )
             )
             continue
-        if depth == 1:  # the window rule inline: a bare pair of equal windings before it
+        if depth == 1:  # the window rule inline, as in tuck_site_valid: a bare equal pair
             fits = not stacked and windings[position - 2] is windings[position - 1]
         else:
-            fits = tuck_site_valid(windings, position, depth)
+            window = windings[position - 2 * depth : position]  # windings equal their letters
+            turn = 2 * window.count("T") - 2 * depth  # #T - #W
+            fits = (turn if window[0] == "T" else -turn) % 3 == 2
         if not fits:
             violations.append(
                 Violation(
@@ -211,7 +213,7 @@ def _judge(final: Region, windings: Sequence[WindDir], tucks, opts: ValidityOpti
                     f"window does not admit a depth-{depth} tuck after winding {position}",
                 )
             )
-        if (n - position) % 2 and not opts.allow_hidden_tucks:  # T3's parity form
+        if (n - position) % 2 and not hidden:  # T3's parity form
             message = "tuck an odd number of windings from the end would sit behind the knot"
             violations.append(Violation(RULE_FRONT_TUCK, position, message))
 

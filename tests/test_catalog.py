@@ -262,16 +262,19 @@ def test_name_parse_round_trip():
 def test_name_parse_reads_back_every_printed_name():
     from tieknot.enumeration import full_language
 
+    # name_of makes its names without KnotName's input checks; each must be
+    # the name the checked constructor makes from the printed text.
     extended = 0
-    for members in full_language(9).values():
+    for members in full_language(11).values():
         for text in map(canonicalize_tw, members):
             try:
                 name = C.name_of(parse_tw(text))
             except C.NamingError:
                 continue
-            assert C.KnotName.parse(str(name)) == name
+            parsed = C.KnotName.parse(str(name))
+            assert (parsed, hash(parsed), repr(parsed)) == (name, hash(name), repr(name))
             extended += bool(name.extension)
-    assert extended > 100
+    assert extended > 20000
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import tieknot
 from tieknot import catalog, enumeration, grammars, notation, validity
-from tieknot.cli import SERIES_MAX_ORDER, main
+from tieknot.cli import SAMPLE_MAX_POPULATION, SERIES_MAX_ORDER, main
 from test_golden import FULL_JSONL_11_SHA256
 
 
@@ -385,6 +385,17 @@ def test_name_of_150000_windings_ranks_in_linear_time(capsys):
     assert err == "error: a name whose pattern rank has 45155 digits cannot be printed (at most 4300)\n"
 
 
+def test_sample_from_more_than_2_to_the_20_knots_exits_2_in_bounded_time(capsys, monkeypatch):
+    # Listing the 12,093,234 single-tuck knots to 20 moves would take minutes.
+    monkeypatch.setenv("TIEKNOT_MAX_WINDINGS", "20")
+    with _wall_bound(2):
+        code, out, err = run(capsys, "sample", "1", "--max-windings", "20")
+    assert (code, out) == (2, "")
+    assert err == ("error: sample draws from at most 1048576 knots, but the single-tuck "
+                   "knots of at most 20 moves number 12093234\n")
+    assert SAMPLE_MAX_POPULATION == 2**20
+
+
 def test_census_answers_in_bounded_time_past_the_default_cap(capsys, monkeypatch):
     monkeypatch.setenv("TIEKNOT_MAX_WINDINGS", "61")
     with _wall_bound(2):
@@ -463,13 +474,14 @@ def test_record_stream_validates_once_converts_twice_and_derives_nothing(capsys,
                          if inspect.isfunction(value) and value.__module__ == grammars.__name__]
     calls = Counter()
     _count_calls(monkeypatch, calls, validity, ["validate"])
-    _count_calls(monkeypatch, calls, notation, ["tw_to_clr"])
+    _count_calls(monkeypatch, calls, notation, ["tw_to_clr", "parse_tw"])
     _count_calls(monkeypatch, calls, grammars, grammar_functions)
     code, out, _ = run(capsys, "enumerate", "--class", "full", "--format", "jsonl",
                        "--max-windings", "8")
     records = len(out.splitlines())
     assert (code, records) == (0, 642)  # the full language to 7 windings
-    assert calls == {"tieknot.validity.validate": records, "tieknot.notation.tw_to_clr": 2 * records}
+    assert calls == {"tieknot.notation.parse_tw": records, "tieknot.validity.validate": records,
+                     "tieknot.notation.tw_to_clr": 2 * records}
 
 
 def test_record_stream_is_unchanged_with_the_pattern_memo_cold_and_warm(capsys):
@@ -788,7 +800,7 @@ _ARGVS = st.one_of(
     st.builds(lambda n, flags: ["census", "--max-windings", n, *flags],
               _COUNT_SIZES, _flags("--no-full", "--format csv", "--format jsonl")),
     st.builds(lambda count, n: ["sample", count, "--seed", "1", "--max-windings", n],
-              st.sampled_from(["0", "3", "-1", "30000"]), _SMALL),
+              st.sampled_from(["0", "3", "-1", "30000"]), _COUNT_SIZES),
     st.builds(lambda n, full: ["crosscheck", "--max-windings", n, "--full-windings", full],
               _SMALL, _SMALL),
     st.lists(st.sampled_from(["census", "series", "--count", "--tw", "TTU", "9", "--bogus"]),

@@ -15,6 +15,7 @@ from tieknot.notation import (
     Visit,
     WindDir,
     canonicalize_tw,
+    canonicalize_tws,
     classify_final,
     clr_to_tw,
     final_region,
@@ -672,3 +673,64 @@ def test_region_word_built_from_items_that_open_with_a_tuck_raises():
     with pytest.raises(NotationError) as raised:
         RegionWord((Tuck(1), Visit(Region.LEFT)))
     assert str(raised.value) == "tuck before any region visit (at index 0)"
+
+
+# -- the batch canonicaliser --------------------------------------------------
+# canonicalize_tws places the apostrophes of joined texts in one regex pass.
+
+
+def _keep_apostrophes_between_tucks(text):
+    """The referee: each apostrophe stays only with a U on both sides."""
+    return "".join(ch for i, ch in enumerate(text)
+                   if ch != "'" or text[i - 1:i] == text[i + 1:i + 2] == "U")
+
+
+def test_one_batch_canonicalises_every_member_to_11_windings_as_each_text_alone():
+    raw = [text for members in full_language(11).values() for text in members]
+    assert sum("'" in text for text in raw) > 10000
+    canonical = canonicalize_tws(raw)
+    assert canonical == [canonicalize_tw(text) for text in raw]
+    assert canonical == [_keep_apostrophes_between_tucks(text) for text in raw]
+    assert canonicalize_tws(iter(raw)) == canonical
+
+
+@pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("stray, index", [("'TTU", 0), ("TT'U", 2), ("TTU'", 3), ("TTU''UU", 4)])
+def test_a_stray_apostrophe_is_refused_at_its_index_within_its_text(where, stray, index):
+    texts = ["TTU'WWU", "WWUUU'U", "TTU'UU"]  # a loose and two kept apostrophes
+    texts[where] = stray
+    with pytest.raises(NotationError) as batch:
+        canonicalize_tws(texts)
+    with pytest.raises(NotationError) as alone:
+        canonicalize_tw(stray)
+    assert str(batch.value) == str(alone.value) == f"' must follow a tuck (at index {index})"
+    assert batch.value.position == alone.value.position == index
+
+
+def test_batch_canonicaliser_refuses_a_newline_and_takes_an_empty_batch():
+    assert canonicalize_tws([]) == []
+    for texts in (["TTU", "WW\nU"], ["TTU'\nWWU"]):
+        with pytest.raises(NotationError, match="unexpected character") as caught:
+            canonicalize_tws(texts)
+        assert caught.value.position == texts[-1].index("\n")
+    with pytest.raises(NotationError, match="unexpected character"):
+        canonicalize_tw("TT\nU")
+
+
+def _first_stray(text):
+    """The index of the first apostrophe not after a U or ending the text, or None."""
+    for i, ch in enumerate(text):
+        if ch == "'" and (text[i - 1:i] != "U" or i == len(text) - 1):
+            return i
+    return None
+
+
+@given(st.lists(st.text(alphabet="TWU'", max_size=12), max_size=6))
+def test_random_batches_canonicalise_or_refuse_as_the_referee(texts):
+    stray = next((index for index in map(_first_stray, texts) if index is not None), None)
+    if stray is None:
+        assert canonicalize_tws(texts) == [_keep_apostrophes_between_tucks(text) for text in texts]
+    else:
+        with pytest.raises(NotationError) as caught:
+            canonicalize_tws(texts)
+        assert str(caught.value) == f"' must follow a tuck (at index {stray})"
