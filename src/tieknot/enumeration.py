@@ -33,10 +33,10 @@ Two enumerators cover the language families:
 Deep tucks do not combine freely.  A tuck tower (the U runs closing at
 one point) and the windings it spans form a block: the block opens with
 a bare winding pair, the remainder of its interior is again pairs and
-complete blocks (an apostrophe separating a finished block from what
-follows), and every block's full window must pass the window rule.  A
-knot is an optional single winding, then bare pairs and blocks, ending
-on a block.  Treating each tuck in isolation would admit decorations
+complete blocks, and every block's full window must pass the window
+rule.  Texts are canonical: an apostrophe only separates two blocks'
+closing U runs.  A knot is an optional single winding, then bare pairs
+and blocks, ending on a block.  Treating each tuck in isolation would admit decorations
 such as TTUTWUU (a depth-1 tuck inside the opening pair of a depth-2
 window) that the language does not contain.
 """
@@ -134,9 +134,8 @@ class _FullEnumerator:
 
     ``blocks(m)`` lists every complete block of 2m windings together
     with its winding tally; ``interiors(j)`` lists block interiors of 2j
-    windings.  Memoised per instance; strings are raw text, with an
-    apostrophe after every finished inner block even ahead of a winding
-    (``TTTTU'WWUUU``); :func:`canonicalize_tw` keeps those between tucks.
+    windings.  Memoised per instance; strings are canonical text, with
+    an apostrophe only between two tucks (``TWTTU'UU``, ``TTTTUWWTWUUUU``).
     ``depth_one`` keeps only depth-1 tucks: every interior is empty, so
     the only blocks are the one-pair TTU and WWU.
     """
@@ -165,8 +164,8 @@ class _FullEnumerator:
                     out.append((pair + text + "U", self._net(pair) + net))
             for d in range(1, j + 1):
                 for block, block_net in self.blocks(d):
-                    for text, net in self.interiors(j - d):
-                        out.append((block + "'" + text + "U", block_net + net))
+                    for text, net in self.interiors(j - d):  # ' only where the U follows at once
+                        out.append((block + (text or "'") + "U", block_net + net))
         self._interiors[j] = out
         return out
 
@@ -215,21 +214,17 @@ class _FullEnumerator:
 def full_language(max_windings: int) -> Dict[int, List[str]]:
     """Members of the arbitrary-depth language by winding count.
 
-    The raw texts separate every finished inner tuck with an apostrophe,
-    even ahead of a winding; :func:`canonicalize_tw` rewrites them with
-    the canonical placement (separators only between adjacent tucks).
-    The enumeration is asserted duplicate-free, which checks the
-    structural recursion.
+    The texts are canonical (an apostrophe only between two tucks).  The
+    enumeration is asserted duplicate-free, which checks the structural
+    recursion.
     """
     enum = _FullEnumerator()
-    return {n: _full_bucket(enum, n, False) for n in range(2, max_windings + 1)}
+    return {n: _full_bucket(enum, n) for n in range(2, max_windings + 1)}
 
 
-def _full_bucket(enum: _FullEnumerator, n: int, canonical: bool) -> List[str]:
+def _full_bucket(enum: _FullEnumerator, n: int) -> List[str]:
     """The members of ``n`` windings, asserted duplicate-free."""
     members = enum.members(n)
-    if canonical:
-        members = canonicalize_tws(members)
     assert len(members) == len(set(members)), f"duplicate member at {n} windings"
     return members
 
@@ -241,7 +236,7 @@ def oracle_enumerate(
 
     Knots with a depth cap of 1 or none come from the structural
     enumeration, one winding count at a time: each bucket's members are
-    listed, canonicalised, checked for duplicates and sorted into text
+    listed in canonical text, checked for duplicates and sorted into text
     order, then parsed one at a time as they are taken, so the first
     knot does not wait for the last bucket.  Hidden tucks (depth 1 only)
     come from :func:`grammars.hidden_tuck_grammar`, which builds every
@@ -263,7 +258,7 @@ def oracle_enumerate(
         buckets = (list(texts) for _, texts in itertools.groupby(sizes, sizes.get))
     else:
         enum = _FullEnumerator(depth_one=opts.max_tuck_depth == 1)
-        buckets = (_full_bucket(enum, n, True) for n in range(2, max_windings + 1))
+        buckets = (_full_bucket(enum, n) for n in range(2, max_windings + 1))
     for members in buckets:
         members.sort(key=sort_key)
         for text in members:
@@ -447,12 +442,12 @@ def cross_check(max_moves: int = 13, full_max_windings: int = 13) -> CrossCheckR
             _letters("TW"),
         )
     )
-    canonical = set(canonicalize_tws(flat))
+    # The stream parses the oracle's texts as listed: each is its own canonical form.
     lines.append(
         CheckLine(
             "canonical apostrophe placement is lossless",
-            len(canonical) == len(flat),
-            f"{len(canonical)} canonical forms",
+            canonicalize_tws(flat) == flat,
+            f"{len(flat)} canonical forms",
         )
     )
 

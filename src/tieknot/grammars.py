@@ -11,8 +11,9 @@ Five grammars are built in:
 * :func:`hidden_tuck_grammar` -- depth-1 tucks that may sit behind the
   knot, in winding notation;
 * :func:`full_grammar` -- the context-free language of knots with tucks
-  of arbitrary depth, in winding notation.  Both restrict to a final
-  region by :func:`intersect` with a net-turn automaton.
+  of arbitrary depth, in canonical winding text (an apostrophe only
+  between two tucks).  Both restrict to a final region by
+  :func:`intersect` with a net-turn automaton.
 
 Every terminal carries a size weight so that the coefficient of z^d in
 the counting series means exactly what the published series for each
@@ -330,7 +331,7 @@ def full_grammar(final: Optional[Region] = None) -> Grammar:
 
     The context-free grammar: tucks open with a winding pair and close
     with a U; their interiors are chains of further pairs and complete
-    tucks, apostrophes separating a finished tuck from what follows.
+    tucks, in canonical text: an apostrophe only between two tucks.
     The three interior states track the residue mod 3 that the rest of
     the window must still contribute for the window rule to hold.  T and
     W weigh 1; U and ' weigh 0, so size = winding count = moves - 1.
@@ -340,24 +341,28 @@ def full_grammar(final: Optional[Region] = None) -> Grammar:
     """
     t, w = T("T"), T("W")
     U = T("U", 0)
-    sep = T("'", 0)
     # Net turns (#T - #W) mod 3: TT 2, TW and WT 0, WW 1; by the window
     # rule a T-opening tuck makes 2 and a W-opening tuck 1.  State wk
-    # still owes -k, so after a step of turn s it owes -(k + s).
+    # still owes -k, so after a step of turn s it owes -(k + s).  Only w0 may
+    # be empty, so a tuck is followed by w0+ (w0 less the empty text), w1, w2
+    # or, where the closing U follows at once, by ' U.
     pairs = (((t, t), 2), ((t, w), 0), ((w, t), 0), ((w, w), 1))
     tucks = (((N("ttuck2"),), 2), ((N("wtuck2"),), 1))
+    nonempty = ("w0+", "w1", "w2")
     productions = {
         "tie": ((t, N("body")), (w, N("body")), (N("body"),)),
         "body": tuple(items + (N("body"),) for items, _ in pairs) + ((N("tuck"), N("body")), (N("tuck"),)),
         "tuck": tuple(items for items, _ in tucks),
         "ttuck2": ((t, t, N("w0"), U), (t, w, N("w1"), U)),
         "wtuck2": ((w, w, N("w0"), U), (w, t, N("w2"), U)),
+        "w0": ((N("w0+"),), ()),
     }
     for k in range(3):
-        productions[f"w{k}"] = tuple(
+        productions[nonempty[k]] = tuple(
             [items + (N(f"w{(k + turn) % 3}"), U) for items, turn in pairs[::-1]]
-            + [items + (sep, N(f"w{(k + turn) % 3}"), U) for items, turn in tucks]
-        ) + (((),) if k == 0 else ())
+            + [items + (N(nonempty[(k + turn) % 3]), U) for items, turn in tucks]
+            + [items + (T("'", 0), U) for items, turn in tucks if (k + turn) % 3 == 0]
+        )
     grammar = Grammar(start="tie", productions=productions)
     return grammar if final is None else intersect(grammar, _net_turn_automaton(final))
 

@@ -38,8 +38,8 @@ Views are not fields, so they play no part in ``==``, ``hash`` or
 batch of winding texts, started at L, straight into region texts and
 builds no word (the cross-checks'): it reads the texts joined by
 newlines in runs of six characters, each looked up in a table filled
-on demand.  :func:`tw_text_to_clr` is its one-text case, as
-:func:`canonicalize_tw` is of the batch :func:`canonicalize_tws`.
+on demand.  :func:`canonicalize_tw` is the one-text case of the batch
+:func:`canonicalize_tws`.
 """
 
 from __future__ import annotations
@@ -198,8 +198,8 @@ class KnotWord:
             if not isinstance(item, (WindDir, Tuck)):
                 raise TypeError(f"not a knot item: {item!r}")
         knot = parse_tw(_serialize(self.items), self.start)
-        self.__dict__.update(_windings=knot._windings, _tucks=knot._tucks, _text=knot._text,
-                             _region_word=knot._region_word, _final=knot._final)
+        self.__dict__.update(start=knot.start, _windings=knot._windings, _tucks=knot._tucks,
+                             _text=knot._text, _region_word=knot._region_word, _final=knot._final)
 
     @property
     def windings(self) -> tuple:
@@ -320,7 +320,7 @@ def parse_tw(text: str, start: Region = Region.LEFT) -> KnotWord:
     so that distinct tucks at the same point stay distinct, and it must
     sit between two ``U`` characters.  A tuck needs at least one
     preceding winding.  The empty string parses to an empty word (which
-    is not by itself a valid knot).
+    is not by itself a valid knot).  A start letter becomes its Region.
 
     One walk over the characters writes the items, the windings, the
     ``(position, depth)`` tucks, the region word with its text and the
@@ -329,6 +329,8 @@ def parse_tw(text: str, start: Region = Region.LEFT) -> KnotWord:
     in the text.
     """
     text = "".join(text.split())
+    if not isinstance(start, Region):
+        start = Region(start)
     index = _CYCLE_INDEX[start]
     steps, visit = _WIND_STEPS[index], _VISITS[index]
     items, windings, tucks = [], [], []
@@ -382,15 +384,8 @@ def _misplaced(ch: str, index: int, after_apostrophe: bool, first: str = "windin
     return NotationError(f"unexpected character {ch!r}", index)
 
 
-def _joined(texts: list) -> str:
-    """The texts joined by newlines; a newline inside one would split it, so it is refused."""
-    joined = "\n".join(texts)
-    if joined.count("\n") != len(texts) - 1:
-        text = next(text for text in texts if "\n" in text)
-        raise _misplaced("\n", text.index("\n"), False)
-    return joined
-
-
+_SPACE = re.compile(r"\s")
+_ASCII_SPACES = " \t\r\x0b\x0c\x1c\x1d\x1e\x1f"  # what _SPACE matches in ASCII, but the newline
 _STRAY_APOSTROPHE = re.compile(r"(?<!U)'|'(?=\n|\Z)")  # not after a tuck, or ending a text
 _LOOSE_APOSTROPHE = re.compile(r"'(?!U)")  # after a tuck but not before one
 
@@ -399,20 +394,21 @@ def canonicalize_tws(texts: Iterable[str]) -> list:
     """Canonical apostrophe placement for each winding text: keep a ``'``
     only between two adjacent tucks (a U on both sides).
 
-    Winding text produced structurally (for example by the
-    arbitrary-depth grammar) may carry a separator after every finished
-    tuck, including before a winding, where it is redundant: the tuck
-    grouping is already determined by the U runs.  Dropping those
-    separators never merges two runs, and on the knot languages handled
-    here the map is injective (the cross-checks verify this).  One regex
-    pass reads the texts joined by newlines, so a newline inside a text is
-    refused; a stray apostrophe is found by counting, and its index is
-    within its text.
+    This serves user input: a separator after a finished tuck ahead of a
+    winding is redundant (the U runs group the tucks), and the library's
+    generators write canonical text already.  One regex pass reads the
+    texts joined by newlines, so whitespace inside a text is refused as an
+    unexpected character; a stray apostrophe is found by counting.  Either
+    error's index is within its text.
     """
     texts = list(texts)
     if not texts:
         return []
-    joined = _joined(texts)
+    joined = "\n".join(texts)
+    quick = joined.isascii() and joined.count("\n") == len(texts) - 1  # substring tests find any space
+    if not quick or any(map(joined.__contains__, _ASCII_SPACES)):
+        if space := next(filter(None, map(_SPACE.search, texts)), None):
+            raise _misplaced(space.group(), space.start(), False)
     if "'" not in joined:
         return texts
     if joined.count("'") != joined.count("U'") or "'\n" in joined or joined[-1] == "'":  # a stray one
@@ -580,18 +576,16 @@ def tw_texts_to_clr(texts: Iterable[str]) -> list:
     texts = list(texts)
     if not texts:
         return []
-    joined = _joined(texts)
+    joined = "\n".join(texts)
+    if joined.count("\n") != len(texts) - 1:
+        text = next(text for text in texts if "\n" in text)
+        raise _misplaced("\n", text.index("\n"), False)
     table, index, parts = _RUN_TABLE, 0, [_CYCLE_LETTERS[0]]  # the walk starts at L
     for position in range(0, len(joined), _RUN):
         run = joined[position:position + _RUN]
         letters, index = table[index].get(run) or _convert_run(run, index)
         parts.append(letters)
     return "".join(parts).split("\n")
-
-
-def tw_text_to_clr(text: str) -> str:
-    """The region text of one winding text: :func:`tw_texts_to_clr` of one."""
-    return tw_texts_to_clr((text,))[0]
 
 
 def clr_to_tw(word: RegionWord) -> KnotWord:

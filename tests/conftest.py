@@ -19,6 +19,37 @@ def full_members_12():
     return grammars.generate_with_sizes(grammars.full_grammar(), 12)
 
 
+def raw_full_grammar(final=None):
+    """Referee: the arbitrary-depth grammar in raw text.  Its members carry
+    an apostrophe after every finished inner tuck, even ahead of a winding
+    (``TTTTU'WWTWUUUU``); the canonical apostrophe placement of each is a
+    member of ``grammars.full_grammar``, which writes no other."""
+    t, w, U, sep = grammars.T("T"), grammars.T("W"), grammars.T("U", 0), grammars.T("'", 0)
+    N = grammars.N
+    pairs = (((t, t), 2), ((t, w), 0), ((w, t), 0), ((w, w), 1))
+    tucks = (((N("ttuck2"),), 2), ((N("wtuck2"),), 1))
+    productions = {
+        "tie": ((t, N("body")), (w, N("body")), (N("body"),)),
+        "body": tuple(items + (N("body"),) for items, _ in pairs) + ((N("tuck"), N("body")), (N("tuck"),)),
+        "tuck": tuple(items for items, _ in tucks),
+        "ttuck2": ((t, t, N("w0"), U), (t, w, N("w1"), U)),
+        "wtuck2": ((w, w, N("w0"), U), (w, t, N("w2"), U)),
+    }
+    for k in range(3):
+        productions[f"w{k}"] = tuple(
+            [items + (N(f"w{(k + turn) % 3}"), U) for items, turn in pairs[::-1]]
+            + [items + (sep, N(f"w{(k + turn) % 3}"), U) for items, turn in tucks]
+        ) + (((),) if k == 0 else ())
+    grammar = grammars.Grammar(start="tie", productions=productions)
+    return grammar if final is None else grammars.intersect(grammar, grammars._net_turn_automaton(final))
+
+
+@pytest.fixture(scope="session")
+def raw_full_members_12():
+    """Arbitrary-depth language to 12 windings in raw text, from the referee grammar, with sizes."""
+    return grammars.generate_with_sizes(raw_full_grammar(), 12)
+
+
 @pytest.fixture(scope="session")
 def full_oracle_12():
     """Arbitrary-depth language to 12 windings, from the structural oracle."""

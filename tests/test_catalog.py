@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from tieknot import catalog as C
 from tieknot import cli, genfunc
 from tieknot import enumeration as E
-from tieknot.notation import Region, canonicalize_tw, mirror, parse_tw
+from tieknot.notation import Region, mirror, parse_tw
 from tieknot.enumeration import decorate, depth1_sites, final_region_of, full_language
 from tieknot.enumeration import oracle_enumerate
 from tieknot.validity import ValidityOptions, validate
@@ -73,7 +73,7 @@ def _name_or_refusal(name, knot):
 
 
 def test_name_of_refuses_before_it_ranks_with_the_same_answers():
-    texts = [canonicalize_tw(text) for members in full_language(10).values() for text in members]
+    texts = [text for members in full_language(10).values() for text in members]
     texts += E.single_tuck_knots(12)  # to 13 moves
     refusals = Counter()
     for text in texts:
@@ -102,8 +102,7 @@ def _thrash_pattern_memo():
 
 
 def test_pattern_memo_names_as_the_referee_cleared_warm_and_thrashed():
-    knots = [parse_tw(canonicalize_tw(text)) for members in full_language(10).values()
-             for text in members]
+    knots = [parse_tw(text) for members in full_language(10).values() for text in members]
     expected = [_name_or_refusal(_ranked_name, knot) for knot in knots]
     memo = C._pattern_facts
     memo.cache_clear()
@@ -147,7 +146,7 @@ def test_names_are_injective_over_nameable_knots():
 
     names = {}
     for members in full_language(8).values():
-        for text in map(canonicalize_tw, members):
+        for text in members:
             try:
                 name = str(C.name_of(parse_tw(text)))
             except C.NamingError:
@@ -266,7 +265,7 @@ def test_name_parse_reads_back_every_printed_name():
     # the name the checked constructor makes from the printed text.
     extended = 0
     for members in full_language(11).values():
-        for text in map(canonicalize_tw, members):
+        for text in members:
             try:
                 name = C.name_of(parse_tw(text))
             except C.NamingError:

@@ -474,12 +474,15 @@ def test_record_stream_validates_once_converts_twice_and_derives_nothing(capsys,
                          if inspect.isfunction(value) and value.__module__ == grammars.__name__]
     calls = Counter()
     _count_calls(monkeypatch, calls, validity, ["validate"])
-    _count_calls(monkeypatch, calls, notation, ["tw_to_clr", "parse_tw"])
+    _count_calls(monkeypatch, calls, notation,
+                 ["tw_to_clr", "parse_tw", "canonicalize_tws", "canonicalize_tw"])
     _count_calls(monkeypatch, calls, grammars, grammar_functions)
     code, out, _ = run(capsys, "enumerate", "--class", "full", "--format", "jsonl",
                        "--max-windings", "8")
     records = len(out.splitlines())
     assert (code, records) == (0, 642)  # the full language to 7 windings
+    # The oracle writes canonical text, so each bucket is parsed as listed: no rewrite.
+    assert calls["tieknot.notation.canonicalize_tws"] == calls["tieknot.notation.canonicalize_tw"] == 0
     assert calls == {"tieknot.notation.parse_tw": records, "tieknot.validity.validate": records,
                      "tieknot.notation.tw_to_clr": 2 * records}
 
@@ -759,6 +762,15 @@ def test_jsonl_line_of_a_name_too_long_to_print():
     assert record["windings"] == 14301
     assert (record["name"], record["tuck_bits"]) == (None, None)
     assert record == _library_record(knot)
+
+
+def test_jsonl_line_of_a_knot_started_at_a_region_letter():
+    from tieknot.cli import _knot_line
+    from tieknot.notation import KnotWord, parse_tw
+
+    knot = parse_tw("TWWWTTTUTTU")
+    for letter_started in (parse_tw("TWWWTTTUTTU", "L"), KnotWord(start="L", items=knot.items)):
+        assert _knot_line(letter_started) == _knot_line(knot)
 
 
 # -- fuzzing ------------------------------------------------------------------

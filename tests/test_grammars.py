@@ -6,9 +6,10 @@ from collections import Counter
 
 import pytest
 
+from conftest import raw_full_grammar
 from tieknot import enumeration as E
 from tieknot import grammars as G
-from tieknot.notation import TURN_OF_REGION, Region, sort_key
+from tieknot.notation import TURN_OF_REGION, Region, canonicalize_tws, sort_key
 
 THE_TWENTY = {
     "TTTTU", "TTWWU", "TWTTU", "TWWWU",
@@ -83,6 +84,20 @@ def test_full_twenty_at_four_windings():
     sizes = G.generate_with_sizes(G.full_grammar(), 4)
     assert {m for m, s in sizes.items() if s == 4} == THE_TWENTY
     assert "TWTTU'UU" in sizes
+
+
+def test_full_grammar_writes_the_canonical_text_of_each_raw_member(full_members_12, raw_full_members_12):
+    raw = list(raw_full_members_12)
+    assert sum("'" in text for text in raw) > sum("'" in text for text in full_members_12) > 0
+    canonical = dict(zip(canonicalize_tws(raw), raw_full_members_12.values()))
+    assert len(canonical) == len(raw) == 266682  # no two raw members share a canonical text
+    assert canonical == full_members_12  # the same members, each at the same size
+
+
+@pytest.mark.parametrize("final", [None, *Region], ids=str)
+def test_full_grammar_counts_as_the_raw_referee_to_1000_windings(final):
+    series = G.count_by_size(G.full_grammar(final), 1000)
+    assert list(series) == list(G.count_by_size(raw_full_grammar(final), 1000))
 
 
 def test_counts_match_generation_buckets():

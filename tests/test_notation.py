@@ -26,7 +26,6 @@ from tieknot.notation import (
     render_instructions,
     sort_key,
     step_region,
-    tw_text_to_clr,
     tw_texts_to_clr,
     tw_to_clr,
 )
@@ -218,6 +217,25 @@ def test_classify_final():
     assert classify_final(parse_tw(ELDREDGE)).value == "Modern-L"
 
 
+@pytest.mark.parametrize("letter", ["L", "C", "R"])
+def test_a_start_given_by_its_letter_is_kept_as_its_region(letter):
+    region = Region(letter)
+    knot = parse_tw(ELDREDGE, letter)
+    assert knot.start is region and knot == parse_tw(ELDREDGE, region)
+    for built in (KnotWord(start=letter, items=knot.items), dataclasses.replace(knot, start=letter)):
+        assert built.start is region and built == knot
+    if letter == "L":
+        assert classify_final(knot).value == "Modern-L"
+
+
+@pytest.mark.parametrize("start", ["X", "l", "", None, 0])
+def test_a_start_that_is_not_a_region_is_a_value_error(start):
+    with pytest.raises(ValueError, match="is not a valid Region"):
+        parse_tw("TTU", start)
+    with pytest.raises(ValueError, match="is not a valid Region"):
+        KnotWord(start=start, items=(WindDir.T, WindDir.T, Tuck(1)))
+
+
 def test_metrics():
     metrics = parse_tw("TWTTU'UU").metrics()
     assert metrics.winding_count == 4
@@ -345,7 +363,7 @@ def test_final_region_of_text_matches_final_region(knot, start):
 def test_final_region_is_kept_by_every_word_of_every_member_to_nine_windings():
     reflected = {Region.LEFT: Region.RIGHT, Region.RIGHT: Region.LEFT, Region.CENTER: Region.CENTER}
     for members in full_language(9).values():
-        for text in map(canonicalize_tw, members):
+        for text in members:
             for start in Region:
                 expected = final_region_of(text, start)
                 knot = parse_tw(text, start)
@@ -388,13 +406,13 @@ def test_region_word_of_a_built_word_matches_a_step_by_step_walk(knot, start):
 
 def test_region_word_of_every_built_member_to_nine_windings_matches_the_steps():
     for members in full_language(9).values():
-        for text in map(canonicalize_tw, members):
+        for text in members:
             for start in (Region.LEFT, Region.RIGHT):  # the canonical start and its mirror's
                 _assert_region_words_match_the_steps(parse_tw(text, start))
 
 
 def _assert_text_walk_is_the_conversion(text):
-    assert tw_text_to_clr(text) == tw_to_clr(parse_tw(text)).serialize(), text
+    assert tw_texts_to_clr([text]) == [tw_to_clr(parse_tw(text)).serialize()], text
 
 
 def test_text_walk_converts_every_single_tuck_knot_to_13_moves():
@@ -404,7 +422,7 @@ def test_text_walk_converts_every_single_tuck_knot_to_13_moves():
 
 def test_text_walk_converts_every_member_to_ten_windings():
     for members in full_language(10).values():
-        for text in map(canonicalize_tw, members):
+        for text in members:
             _assert_text_walk_is_the_conversion(text)
 
 
@@ -448,7 +466,7 @@ def _assert_batches_match_the_walk(texts):
     expected = [_walk_to_clr(text) for text in texts]
     assert tw_texts_to_clr(texts) == expected
     assert tw_texts_to_clr(iter(texts)) == expected
-    assert [tw_text_to_clr(text) for text in texts] == expected
+    assert [clr for text in texts for clr in tw_texts_to_clr([text])] == expected
 
 
 def test_batches_of_every_length_to_40_match_the_walk():
@@ -485,9 +503,6 @@ def test_a_newline_inside_a_text_is_refused(texts, position):
     with pytest.raises(NotationError, match="unexpected character") as caught:
         tw_texts_to_clr(texts)
     assert caught.value.position == position
-    if len(texts) == 1:
-        with pytest.raises(NotationError):
-            tw_text_to_clr(texts[0])
 
 
 _RUN_TABLE_BOUND = 3 * sum(5**length for length in range(1, N._RUN + 1))
@@ -651,7 +666,7 @@ def test_one_walk_region_parse_is_the_token_reader(text):
 
 def test_region_parse_of_every_member_to_nine_windings_keeps_the_knot_views():
     for members in full_language(9).values():
-        for text in map(canonicalize_tw, members):
+        for text in members:
             for start in Region:
                 knot = parse_tw(text, start)
                 kept = tw_to_clr(knot)
@@ -685,8 +700,8 @@ def _keep_apostrophes_between_tucks(text):
                    if ch != "'" or text[i - 1:i] == text[i + 1:i + 2] == "U")
 
 
-def test_one_batch_canonicalises_every_member_to_11_windings_as_each_text_alone():
-    raw = [text for members in full_language(11).values() for text in members]
+def test_one_batch_canonicalises_every_member_to_11_windings_as_each_text_alone(raw_full_members_12):
+    raw = [text for text, windings in raw_full_members_12.items() if windings <= 11]
     assert sum("'" in text for text in raw) > 10000
     canonical = canonicalize_tws(raw)
     assert canonical == [canonicalize_tw(text) for text in raw]
@@ -715,6 +730,20 @@ def test_batch_canonicaliser_refuses_a_newline_and_takes_an_empty_batch():
         assert caught.value.position == texts[-1].index("\n")
     with pytest.raises(NotationError, match="unexpected character"):
         canonicalize_tw("TT\nU")
+
+
+@pytest.mark.parametrize(
+    "text, index", [("TT U' U", 2), ("TTU 'U", 3), ("TTU'\nU", 4), ("TTU'\tU", 4), ("TTU'\u3000U", 4)]
+)
+def test_canonicaliser_refuses_whitespace_as_it_refuses_a_newline(text, index):
+    assert parse_tw(text).serialize() == "TTU'U"  # the knot the text names: dropping the ' would change it
+    for texts in ([text], ["TTU'WWU", text], ["WWU", text, "TT U"]):  # the first text holding one
+        with pytest.raises(NotationError, match="unexpected character") as caught:
+            canonicalize_tws(texts)
+        assert caught.value.position == index, texts
+    with pytest.raises(NotationError, match="unexpected character") as caught:
+        canonicalize_tw(text)
+    assert caught.value.position == index
 
 
 def _first_stray(text):
