@@ -55,6 +55,10 @@ class KnotName:
     extension: str = ""
 
     def __post_init__(self):
+        try:  # a region given by its letter is kept as its member
+            object.__setattr__(self, "region", Region(self.region))
+        except ValueError:
+            raise NamingError(f"not a region: {self.region!r}") from None
         if self.pattern_index < 1:
             raise NamingError("pattern index is 1-based")
         if self.tuck_bits < 0:
@@ -79,7 +83,7 @@ class KnotName:
         if match is not None:
             region, index, bits, extension = match.groups()
             try:
-                return cls(Region(region), int(index), int(bits), extension)
+                return cls(region, int(index), int(bits), extension)
             except ValueError:  # a number past Python's int-to-string digit limit
                 pass
         raise NamingError(f"not a knot name: {text!r}")

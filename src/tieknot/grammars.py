@@ -303,6 +303,7 @@ def single_tuck_clr_grammar(final: Optional[Region] = None) -> Grammar:
     six.  L/C/R weigh 1, U weighs 0: size = region symbols = moves.
     """
     U = T("U", 0)
+    landings = "LCR" if final is None else Region(final).value
     productions = {}
     for state, exits in _EXIT_REGION.items():
         # Two-region winding steps: from region X, visit any region Y
@@ -315,7 +316,7 @@ def single_tuck_clr_grammar(final: Optional[Region] = None) -> Grammar:
         for first, landing in exits:
             exit_items = (T(first), T(landing), U)
             alternatives.append(exit_items + (N("last" + landing),))
-            if final is None or landing == final.value:
+            if landing in landings:
                 alternatives.append(exit_items)
         productions[state] = tuple(alternatives)
     productions["tie"] = (
@@ -373,80 +374,58 @@ def full_grammar(final: Optional[Region] = None) -> Grammar:
 
 @dataclass(frozen=True)
 class Automaton:
-    """A finite automaton whose edges may carry multi-symbol labels
-    (or the empty label).  Acceptance expands labels into single-symbol
-    steps and runs the subset simulation, linear in the input."""
+    """A finite automaton whose every edge reads one symbol.  Acceptance
+    runs the subset simulation, linear in the input."""
 
     states: frozenset
     initial: str
     accepting: frozenset
-    transitions: tuple  # (state, label, state)
+    transitions: tuple  # (state, symbol, state)
+
+    def __post_init__(self):
+        for edge in self.transitions:
+            if not (isinstance(edge[1], str) and len(edge[1]) == 1):
+                raise GrammarError(f"an edge reads one symbol, not {edge[1]!r}")
 
     @cached_property
-    def _expanded(self):
-        # Single-symbol edge map plus epsilon edges, with chain states
-        # for every multi-symbol label.
+    def _edges(self):  # (state, symbol) -> its targets, in transition order
         edges = {}
-        epsilon = {}
-        for index, (source, label, target) in enumerate(self.transitions):
-            if label == "":
-                epsilon.setdefault(source, set()).add(target)
-                continue
-            here = source
-            for offset, symbol in enumerate(label):
-                nxt = target if offset == len(label) - 1 else f"@{index}.{offset}"
-                edges.setdefault(here, {}).setdefault(symbol, set()).add(nxt)
-                here = nxt
-        return edges, epsilon
+        for source, symbol, target in self.transitions:
+            edges.setdefault((source, symbol), []).append(target)
+        return edges
 
     def accepts(self, text: str) -> bool:
-        edges, epsilon = self._expanded
-
-        def closure(states):
-            stack = list(states)
-            seen = set(states)
-            while stack:
-                for nxt in epsilon.get(stack.pop(), ()):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            return seen
-
-        current = closure({self.initial})
+        edges = self._edges
+        current = {self.initial}
         for symbol in text:
-            nxt = set()
-            for state in current:
-                nxt |= edges.get(state, {}).get(symbol, set())
-            if not nxt:
+            current = {q for p in current for q in edges.get((p, symbol), ())}
+            if not current:
                 return False
-            current = closure(nxt)
         return bool(current & self.accepting)
 
 
 def single_tuck_automaton() -> Automaton:
     """The machine accepting exactly the single-tuck winding language.
 
-    After an optional one-symbol prefix, control sits on the hub state;
-    it must leave (through a winding pair or an internal tuck) and
-    return before the word can end with a final TTU/WWU.  The detour
-    through the pair state maintains the even-parity rule for tucks.
+    Control sits on the hub between winding pairs and tucks; ``start``
+    reads what the hub reads, or one winding of the optional prefix.  The
+    detour through ``paired`` keeps the even parity of the tucks, and a
+    tuck reads TT or WW, through ``t`` or ``w``, then U: back to the hub,
+    or to ``end`` when it is the final tuck.
     """
+    hub = (("T", "paired"), ("W", "paired"), ("T", "t"), ("W", "w"))
     transitions = (
-        ("start", "T", "hub"),
-        ("start", "", "hub"),
-        ("start", "W", "hub"),
-        ("hub", "TT", "tucking"),
-        ("hub", "WW", "tucking"),
-        ("tucking", "U", "hub"),
-        ("hub", "TTU", "end"),
-        ("hub", "WWU", "end"),
-        ("hub", "T", "paired"),
-        ("hub", "W", "paired"),
+        *(("start", symbol, target) for symbol, target in hub + (("T", "hub"), ("W", "hub"))),
+        *(("hub", symbol, target) for symbol, target in hub),
         ("paired", "T", "hub"),
         ("paired", "W", "hub"),
+        ("t", "T", "tucking"),
+        ("w", "W", "tucking"),
+        ("tucking", "U", "hub"),
+        ("tucking", "U", "end"),
     )
     return Automaton(
-        states=frozenset({"start", "hub", "tucking", "paired", "end"}),
+        states=frozenset({"start", "hub", "paired", "t", "w", "tucking", "end"}),
         initial="start",
         accepting=frozenset({"end"}),
         transitions=transitions,
@@ -455,13 +434,13 @@ def single_tuck_automaton() -> Automaton:
 
 def intersect(grammar: Grammar, automaton: Automaton) -> Grammar:
     """The members of ``grammar`` that a deterministic ``automaton`` (one
-    symbol per edge, one edge per state and symbol) accepts, as a grammar:
-    the product of Bar-Hillel, Perles and Shamir (1961).  A nonterminal
-    whose members all move every state alike stays whole; any other ``A``
-    becomes ``A|p|q``, its members that lead from state p to state q."""
-    step = {(source, label): target for source, label, target in automaton.transitions}
-    if len(step) < len(automaton.transitions) or any(len(label) != 1 for _, label in step):
+    edge per state and symbol) accepts, as a grammar: the product of
+    Bar-Hillel, Perles and Shamir (1961).  A nonterminal whose members all
+    move every state alike stays whole; any other ``A`` becomes ``A|p|q``,
+    its members that lead from state p to state q."""
+    if any(len(targets) > 1 for targets in automaton._edges.values()):
         raise GrammarError("automaton is not deterministic")
+    step = {edge: target for edge, (target,) in automaton._edges.items()}
     # None is the state that a missing edge leads to, and that no edge leaves.
     states = [*dict.fromkeys((automaton.initial, *(s for edge in automaton.transitions for s in edge[::2]))), None]
     reach = {name: {p: set() for p in states} for name in grammar.productions}  # from each state, where members lead
@@ -496,4 +475,4 @@ def intersect(grammar: Grammar, automaton: Automaton) -> Grammar:
 
 def _net_turn_automaton(final: Region) -> Automaton:  # #T - #W mod 3 from L; accepts the knots ending in ``final``
     edges = tuple((k, c, (k + turn) % 3) for k in range(3) for c, turn in (("T", 1), ("W", 2), ("U", 0), ("'", 0)))
-    return Automaton(frozenset(range(3)), 0, frozenset({TURN_OF_REGION[final]}), edges)
+    return Automaton(frozenset(range(3)), 0, frozenset({TURN_OF_REGION[Region(final)]}), edges)

@@ -100,7 +100,7 @@ _CYCLE_INDEX = {r: i for i, r in enumerate(_CYCLE)}
 
 def step_region(region: Region, direction: WindDir, times: int = 1) -> Region:
     """Advance ``region`` by ``times`` windings in ``direction``."""
-    delta = times if direction is WindDir.T else -times
+    delta = times if direction == "T" else -times  # a member equals its letter
     return _CYCLE[(_CYCLE_INDEX[region] + delta) % 3]
 
 

@@ -114,12 +114,15 @@ def tuck_site_valid(windings: Sequence[WindDir], position: int, k: int) -> bool:
         raise ValueError(f"tuck depth must be >= 1, got {k}")
     if position < 2 * k:
         return False
-    window = windings[position - 2 * k : position]
-    ts = window.count(WindDir.T)
-    ws = 2 * k - ts
-    if window[0] is WindDir.W:
-        return (ws - ts) % 3 == 2
-    return (ts - ws) % 3 == 2
+    return _window_fits(windings[position - 2 * k : position])
+
+
+def _window_fits(window) -> bool:
+    """T5 on the 2k windings under a depth-k tuck: the net turn #T - #W,
+    signed by the first winding's direction, is 2 mod 3.  The windings may
+    be letters or members, which equal their letters."""
+    turn = 2 * window.count("T") - len(window)
+    return (turn if window[0] == "T" else -turn) % 3 == 2
 
 
 def tuck_parity_ok(windings_total: int, position: int) -> bool:
@@ -199,13 +202,8 @@ def _judge(final: Region, windings: Sequence[WindDir], tucks, opts: ValidityOpti
                 )
             )
             continue
-        if depth == 1:  # the window rule inline, as in tuck_site_valid: a bare equal pair
-            fits = not stacked and windings[position - 2] is windings[position - 1]
-        else:
-            window = windings[position - 2 * depth : position]  # windings equal their letters
-            turn = 2 * window.count("T") - 2 * depth  # #T - #W
-            fits = (turn if window[0] == "T" else -turn) % 3 == 2
-        if not fits:
+        # a depth-1 tuck needs a bare pair, not one that closes a tuck
+        if (stacked and depth == 1) or not _window_fits(windings[position - 2 * depth : position]):
             violations.append(
                 Violation(
                     RULE_WINDOW,

@@ -252,6 +252,20 @@ def test_name_too_long_to_print_says_how_long():
         C.pattern_of(Region.LEFT, 0)
 
 
+@pytest.mark.parametrize("letter", ["L", "C", "R"])
+def test_a_name_region_given_by_its_letter_is_kept_as_its_region(letter):
+    name = C.KnotName(letter, 1, 0)
+    assert name.region is Region(letter) and name == C.KnotName(Region(letter), 1, 0)
+    assert str(name) == f"{letter}-1.0"
+    assert C.knot_of(name) == C.knot_of(C.KnotName.parse(str(name)))
+
+
+@pytest.mark.parametrize("region", ["X", "l", "", None, 0])
+def test_a_name_region_that_is_not_a_region_is_a_naming_error(region):
+    with pytest.raises(C.NamingError, match="not a region"):
+        C.KnotName(region, 3, 0)
+
+
 def test_name_parse_round_trip():
     name = C.KnotName.parse("L-110.2")
     assert (name.region, name.pattern_index, name.tuck_bits) == (Region.LEFT, 110, 2)

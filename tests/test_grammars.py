@@ -263,6 +263,21 @@ def test_automaton_agrees_with_grammar_to_length_9():
     assert accepted == short_members
 
 
+def test_automaton_accepts_the_uu_free_members_of_the_full_language_to_11_windings():
+    # Texts of up to 24 letters: the depth-1 slice is what has no two U's in a row.
+    automaton = G.single_tuck_automaton()
+    texts = [text for bucket in E.full_language(11).values() for text in bucket]
+    accepted = {text for text in texts if automaton.accepts(text)}
+    assert (len(texts), len(accepted)) == (64290, 9330)
+    assert accepted == {text for text in texts if "UU" not in text} == set(E.single_tuck_knots(11))
+
+
+@pytest.mark.parametrize("label", ["", "TT", "TTU"])
+def test_automaton_edges_read_one_symbol(label):
+    with pytest.raises(G.GrammarError, match="one symbol"):
+        G.Automaton(states=frozenset("a"), initial="a", accepting=frozenset("a"), transitions=(("a", label, "a"),))
+
+
 def test_single_tuck_grammar_equals_depth1_validity_to_9_symbols():
     # Exhaustive over T/W/U strings of up to nine symbols: membership in
     # the single-tuck grammar coincides with the depth-1 validity rules.
@@ -328,13 +343,23 @@ def test_intersect_with_no_two_us_in_a_row_is_the_single_tuck_language():
 
 def test_intersect_refuses_a_nondeterministic_automaton():
     with pytest.raises(G.GrammarError, match="not deterministic"):
-        G.intersect(G.full_grammar(), G.single_tuck_automaton())  # an empty label, and TT beside T
+        G.intersect(G.full_grammar(), G.single_tuck_automaton())  # hub reads T to paired and to t
     twice = G.Automaton(
         states=frozenset({"a", "b"}), initial="a", accepting=frozenset({"a"}),
         transitions=(("a", "T", "a"), ("a", "T", "b")),
     )
     with pytest.raises(G.GrammarError, match="not deterministic"):
         G.intersect(G.full_grammar(), twice)
+
+
+@pytest.mark.parametrize(
+    "factory", [G.single_tuck_clr_grammar, G.full_grammar, G.hidden_tuck_grammar], ids=lambda f: f.__name__
+)
+def test_a_final_region_given_by_its_letter_is_read_as_its_region(factory):
+    for region in Region:
+        assert G.count_by_size(factory(region.value), 12) == G.count_by_size(factory(region), 12)
+    with pytest.raises(ValueError, match="is not a valid Region"):
+        factory("X")
 
 
 def test_region_final_full_grammar_keeps_the_tuck_interiors_whole():

@@ -217,6 +217,14 @@ def test_classify_final():
     assert classify_final(parse_tw(ELDREDGE)).value == "Modern-L"
 
 
+@pytest.mark.parametrize("direction", list(WindDir))
+@pytest.mark.parametrize("region", list(Region))
+def test_step_region_reads_letters_as_their_members(region, direction):
+    for times in range(4):
+        assert step_region(region.value, direction.value, times) is step_region(region, direction, times)
+    assert step_region(Region.LEFT, "T") is Region.CENTER and step_region("L", "W") is Region.RIGHT
+
+
 @pytest.mark.parametrize("letter", ["L", "C", "R"])
 def test_a_start_given_by_its_letter_is_kept_as_its_region(letter):
     region = Region(letter)

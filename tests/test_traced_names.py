@@ -2,10 +2,13 @@
 
 ``perfbench/run.py`` lists the functions its tracer wraps in
 ``LAYER_FUNCTIONS``; a rename in the package would leave a traced name
-behind and its per-layer metrics empty.  ``perfbench/test_smoke.py``
-breaks one line of ``catalog.py`` to prove the benchmark's checks catch
-a wrong answer; a refactor that rewrote that line would disarm the
-check.  Both are read with ``ast``, so perfbench is not imported.
+behind and its per-layer metrics empty.  ``perfbench/workloads.py``
+calls into the package through ``tk``, the imported package, and through
+names bound to its modules; a rename there would only show as a failed
+benchmark run.  ``perfbench/test_smoke.py`` breaks one line of
+``catalog.py`` to prove the benchmark's checks catch a wrong answer; a
+refactor that rewrote that line would disarm the check.  All three are
+read with ``ast``, so perfbench is not imported.
 """
 
 import ast
@@ -15,6 +18,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 RUN = ROOT / "perfbench" / "run.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 SMOKE = ROOT / "perfbench" / "test_smoke.py"
 CATALOG = ROOT / "src" / "tieknot" / "catalog.py"
 
@@ -42,6 +46,47 @@ def test_traced_layer_functions_exist():
     names = _layer_functions()
     assert len(names) > 20
     assert [name for name in names if not _resolves(name)] == []
+
+
+def _chain(node):
+    """``["tk", "notation", "parse_tw"]`` for ``tk.notation.parse_tw``;
+    None unless ``node`` is a dotted chain on a plain name."""
+    attributes = []
+    while isinstance(node, ast.Attribute):
+        attributes.insert(0, node.attr)
+        node = node.value
+    return [node.id, *attributes] if isinstance(node, ast.Name) else None
+
+
+def _workload_names():
+    """Every ``<module>.<name>`` chain that the workloads reach through ``tk``."""
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    modules = {}  # a name bound to ``tk.<module>`` -> the module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)  # a, b = tk.x, tk.y
+                else:
+                    pairs = [(target, node.value)]
+                for name, value in pairs:
+                    chain = _chain(value)
+                    if isinstance(name, ast.Name) and chain is not None and chain[0] == "tk" and len(chain) == 2:
+                        modules[name.id] = chain[1]
+    names = set()
+    for node in ast.walk(tree):
+        chain = _chain(node) if isinstance(node, ast.Attribute) else None
+        if chain is not None and chain[0] == "tk":
+            names.add(".".join(chain[1:]))
+        elif chain is not None and chain[0] in modules:
+            names.add(".".join([modules[chain[0]], *chain[1:]]))
+    return names
+
+
+def test_workload_package_names_exist():
+    names = _workload_names()
+    assert {"cli.main", "notation.classify_final", "catalog.KnotName.parse", "genfunc.RationalGF"} <= names
+    assert [name for name in sorted(names) if not _resolves(name)] == []
 
 
 def _mutation():

@@ -81,6 +81,15 @@ def test_tuck_sites_eldredge_and_trinity():
     assert [p for p, _ in trinity] == [3, 7, 9]
 
 
+def test_tuck_sites_read_letters_as_their_windings():
+    assert tuck_site_valid("WW", 2, 1)
+    assert tuck_sites("WWTTWW") == [(2, (1,)), (4, (1,)), (6, (1, 3))]
+    for n in range(1, 11):
+        for combo in itertools.product("TW", repeat=n):
+            text = "".join(combo)
+            assert tuck_sites(text) == tuck_sites(parse_tw(text).windings), text
+
+
 def test_tuck_sites_hidden_relaxation_never_shrinks():
     for n in range(2, 9):
         for combo in itertools.product("TW", repeat=n):
