@@ -55,7 +55,6 @@ from .notation import (
     TURN_OF_REGION,
     KnotWord,
     Region,
-    canonicalize_tws,
     parse_tw,
     sort_key,
     tw_texts_to_clr,
@@ -442,11 +441,12 @@ def cross_check(max_moves: int = 13, full_max_windings: int = 13) -> CrossCheckR
             _letters("TW"),
         )
     )
-    # The stream parses the oracle's texts as listed: each is its own canonical form.
+    # The stream parses the oracle's texts as listed, so each must be canonical: a U on both sides of every '.
+    joined = "\n".join(flat)
     lines.append(
         CheckLine(
             "canonical apostrophe placement is lossless",
-            canonicalize_tws(flat) == flat,
+            joined.count("'") == joined.count("U'") == joined.count("'U"),
             f"{len(flat)} canonical forms",
         )
     )

@@ -377,7 +377,6 @@ class Automaton:
     """A finite automaton whose every edge reads one symbol.  Acceptance
     runs the subset simulation, linear in the input."""
 
-    states: frozenset
     initial: str
     accepting: frozenset
     transitions: tuple  # (state, symbol, state)
@@ -425,7 +424,6 @@ def single_tuck_automaton() -> Automaton:
         ("tucking", "U", "end"),
     )
     return Automaton(
-        states=frozenset({"start", "hub", "paired", "t", "w", "tucking", "end"}),
         initial="start",
         accepting=frozenset({"end"}),
         transitions=transitions,
@@ -475,4 +473,4 @@ def intersect(grammar: Grammar, automaton: Automaton) -> Grammar:
 
 def _net_turn_automaton(final: Region) -> Automaton:  # #T - #W mod 3 from L; accepts the knots ending in ``final``
     edges = tuple((k, c, (k + turn) % 3) for k in range(3) for c, turn in (("T", 1), ("W", 2), ("U", 0), ("'", 0)))
-    return Automaton(frozenset(range(3)), 0, frozenset({TURN_OF_REGION[Region(final)]}), edges)
+    return Automaton(0, frozenset({TURN_OF_REGION[Region(final)]}), edges)

@@ -38,8 +38,8 @@ Views are not fields, so they play no part in ``==``, ``hash`` or
 batch of winding texts, started at L, straight into region texts and
 builds no word (the cross-checks'): it reads the texts joined by
 newlines in runs of six characters, each looked up in a table filled
-on demand.  :func:`canonicalize_tw` is the one-text case of the batch
-:func:`canonicalize_tws`.
+on demand.  :func:`canonicalize_tw` reads one text of user input; the
+generators write canonical text, so it has no batch form.
 """
 
 from __future__ import annotations
@@ -385,41 +385,25 @@ def _misplaced(ch: str, index: int, after_apostrophe: bool, first: str = "windin
 
 
 _SPACE = re.compile(r"\s")
-_ASCII_SPACES = " \t\r\x0b\x0c\x1c\x1d\x1e\x1f"  # what _SPACE matches in ASCII, but the newline
-_STRAY_APOSTROPHE = re.compile(r"(?<!U)'|'(?=\n|\Z)")  # not after a tuck, or ending a text
+_STRAY_APOSTROPHE = re.compile(r"(?<!U)'|'\Z")  # not after a tuck, or ending the text
 _LOOSE_APOSTROPHE = re.compile(r"'(?!U)")  # after a tuck but not before one
 
 
-def canonicalize_tws(texts: Iterable[str]) -> list:
-    """Canonical apostrophe placement for each winding text: keep a ``'``
+def canonicalize_tw(text: str) -> str:
+    """Canonical apostrophe placement for a winding text: keep a ``'``
     only between two adjacent tucks (a U on both sides).
 
     This serves user input: a separator after a finished tuck ahead of a
     winding is redundant (the U runs group the tucks), and the library's
-    generators write canonical text already.  One regex pass reads the
-    texts joined by newlines, so whitespace inside a text is refused as an
-    unexpected character; a stray apostrophe is found by counting.  Either
-    error's index is within its text.
+    generators write canonical text already.  Whitespace is refused as an
+    unexpected character (dropping a ``'`` that a space parts from its
+    tuck would name another knot), as is a ``'`` not after a tuck or at the end.
     """
-    texts = list(texts)
-    if not texts:
-        return []
-    joined = "\n".join(texts)
-    quick = joined.isascii() and joined.count("\n") == len(texts) - 1  # substring tests find any space
-    if not quick or any(map(joined.__contains__, _ASCII_SPACES)):
-        if space := next(filter(None, map(_SPACE.search, texts)), None):
-            raise _misplaced(space.group(), space.start(), False)
-    if "'" not in joined:
-        return texts
-    if joined.count("'") != joined.count("U'") or "'\n" in joined or joined[-1] == "'":  # a stray one
-        index = _STRAY_APOSTROPHE.search(joined).start()
-        raise NotationError("' must follow a tuck", index - joined.rfind("\n", 0, index) - 1)
-    return _LOOSE_APOSTROPHE.sub("", joined).split("\n")
-
-
-def canonicalize_tw(text: str) -> str:
-    """The canonical text of one winding text: :func:`canonicalize_tws` of one."""
-    return canonicalize_tws((text,))[0]
+    if space := _SPACE.search(text):
+        raise _misplaced(space.group(), space.start(), False)
+    if stray := _STRAY_APOSTROPHE.search(text):
+        raise NotationError("' must follow a tuck", stray.start())
+    return _LOOSE_APOSTROPHE.sub("", text)
 
 
 # For each region letter: its cycle index, its visit and, by mark, its marked visits.

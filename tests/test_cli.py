@@ -475,14 +475,14 @@ def test_record_stream_validates_once_converts_twice_and_derives_nothing(capsys,
     calls = Counter()
     _count_calls(monkeypatch, calls, validity, ["validate"])
     _count_calls(monkeypatch, calls, notation,
-                 ["tw_to_clr", "parse_tw", "canonicalize_tws", "canonicalize_tw"])
+                 ["tw_to_clr", "parse_tw", "canonicalize_tw"])
     _count_calls(monkeypatch, calls, grammars, grammar_functions)
     code, out, _ = run(capsys, "enumerate", "--class", "full", "--format", "jsonl",
                        "--max-windings", "8")
     records = len(out.splitlines())
     assert (code, records) == (0, 642)  # the full language to 7 windings
     # The oracle writes canonical text, so each bucket is parsed as listed: no rewrite.
-    assert calls["tieknot.notation.canonicalize_tws"] == calls["tieknot.notation.canonicalize_tw"] == 0
+    assert calls["tieknot.notation.canonicalize_tw"] == 0
     assert calls == {"tieknot.notation.parse_tw": records, "tieknot.validity.validate": records,
                      "tieknot.notation.tw_to_clr": 2 * records}
 

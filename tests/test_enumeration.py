@@ -441,6 +441,17 @@ def test_cross_check_names_the_first_count_that_disagrees(monkeypatch):
     assert "census single-tuck column vs grammar series: ok (total 690)" in lines
 
 
+@pytest.mark.parametrize("text", ["TTWW'U", "TTU'TTU"], ids=["stray", "loose"])
+def test_a_non_canonical_oracle_text_is_a_mismatch_not_a_crash(monkeypatch, capsys, text):
+    language = E.full_language
+    monkeypatch.setattr(E, "full_language", lambda n: {**language(n), 4: [*language(n)[4], text]})
+    report = E.cross_check(6, 5)
+    lossless = [line for line in report.lines if line.name == "canonical apostrophe placement is lossless"]
+    assert [line.ok for line in lossless] == [False] and not report.ok
+    assert main(["crosscheck", "--max-windings", "6", "--full-windings", "5"]) == 1
+    assert capsys.readouterr().out == f"{report}\n"
+
+
 def test_cross_check_lists_examples_in_library_order(monkeypatch):
     members = E.single_tuck_knots
     dropped = {"TTUWWU", "TTWWU"}  # by code point U < W; in the library's order W < U

@@ -336,8 +336,7 @@ def _tuck_depth_cap(depth):
     counts the U's just read; T, W and ' go back to 0."""
     edges = [(q, c, 0) for q in range(depth + 1) for c in "TW'"]
     edges += [(q, "U", q + 1) for q in range(depth)]
-    states = frozenset(range(depth + 1))
-    return G.Automaton(states=states, initial=0, accepting=states, transitions=tuple(edges))
+    return G.Automaton(initial=0, accepting=frozenset(range(depth + 1)), transitions=tuple(edges))
 
 
 # The full language with every tuck at most D deep, by windings: D = 1

@@ -9,7 +9,7 @@ import pytest
 from conftest import raw_full_grammar
 from tieknot import enumeration as E
 from tieknot import grammars as G
-from tieknot.notation import TURN_OF_REGION, Region, canonicalize_tws, sort_key
+from tieknot.notation import TURN_OF_REGION, Region, canonicalize_tw, sort_key
 
 THE_TWENTY = {
     "TTTTU", "TTWWU", "TWTTU", "TWWWU",
@@ -89,7 +89,7 @@ def test_full_twenty_at_four_windings():
 def test_full_grammar_writes_the_canonical_text_of_each_raw_member(full_members_12, raw_full_members_12):
     raw = list(raw_full_members_12)
     assert sum("'" in text for text in raw) > sum("'" in text for text in full_members_12) > 0
-    canonical = dict(zip(canonicalize_tws(raw), raw_full_members_12.values()))
+    canonical = dict(zip(map(canonicalize_tw, raw), raw_full_members_12.values()))
     assert len(canonical) == len(raw) == 266682  # no two raw members share a canonical text
     assert canonical == full_members_12  # the same members, each at the same size
 
@@ -275,7 +275,7 @@ def test_automaton_accepts_the_uu_free_members_of_the_full_language_to_11_windin
 @pytest.mark.parametrize("label", ["", "TT", "TTU"])
 def test_automaton_edges_read_one_symbol(label):
     with pytest.raises(G.GrammarError, match="one symbol"):
-        G.Automaton(states=frozenset("a"), initial="a", accepting=frozenset("a"), transitions=(("a", label, "a"),))
+        G.Automaton(initial="a", accepting=frozenset("a"), transitions=(("a", label, "a"),))
 
 
 def test_single_tuck_grammar_equals_depth1_validity_to_9_symbols():
@@ -305,7 +305,7 @@ def net_turn_automaton(region):
     """#T - #W mod 3 from L, accepting the words whose final region is ``region``."""
     turn = {"T": 1, "W": 2, "U": 0, "'": 0}
     return G.Automaton(
-        states=frozenset(range(3)), initial=0, accepting=frozenset({TURN_OF_REGION[region]}),
+        initial=0, accepting=frozenset({TURN_OF_REGION[region]}),
         transitions=tuple((k, c, (k + t) % 3) for k in range(3) for c, t in turn.items()),
     )
 
@@ -323,7 +323,7 @@ def test_intersect_keeps_what_the_automaton_accepts_to_9_windings(factory):
 @pytest.mark.parametrize("factory", [G.full_grammar, G.hidden_tuck_grammar], ids=lambda f: f.__name__)
 def test_intersect_with_an_automaton_that_accepts_everything_keeps_the_counts(factory):
     anything = G.Automaton(
-        states=frozenset({"s"}), initial="s", accepting=frozenset({"s"}),
+        initial="s", accepting=frozenset({"s"}),
         transitions=tuple(("s", c, "s") for c in "TWU'"),
     )
     assert G.count_by_size(G.intersect(factory(), anything), 40) == G.count_by_size(factory(), 40)
@@ -332,7 +332,7 @@ def test_intersect_with_an_automaton_that_accepts_everything_keeps_the_counts(fa
 def test_intersect_with_no_two_us_in_a_row_is_the_single_tuck_language():
     # A partial automaton, not a group: the second U of a row has no edge.
     no_uu = G.Automaton(
-        states=frozenset({"bare", "U"}), initial="bare", accepting=frozenset({"bare", "U"}),
+        initial="bare", accepting=frozenset({"bare", "U"}),
         transitions=tuple((s, c, "U" if c == "U" else "bare") for s in ("bare", "U") for c in "TWU'"
                           if (s, c) != ("U", "U")),
     )
@@ -345,7 +345,7 @@ def test_intersect_refuses_a_nondeterministic_automaton():
     with pytest.raises(G.GrammarError, match="not deterministic"):
         G.intersect(G.full_grammar(), G.single_tuck_automaton())  # hub reads T to paired and to t
     twice = G.Automaton(
-        states=frozenset({"a", "b"}), initial="a", accepting=frozenset({"a"}),
+        initial="a", accepting=frozenset({"a"}),
         transitions=(("a", "T", "a"), ("a", "T", "b")),
     )
     with pytest.raises(G.GrammarError, match="not deterministic"):

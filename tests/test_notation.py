@@ -15,7 +15,6 @@ from tieknot.notation import (
     Visit,
     WindDir,
     canonicalize_tw,
-    canonicalize_tws,
     classify_final,
     clr_to_tw,
     final_region,
@@ -698,8 +697,8 @@ def test_region_word_built_from_items_that_open_with_a_tuck_raises():
     assert str(raised.value) == "tuck before any region visit (at index 0)"
 
 
-# -- the batch canonicaliser --------------------------------------------------
-# canonicalize_tws places the apostrophes of joined texts in one regex pass.
+# -- the canonicaliser ---------------------------------------------------------
+# canonicalize_tw places the apostrophes of one text; a list of texts is read one at a time.
 
 
 def _keep_apostrophes_between_tucks(text):
@@ -708,13 +707,10 @@ def _keep_apostrophes_between_tucks(text):
                    if ch != "'" or text[i - 1:i] == text[i + 1:i + 2] == "U")
 
 
-def test_one_batch_canonicalises_every_member_to_11_windings_as_each_text_alone(raw_full_members_12):
+def test_canonicaliser_keeps_the_apostrophes_between_tucks_of_every_member_to_11_windings(raw_full_members_12):
     raw = [text for text, windings in raw_full_members_12.items() if windings <= 11]
     assert sum("'" in text for text in raw) > 10000
-    canonical = canonicalize_tws(raw)
-    assert canonical == [canonicalize_tw(text) for text in raw]
-    assert canonical == [_keep_apostrophes_between_tucks(text) for text in raw]
-    assert canonicalize_tws(iter(raw)) == canonical
+    assert list(map(canonicalize_tw, raw)) == [_keep_apostrophes_between_tucks(text) for text in raw]
 
 
 @pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "middle", "last"])
@@ -722,22 +718,17 @@ def test_one_batch_canonicalises_every_member_to_11_windings_as_each_text_alone(
 def test_a_stray_apostrophe_is_refused_at_its_index_within_its_text(where, stray, index):
     texts = ["TTU'WWU", "WWUUU'U", "TTU'UU"]  # a loose and two kept apostrophes
     texts[where] = stray
-    with pytest.raises(NotationError) as batch:
-        canonicalize_tws(texts)
-    with pytest.raises(NotationError) as alone:
-        canonicalize_tw(stray)
-    assert str(batch.value) == str(alone.value) == f"' must follow a tuck (at index {index})"
-    assert batch.value.position == alone.value.position == index
+    with pytest.raises(NotationError) as caught:
+        list(map(canonicalize_tw, texts))
+    assert str(caught.value) == f"' must follow a tuck (at index {index})"
+    assert caught.value.position == index
 
 
-def test_batch_canonicaliser_refuses_a_newline_and_takes_an_empty_batch():
-    assert canonicalize_tws([]) == []
-    for texts in (["TTU", "WW\nU"], ["TTU'\nWWU"]):
+def test_canonicaliser_refuses_a_newline_at_its_index_within_its_text():
+    for texts in (["TTU", "WW\nU"], ["TTU'\nWWU"], ["TT\nU"]):
         with pytest.raises(NotationError, match="unexpected character") as caught:
-            canonicalize_tws(texts)
+            list(map(canonicalize_tw, texts))
         assert caught.value.position == texts[-1].index("\n")
-    with pytest.raises(NotationError, match="unexpected character"):
-        canonicalize_tw("TT\nU")
 
 
 @pytest.mark.parametrize(
@@ -747,11 +738,8 @@ def test_canonicaliser_refuses_whitespace_as_it_refuses_a_newline(text, index):
     assert parse_tw(text).serialize() == "TTU'U"  # the knot the text names: dropping the ' would change it
     for texts in ([text], ["TTU'WWU", text], ["WWU", text, "TT U"]):  # the first text holding one
         with pytest.raises(NotationError, match="unexpected character") as caught:
-            canonicalize_tws(texts)
+            list(map(canonicalize_tw, texts))
         assert caught.value.position == index, texts
-    with pytest.raises(NotationError, match="unexpected character") as caught:
-        canonicalize_tw(text)
-    assert caught.value.position == index
 
 
 def _first_stray(text):
@@ -766,8 +754,8 @@ def _first_stray(text):
 def test_random_batches_canonicalise_or_refuse_as_the_referee(texts):
     stray = next((index for index in map(_first_stray, texts) if index is not None), None)
     if stray is None:
-        assert canonicalize_tws(texts) == [_keep_apostrophes_between_tucks(text) for text in texts]
+        assert list(map(canonicalize_tw, texts)) == [_keep_apostrophes_between_tucks(text) for text in texts]
     else:
         with pytest.raises(NotationError) as caught:
-            canonicalize_tws(texts)
+            list(map(canonicalize_tw, texts))
         assert str(caught.value) == f"' must follow a tuck (at index {stray})"
