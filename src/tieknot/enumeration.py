@@ -14,10 +14,11 @@ cross-check parses no knot and builds no word.  The region split and
 the conversion stay separate: :func:`final_region_of` files each text
 on its own net turn, and each region's conversions are compared with
 that region's grammar, so a wrong conversion shows as a mismatch.
-A set that disagrees names its first size bucket that differs (grammar
-sizes against the oracle texts' letter counts), both sides' counts
-there, and up to three examples from it in library order
-(:func:`sort_key`).
+The enumerators only list and the referee judges: a set that disagrees,
+or an oracle that repeats a text, names its first size bucket that
+differs (grammar sizes against the oracle texts' letter counts), both
+sides' counts there, and up to three examples and three repeated texts
+from it in library order (:func:`sort_key`).
 
 Two enumerators cover the language families:
 
@@ -44,8 +45,9 @@ window) that the language does not contain.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import astuple, dataclass
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from . import grammars
 from .genfunc import Series, compare
@@ -128,11 +130,20 @@ def fm_knots(max_windings: int) -> Iterator[str]:
 # The full language, enumerated structurally.
 
 
+def _memoised(build):
+    # The enumerator's tables share one memo, keyed by (table, size).
+    def lookup(self, size: int) -> list:
+        if (key := (build.__name__, size)) not in self._memo:
+            self._memo[key] = build(self, size)
+        return self._memo[key]
+    return lookup
+
+
 class _FullEnumerator:
     """Recursive enumeration of the arbitrary-depth language.
 
     ``blocks(m)`` lists every complete block of 2m windings together
-    with its winding tally; ``interiors(j)`` lists block interiors of 2j
+    with its net turn; ``interiors(j)`` lists block interiors of 2j
     windings.  Memoised per instance; strings are canonical text, with
     an apostrophe only between two tucks (``TWTTU'UU``, ``TTTTUWWTWUUUU``).
     ``depth_one`` keeps only depth-1 tucks: every interior is empty, so
@@ -141,65 +152,39 @@ class _FullEnumerator:
 
     def __init__(self, depth_one: bool = False):
         self._depth_one = depth_one
-        self._blocks: Dict[int, List[Tuple[str, int]]] = {}
-        self._interiors: Dict[int, List[Tuple[str, int]]] = {}
-        self._tails: Dict[int, List[str]] = {}
+        self._memo: Dict[Tuple[str, int], list] = {}
 
-    _PAIRS = ("TT", "TW", "WT", "WW")
+    _PAIRS = {"TT": 2, "TW": 0, "WT": 0, "WW": -2}  # each winding pair's net turn, #T - #W
 
-    @staticmethod
-    def _net(pair: str) -> int:
-        return pair.count("T") - pair.count("W")
-
+    @_memoised
     def interiors(self, j: int) -> List[Tuple[str, int]]:
-        if j in self._interiors:
-            return self._interiors[j]
-        out: List[Tuple[str, int]] = []
         if j == 0:
-            out.append(("", 0))
-        elif not self._depth_one:
-            for pair in self._PAIRS:
-                for text, net in self.interiors(j - 1):
-                    out.append((pair + text + "U", self._net(pair) + net))
-            for d in range(1, j + 1):
-                for block, block_net in self.blocks(d):
-                    for text, net in self.interiors(j - d):  # ' only where the U follows at once
-                        out.append((block + (text or "'") + "U", block_net + net))
-        self._interiors[j] = out
+            return [("", 0)]
+        if self._depth_one:
+            return []
+        out = [(pair + text + "U", turn + net)
+               for pair, turn in self._PAIRS.items() for text, net in self.interiors(j - 1)]
+        for d in range(1, j + 1):
+            for block, block_net in self.blocks(d):  # ' only where the U follows at once
+                out += [(block + (text or "'") + "U", block_net + net) for text, net in self.interiors(j - d)]
         return out
 
+    @_memoised
     def blocks(self, m: int) -> List[Tuple[str, int]]:
-        if m in self._blocks:
-            return self._blocks[m]
-        out: List[Tuple[str, int]] = []
-        for pair in self._PAIRS:
-            for text, net in self.interiors(m - 1):
-                total = self._net(pair) + net
-                # Window rule over the whole block: a T-opening needs
-                # #T - #W = 2 (mod 3), a W-opening the reverse.
-                if pair[0] == "T" and total % 3 == 2:
-                    out.append((pair + text + "U", total))
-                elif pair[0] == "W" and (-total) % 3 == 2:
-                    out.append((pair + text + "U", total))
-        self._blocks[m] = out
-        return out
+        # Window rule over the whole block: a T-opening needs #T - #W = 2
+        # (mod 3), a W-opening the reverse.
+        return [(pair + text + "U", turn + net) for pair, turn in self._PAIRS.items()
+                for text, net in self.interiors(m - 1) if (turn + net) % 3 == (2 if pair[0] == "T" else 1)]
 
+    @_memoised
     def tails(self, r: int) -> List[str]:
         """Concatenations (pair | block)* block over exactly r windings."""
-        if r in self._tails:
-            return self._tails[r]
-        out: List[str] = []
-        if r >= 2 and r % 2 == 0:
-            for block, _ in self.blocks(r // 2):
-                out.append(block)
-            for pair in self._PAIRS:
-                for tail in self.tails(r - 2):
-                    out.append(pair + tail)
-            for d in range(1, (r - 2) // 2 + 1):
-                for block, _ in self.blocks(d):
-                    for tail in self.tails(r - 2 * d):
-                        out.append(block + tail)
-        self._tails[r] = out
+        if r < 2 or r % 2:
+            return []
+        out = [block for block, _ in self.blocks(r // 2)]
+        out += [pair + tail for pair in self._PAIRS for tail in self.tails(r - 2)]
+        for d in range(1, r // 2):
+            out += [block + tail for block, _ in self.blocks(d) for tail in self.tails(r - 2 * d)]
         return out
 
     def members(self, windings: int) -> List[str]:
@@ -214,18 +199,11 @@ def full_language(max_windings: int) -> Dict[int, List[str]]:
     """Members of the arbitrary-depth language by winding count.
 
     The texts are canonical (an apostrophe only between two tucks).  The
-    enumeration is asserted duplicate-free, which checks the structural
-    recursion.
+    listing only lists: :func:`cross_check` judges it against the full
+    grammar, and fails a line if a member repeats.
     """
     enum = _FullEnumerator()
-    return {n: _full_bucket(enum, n) for n in range(2, max_windings + 1)}
-
-
-def _full_bucket(enum: _FullEnumerator, n: int) -> List[str]:
-    """The members of ``n`` windings, asserted duplicate-free."""
-    members = enum.members(n)
-    assert len(members) == len(set(members)), f"duplicate member at {n} windings"
-    return members
+    return {n: enum.members(n) for n in range(2, max_windings + 1)}
 
 
 def oracle_enumerate(
@@ -235,8 +213,8 @@ def oracle_enumerate(
 
     Knots with a depth cap of 1 or none come from the structural
     enumeration, one winding count at a time: each bucket's members are
-    listed in canonical text, checked for duplicates and sorted into text
-    order, then parsed one at a time as they are taken, so the first
+    listed in canonical text and sorted into text order (the duplicate
+    check is :func:`cross_check`'s), then parsed one at a time, so the first
     knot does not wait for the last bucket.  Hidden tucks (depth 1 only)
     come from :func:`grammars.hidden_tuck_grammar`, which builds every
     bucket before the first knot goes out.  The order is deterministic:
@@ -257,7 +235,7 @@ def oracle_enumerate(
         buckets = (list(texts) for _, texts in itertools.groupby(sizes, sizes.get))
     else:
         enum = _FullEnumerator(depth_one=opts.max_tuck_depth == 1)
-        buckets = (_full_bucket(enum, n) for n in range(2, max_windings + 1))
+        buckets = map(enum.members, range(2, max_windings + 1))
     for members in buckets:
         members.sort(key=sort_key)
         for text in members:
@@ -361,20 +339,24 @@ class CrossCheckReport:
         return "\n".join(str(line) for line in self.lines)
 
 
-def _compare_sets(name: str, grammar: dict, oracle: Iterable[str], unit: str, size) -> CheckLine:
-    """The grammar's members (with their sizes) against the oracle's texts
-    (sized by ``size``, in ``unit``).  A mismatch names the first size
-    whose buckets differ, both sides' counts there, and up to three
-    members that only one side has in that bucket."""
+def _compare_sets(name: str, grammar: dict, oracle: List[str], unit: str, size) -> CheckLine:
+    """The grammar's members (with their sizes) against the oracle's list
+    of texts (sized by ``size``, in ``unit``), which holds each once.  A
+    mismatch names the first size whose buckets differ or whose oracle
+    bucket repeats a text, both sides' counts there (repeats counted), up
+    to three members that only one side has there, and up to three repeats."""
     left, right = set(grammar), set(oracle)
-    if left == right:
+    if left == right and len(oracle) == len(right):
         return CheckLine(name, True, f"{len(left)} members")
-    first = min([grammar[t] for t in left - right] + [size(t) for t in right - left])
+    repeated = {t for t, k in Counter(oracle).items() if k > 1}
+    first = min([grammar[t] for t in left - right] + [size(t) for t in (right - left) | repeated])
     extra = sorted((t for t in left - right if grammar[t] == first), key=sort_key)[:3]
     missing = sorted((t for t in right - left if size(t) == first), key=sort_key)[:3]
-    counts = sum(n == first for n in grammar.values()), sum(size(t) == first for t in right)
+    repeats = sorted((t for t in repeated if size(t) == first), key=sort_key)[:3]
+    counts = sum(n == first for n in grammar.values()), sum(size(t) == first for t in oracle)
+    tail = f"; repeated {repeats}" if repeats else ""
     return CheckLine(name, False, f"first mismatch at {first} {unit}: {counts[0]} vs {counts[1]} members; "
-                                  f"only-left {extra} / only-right {missing}")
+                                  f"only-left {extra} / only-right {missing}{tail}")
 
 
 def _letters(letters: str, plus: int = 0):
@@ -400,7 +382,7 @@ def cross_check(max_moves: int = 13, full_max_windings: int = 13) -> CrossCheckR
     fm_limit = min(max_moves, 9)
     fm_members = grammars.generate_with_sizes(grammars.fm_grammar(), fm_limit)
     lines.append(
-        _compare_sets(f"classical knots to {fm_limit} moves", fm_members, fm_knots(fm_limit - 1),
+        _compare_sets(f"classical knots to {fm_limit} moves", fm_members, list(fm_knots(fm_limit - 1)),
                       "moves", _letters("LCR"))
     )
 

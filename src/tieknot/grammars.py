@@ -198,13 +198,14 @@ def generate_with_sizes(grammar: Grammar, max_size: int) -> dict:
     the order of the splits of each size, then of the parts' members.
 
     Each nonterminal's members at each size are built once, from the
-    splits with nonzero counts (Nijenhuis and Wilf's recursive method)."""
+    splits with nonzero counts (Nijenhuis and Wilf's recursive method).
+    A member derived at two sizes is a :class:`GrammarError`."""
     compiled, rows = _count_tables(grammar, max_size)
     sizes, built = {}, {}
     for size in range(max_size + 1):
         for text in _members(grammar.start, size, compiled, rows, built):
-            known = sizes.setdefault(text, size)
-            assert known == size, f"member {text!r} derived at two sizes"
+            if sizes.setdefault(text, size) != size:
+                raise GrammarError(f"member {text!r} derived at two sizes")
     return sizes
 
 

@@ -81,7 +81,8 @@ class ValidityReport:
     violations: tuple = ()
 
     def __post_init__(self):
-        assert self.valid == (not self.violations)
+        if self.valid == bool(self.violations):
+            raise ValueError(f"valid={self.valid} with {len(self.violations)} violation(s)")
 
     def lines(self):
         if self.valid:

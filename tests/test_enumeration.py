@@ -452,6 +452,51 @@ def test_a_non_canonical_oracle_text_is_a_mismatch_not_a_crash(monkeypatch, caps
     assert capsys.readouterr().out == f"{report}\n"
 
 
+def _repeat_one_single_tuck_knot(monkeypatch):
+    members = E.single_tuck_knots
+    monkeypatch.setattr(E, "single_tuck_knots", lambda n: iter([*members(n), "TTWWU"]))
+
+
+def _repeat_each_buckets_first_member(monkeypatch):
+    members = E._FullEnumerator.members
+
+    def repeated(self, n):
+        bucket = members(self, n)
+        return bucket + bucket[:1]
+
+    monkeypatch.setattr(E._FullEnumerator, "members", repeated)
+
+
+@pytest.mark.parametrize("repeat, expected", [
+    (_repeat_one_single_tuck_knot, [
+        "single-tuck knots to 6 moves: MISMATCH (first mismatch at 5 moves: 12 vs 13 members; "
+        "only-left [] / only-right []; repeated ['TTWWU'])",
+        "left-final single-tuck knots to 6 moves: MISMATCH (first mismatch at 5 moves: 4 vs 5 members; "
+        "only-left [] / only-right []; repeated ['LCRCLU'])",
+    ]),
+    (_repeat_each_buckets_first_member, [  # the single-tuck oracle is the depth-1 enumerator's
+        "single-tuck knots to 6 moves: MISMATCH (first mismatch at 3 moves: 2 vs 3 members; "
+        "only-left [] / only-right []; repeated ['TTU'])",
+        "left-final single-tuck knots to 6 moves: MISMATCH (first mismatch at 4 moves: 2 vs 3 members; "
+        "only-left [] / only-right []; repeated ['LCRLU'])",
+        "right-final single-tuck knots to 6 moves: MISMATCH (first mismatch at 3 moves: 1 vs 2 members; "
+        "only-left [] / only-right []; repeated ['LCRU'])",
+        "center-final single-tuck knots to 6 moves: MISMATCH (first mismatch at 5 moves: 4 vs 5 members; "
+        "only-left [] / only-right []; repeated ['LCRLCU'])",
+        "arbitrary-depth knots to 5 windings: MISMATCH (first mismatch at 2 windings: 2 vs 3 members; "
+        "only-left [] / only-right []; repeated ['TTU'])",
+        "arbitrary-depth counts vs grammar series: MISMATCH (total 70; first mismatch at z^2: 3 != 2)",
+    ]),
+], ids=["single", "full"])
+def test_a_repeated_oracle_member_is_a_mismatch_not_a_crash_and_not_a_pass(monkeypatch, capsys, repeat, expected):
+    # Sets alone would pass these oracles; the referee counts the list.
+    repeat(monkeypatch)
+    report = E.cross_check(6, 5)
+    assert [str(line) for line in report.lines if not line.ok] == expected
+    assert main(["crosscheck", "--max-windings", "6", "--full-windings", "5"]) == 1
+    assert capsys.readouterr().out == f"{report}\n"
+
+
 def test_cross_check_lists_examples_in_library_order(monkeypatch):
     members = E.single_tuck_knots
     dropped = {"TTUWWU", "TTWWU"}  # by code point U < W; in the library's order W < U

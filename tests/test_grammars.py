@@ -201,6 +201,14 @@ def test_zero_weight_cycle_through_epsilon_detected():
             G.generate_with_sizes(loop, 3)
 
 
+def test_a_member_derived_at_two_sizes_is_a_grammar_error():
+    twice = G.Grammar("s", {"s": ((G.T("a", 0),), (G.T("a", 1),))})
+    for generate in (G.generate_with_sizes, G.generate):
+        with pytest.raises(G.GrammarError, match="member 'a' derived at two sizes"):
+            generate(twice, 1)
+    assert list(G.count_by_size(twice, 1)) == [1, 1]  # it counts derivations
+
+
 BUILT_IN_GRAMMARS = [
     G.fm_grammar, G.single_tuck_tw_grammar, G.single_tuck_clr_grammar, G.full_grammar,
     *(functools.partial(factory, region)

@@ -403,3 +403,11 @@ def test_a_lone_center_visit_does_not_end_a_knot():
     assert report == validate(parse_tw("", Region.CENTER), _CENTER_ENDING)
     assert [v.rule for v in report.violations] == ["T4"]
     assert validate_clr(parse_clr("LC"), _CENTER_ENDING).valid
+
+
+@pytest.mark.parametrize(
+    "valid, violations", [(True, (Violation("T4", 3, "x"),)), (False, ())], ids=["valid-with-one", "invalid-with-none"]
+)
+def test_a_report_that_contradicts_itself_is_refused(valid, violations):
+    with pytest.raises(ValueError, match=rf"valid={valid} with {len(violations)} violation\(s\)"):
+        ValidityReport(valid=valid, violations=violations)
