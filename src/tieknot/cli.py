@@ -13,15 +13,15 @@ input that is not winding text, and a repeated region given to ``convert``;
 ``--annotate`` exits 1 on an i/o mark the last tuck contradicts, as ``validate --clr``.
 Enumeration output is plain text by default, with ``--format jsonl``
 / ``--format csv`` where a record stream makes sense.  The environment
-variable ``TIEKNOT_MAX_WINDINGS`` caps enumeration sizes, the
-cross-check's two bounds included (default 13 moves).
+variable ``TIEKNOT_MAX_WINDINGS`` caps enumeration sizes (default 13
+moves) and both cross-check bounds, each in its language's unit
+(``enumeration.LANGUAGES``): 13 moves and 13 windings by default.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import random
@@ -29,7 +29,6 @@ import sys
 
 from . import catalog, enumeration, grammars, validity
 from .notation import (
-    TURN_OF_REGION,
     KnotWord,
     NotationError,
     Region,
@@ -183,72 +182,28 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def _enumerate_knots(args):
-    max_moves = _max_moves(args)
-    if args.klass in ("single", "full"):
-        opts = validity.ValidityOptions(
-            max_tuck_depth=1 if args.klass == "single" else None,
-            allow_hidden_tucks=args.allow_hidden_tucks,
-            max_moves=None,  # --max-windings bounds the listing
-        )
-        yield from enumeration.oracle_enumerate(max_moves - 1, opts)
-        return
-    # Patterns in rank order, one at a time; classical knots: centre-final, tucked.
-    fm = args.klass == "fm"
-    for region in _pattern_regions(args.klass):
-        for rank in itertools.count(1):
-            windings = catalog.pattern_of(region, rank)
-            if len(windings) >= max_moves:
-                break
-            yield parse_tw(windings + "U" if fm else windings)
-
-
-def _pattern_regions(klass):
-    """The final regions whose winding patterns a pattern class lists, in order."""
-    return [Region.CENTER] if klass == "fm" else [Region.LEFT, Region.RIGHT, Region.CENTER]
-
-
 def _report_bucket(windings, knots):
     print(f"[{windings} windings: {knots} knots]", file=sys.stderr)
 
 
-# The grammar classes' counting grammars by final region (None for all),
-# and how many sizes a series' degree runs ahead of the winding count.
-_GRAMMAR_CLASSES = {
-    "single": (grammars.single_tuck_clr_grammar, 1),  # degree moves = windings + 1
-    "full": (grammars.full_grammar, 0),
-    "hidden": (grammars.hidden_tuck_grammar, 0),
-}
-
-
-def _count_knots(args, wanted) -> int:
-    """``--count`` from the counting tables, with the ``--progress`` lines
-    the listing writes.  Buckets are (windings, knots, knots ``--final``
-    keeps) in listing order; a progress line sums one run of a length
-    before the filter.  Pattern classes list region by region, so two
-    regions' runs can share a line; the grammar classes list by length."""
+def _count_knots(args, language, wanted) -> int:
+    """``--count`` from the language's counts, with the ``--progress``
+    lines the listing writes: each sums one run of a length, in listing
+    order, before the ``--final`` filter.  A pattern language lists region
+    by region, so two regions' runs can share a line; any other by length."""
     max_moves = _max_moves(args)
-    lengths = range(2, max_moves)
-    if args.klass in ("single", "full"):
-        grammar, shift = _GRAMMAR_CLASSES["hidden" if args.allow_hidden_tucks else args.klass]
-        degree = max_moves - 1 + shift
-        kept = grammars.count_by_size(grammar(wanted), degree)
-        series = grammars.count_by_size(grammar(None), degree) if wanted is not None and args.progress else kept
-        buckets = [(n, series[n + shift], kept[n + shift]) for n in lengths]
-    else:
-        buckets = []
-        for region in _pattern_regions(args.klass):
-            turn = TURN_OF_REGION[region]
-            for n in lengths:
-                patterns = enumeration.pattern_count(n, turn)
-                buckets.append((n, patterns, patterns if wanted in (None, region) else 0))
+    shift, degree = language.shift, max_moves - 1 + language.shift
     runs, count = [], 0
-    for n, knots, kept_knots in buckets:
-        count += kept_knots
-        if runs and runs[-1][0] == n:
-            runs[-1][1] += knots
-        elif knots:
-            runs.append([n, knots])
+    for region in language.patterns or (None,):  # the knots listed in turn, and those kept
+        listed = language.counts(region, degree) if args.progress or wanted in (None, region) else None
+        kept = listed if wanted in (None, region) else language.counts(wanted, degree) if region is None else None
+        for n in range(2, max_moves):
+            count += kept[n + shift] if kept is not None else 0
+            knots = listed[n + shift] if listed is not None else 0
+            if runs and runs[-1][0] == n:
+                runs[-1][1] += knots
+            elif knots:
+                runs.append([n, knots])
     if args.progress:
         for n, knots in runs:
             _report_bucket(n, knots)
@@ -261,11 +216,12 @@ def cmd_enumerate(args) -> int:
     if args.klass != "single" and args.allow_hidden_tucks:
         print("error: hidden tucks are only enumerable for the single class", file=sys.stderr)
         return EXIT_USAGE
+    language = enumeration.LANGUAGES["hidden" if args.allow_hidden_tucks else args.klass]
     if args.count:
-        return _count_knots(args, wanted)
+        return _count_knots(args, language, wanted)
     bucket = None
     bucket_count = 0
-    for knot in _enumerate_knots(args):
+    for knot in language.knots(_max_moves(args) - 1):
         if args.progress and knot.winding_count != bucket:
             if bucket is not None:
                 _report_bucket(bucket, bucket_count)
@@ -289,33 +245,15 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-# Counting series from a grammar: name -> grammar factory.  The full
-# grammar's degree counts windings, every other series' degree moves.
-_GRAMMAR_SERIES = {
-    "fm": grammars.fm_grammar,
-    "single": grammars.single_tuck_tw_grammar,
-    "r-final": lambda: grammars.single_tuck_clr_grammar(Region.RIGHT),
-    "l-final": lambda: grammars.single_tuck_clr_grammar(Region.LEFT),
-    "c-final": lambda: grammars.single_tuck_clr_grammar(Region.CENTER),
-    "full": grammars.full_grammar,
-}
-
-# Winding patterns by final region, a series in moves (windings + 1).
-_PATTERN_SERIES = {f"windings-{region.value.lower()}": region for region in Region}
-
 def cmd_series(args) -> int:
     if args.order < 0:
         raise UsageError(f"series order must be >= 0, got {args.order}")
     if args.order > SERIES_MAX_ORDER:
         raise UsageError(f"series order must be at most {SERIES_MAX_ORDER}, got {args.order}")
-    if args.which in _PATTERN_SERIES:
-        turn = TURN_OF_REGION[_PATTERN_SERIES[args.which]]
-        series = [enumeration.pattern_count(m - 1, turn) if m >= 3 else 0 for m in range(args.order + 1)]
-    else:
-        series = grammars.count_by_size(_GRAMMAR_SERIES[args.which](), args.order)
-    print(", ".join(map(str, series)))
+    language, final = enumeration.SERIES[args.which]
+    print(", ".join(map(str, language.counts(final, args.order))))
     if args.verbose:
-        print(f"# degree counts {'windings' if args.which == 'full' else 'moves'}")
+        print(f"# degree counts {language.unit}")
     return EXIT_OK
 
 
@@ -454,7 +392,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list all knots of a language")
     p.add_argument("--class", dest="klass", default="single",
-                   choices=["fm", "single", "full", "windings"])
+                   choices=[name for name, language in enumeration.LANGUAGES.items() if language.listing])
     p.add_argument("--max-windings", type=int, default=13,
                    help="largest winding length (region symbol count)")
     p.add_argument("--final", choices=["L", "C", "R"], default=None)
@@ -467,7 +405,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="report bucket completion on stderr")
 
     p = sub.add_parser("series", help="print a counting series")
-    p.add_argument("which", choices=sorted([*_GRAMMAR_SERIES, *_PATTERN_SERIES]))
+    p.add_argument("which", choices=sorted(enumeration.SERIES))
     p.add_argument("order", type=int)
     p.add_argument("--verbose", action="store_true")
 

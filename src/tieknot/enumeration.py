@@ -20,16 +20,15 @@ differs (grammar sizes against the oracle texts' letter counts), both
 sides' counts there, and up to three examples and three repeated texts
 from it in library order (:func:`sort_key`).
 
-Two enumerators cover the language families:
-
-* :func:`fm_knots` -- classical knots: any winding string whose last two
-  windings are equal and whose final region is the center, carrying
-  exactly the one final tuck;
-* :class:`_FullEnumerator` -- knots with tucks by their recursive
-  structure (below): :func:`full_language` lists every depth, and
-  :func:`single_tuck_knots` the depth-1 slice, the thin-blade knots
-  whose blocks are all one tucked pair (TTU or WWU).  Knots whose tucks
-  may hide behind the knot come from :func:`grammars.hidden_tuck_grammar`.
+Each language is declared once, as a :class:`Language` in
+:data:`LANGUAGES`, which the CLI, the census and the cross-check read.
+The listings are the winding patterns (:func:`pattern_texts`), the
+classical knots among them (center-final, carrying exactly the one
+final tuck), and :class:`_FullEnumerator`, knots with tucks by their
+recursive structure (below): :func:`full_language` lists every depth,
+and :func:`single_tuck_knots` the depth-1 slice, the thin-blade knots
+whose blocks are all one tucked pair (TTU or WWU).  Knots whose tucks
+may hide behind the knot are listed by their grammar alone.
 
 Deep tucks do not combine freely.  A tuck tower (the U runs closing at
 one point) and the windings it spans form a block: the block opens with
@@ -46,8 +45,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import astuple, dataclass
-from typing import Dict, Iterator, List, Tuple
+from collections.abc import Mapping
+from dataclasses import astuple, dataclass, field
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import grammars
 from .genfunc import Series, compare
@@ -105,9 +105,7 @@ def patterns_below(windings: int, turn: int) -> int:
 def single_tuck_knots(max_windings: int) -> Iterator[str]:
     """All depth-1-tuck knots with at most ``max_windings`` windings: the
     depth-1 slice of the structural enumeration, bucket by bucket."""
-    enum = _FullEnumerator(depth_one=True)
-    for n in range(2, max_windings + 1):
-        yield from enum.members(n)
+    yield from itertools.chain.from_iterable(_FullEnumerator(max_windings, depth_one=True).values())
 
 
 def decorate(windings: str, sites) -> str:
@@ -117,13 +115,9 @@ def decorate(windings: str, sites) -> str:
     return "".join(parts) + "U"
 
 
-def fm_knots(max_windings: int) -> Iterator[str]:
-    """Classical knots as region strings: center-final winding patterns
-    carrying exactly the final tuck, walked from L."""
-    for n in range(2, max_windings + 1):
-        yield from tw_texts_to_clr(
-            [w + "U" for w in pattern_texts(n) if final_region_of(w) is Region.CENTER]
-        )
+def fm_knots(max_windings: int) -> List[str]:
+    """Classical knots as region strings, walked from L: the ``fm`` listing."""
+    return tw_texts_to_clr(LANGUAGES["fm"].listing(max_windings))
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +133,9 @@ def _memoised(build):
     return lookup
 
 
-class _FullEnumerator:
-    """Recursive enumeration of the arbitrary-depth language.
+class _FullEnumerator(Mapping):
+    """Recursive enumeration of the arbitrary-depth language: its members
+    by winding count, 2 to ``max_windings``, each bucket listed as it is read.
 
     ``blocks(m)`` lists every complete block of 2m windings together
     with its net turn; ``interiors(j)`` lists block interiors of 2j
@@ -150,9 +145,20 @@ class _FullEnumerator:
     the only blocks are the one-pair TTU and WWU.
     """
 
-    def __init__(self, depth_one: bool = False):
-        self._depth_one = depth_one
+    def __init__(self, max_windings: int, depth_one: bool = False):
+        self._sizes, self._depth_one = range(2, max_windings + 1), depth_one
         self._memo: Dict[Tuple[str, int], list] = {}
+
+    def __getitem__(self, windings: int) -> List[str]:
+        if windings not in self._sizes:
+            raise KeyError(windings)
+        return self.members(windings)
+
+    def __iter__(self):
+        return iter(self._sizes)
+
+    def __len__(self):
+        return len(self._sizes)
 
     _PAIRS = {"TT": 2, "TW": 0, "WT": 0, "WW": -2}  # each winding pair's net turn, #T - #W
 
@@ -195,32 +201,22 @@ class _FullEnumerator:
         return [p + tail for p in ("T", "W") for tail in self.tails(windings - 1)]
 
 
-def full_language(max_windings: int) -> Dict[int, List[str]]:
-    """Members of the arbitrary-depth language by winding count.
-
-    The texts are canonical (an apostrophe only between two tucks).  The
-    listing only lists: :func:`cross_check` judges it against the full
-    grammar, and fails a line if a member repeats.
-    """
-    enum = _FullEnumerator()
-    return {n: enum.members(n) for n in range(2, max_windings + 1)}
+def full_language(max_windings: int) -> Mapping[int, List[str]]:
+    """Members of the arbitrary-depth language by winding count, each
+    bucket listed as it is read, in canonical text.  The listing
+    only lists: :func:`cross_check` judges it against the full grammar,
+    and fails a line if a member repeats."""
+    return _FullEnumerator(max_windings)
 
 
 def oracle_enumerate(
     max_windings: int, opts: ValidityOptions = DEFAULT_OPTIONS
 ) -> Iterator[KnotWord]:
-    """Every valid knot with at most ``max_windings`` windings, parsed.
-
-    Knots with a depth cap of 1 or none come from the structural
-    enumeration, one winding count at a time: each bucket's members are
-    listed in canonical text and sorted into text order (the duplicate
-    check is :func:`cross_check`'s), then parsed one at a time, so the first
-    knot does not wait for the last bucket.  Hidden tucks (depth 1 only)
-    come from :func:`grammars.hidden_tuck_grammar`, which builds every
-    bucket before the first knot goes out.  The order is deterministic:
-    ascending winding count, then text order.  Knots that need not end
-    on a tuck are not enumerable.  A move cap in ``opts`` caps the
-    winding count at one less.
+    """Every valid knot with at most ``max_windings`` windings, parsed by
+    :meth:`Language.knots` from the language the options pick: ``single``
+    for a depth cap of 1, ``full`` for none, ``hidden`` for hidden tucks
+    (depth 1 only).  Knots that need not end on a tuck are not
+    enumerable.  A move cap in ``opts`` caps the winding count at one less.
     """
     if opts.max_moves is not None:
         max_windings = min(max_windings, opts.max_moves - 1)
@@ -228,18 +224,104 @@ def oracle_enumerate(
         raise NotImplementedError("only knots that end on a tuck are enumerable")
     if opts.max_tuck_depth not in (1, None):
         raise NotImplementedError("only depth cap 1 and unlimited depth are enumerable")
-    if opts.allow_hidden_tucks:
-        if opts.max_tuck_depth != 1:
-            raise NotImplementedError("hidden tucks are only modelled for depth-1 knots")
-        sizes = grammars.generate_with_sizes(grammars.hidden_tuck_grammar(), max_windings)
-        buckets = (list(texts) for _, texts in itertools.groupby(sizes, sizes.get))
-    else:
-        enum = _FullEnumerator(depth_one=opts.max_tuck_depth == 1)
-        buckets = map(enum.members, range(2, max_windings + 1))
-    for members in buckets:
-        members.sort(key=sort_key)
-        for text in members:
-            yield parse_tw(text)
+    if opts.allow_hidden_tucks and opts.max_tuck_depth != 1:
+        raise NotImplementedError("hidden tucks are only modelled for depth-1 knots")
+    name = "hidden" if opts.allow_hidden_tucks else "single" if opts.max_tuck_depth == 1 else "full"
+    yield from LANGUAGES[name].knots(max_windings)
+
+
+# ---------------------------------------------------------------------------
+# The languages, each declared once.
+
+
+@dataclass(frozen=True)
+class Language:
+    """A knot language as a combinatorial class: a specification and a
+    size function (Flajolet & Sedgewick, *Analytic Combinatorics*, Part A).
+
+    ``grammar(final)`` builds its counting grammar, in winding or region
+    text, for the knots that end in region ``final`` (all for None).
+    ``listing(n)`` is its grammar-free referee to n windings: winding texts
+    by winding count (a mapping) or in ascending winding count, or None.
+    ``unit`` sizes a member in moves (windings + 1) or windings.  A language
+    listed from the winding patterns ending in ``patterns``, region by
+    region, is counted in closed form.  ``series`` names each series
+    ``tieknot series`` prints of it, by final region; :func:`cross_check`
+    checks each one's grammar to at most ``checked_to``.
+    """
+
+    name: str
+    noun: str
+    grammar: Optional[Callable[[Optional[Region]], grammars.Grammar]]
+    listing: Optional[Callable[[int], Iterable]]
+    unit: str = "moves"
+    patterns: Tuple[Region, ...] = ()
+    series: Dict[str, Optional[Region]] = field(default_factory=dict)
+    checked_to: Optional[int] = None
+
+    @property
+    def shift(self) -> int:
+        """A member's size less its winding count."""
+        return 1 if self.unit == "moves" else 0
+
+    def counts(self, final: Optional[Region], order: int) -> Series:
+        """Its knots that end in ``final`` (all for None) by size, 0..order."""
+        if not self.patterns:
+            return grammars.count_by_size(self.grammar(final), order)
+        turns = [TURN_OF_REGION[region] for region in self.patterns if final in (None, region)]
+        return Series(sum(pattern_count(m - self.shift, turn) for turn in turns) if m - self.shift >= 2 else 0
+                      for m in range(order + 1))
+
+    def knots(self, max_windings: int) -> Iterator[KnotWord]:
+        """Its knots to ``max_windings`` windings, parsed, by winding count
+        and then in text order.  A pattern listing is in that order already,
+        so it streams, region by region; any other is parsed a bucket at a
+        time, so the first knot does not wait for the last bucket (only a
+        grammar builds every bucket first)."""
+        for region in self.patterns:
+            yield from (parse_tw(text) for text in self.listing(max_windings) if final_region_of(text) is region)
+        for bucket in () if self.patterns else self._buckets(max_windings):
+            bucket.sort(key=sort_key)  # each bucket is a fresh list
+            yield from map(parse_tw, bucket)
+
+    def _buckets(self, max_windings: int) -> Iterable[List[str]]:
+        if self.listing is None:
+            sizes = grammars.generate_with_sizes(self.grammar(None), max_windings + self.shift)
+            return (list(texts) for _, texts in itertools.groupby(sizes, sizes.get))
+        listing = self.listing(max_windings)
+        if isinstance(listing, Mapping):
+            return listing.values()
+        return (list(run) for _, run in itertools.groupby(listing, _letters("TW")))
+
+
+def _listed(listing) -> dict:
+    # A listing's buckets by winding count, each read once; a flat listing is one bucket, under None.
+    return dict(listing) if isinstance(listing, Mapping) else {None: list(listing)}
+
+
+# Names are late-bound, so a listing or grammar replaced on its module is the one read.
+LANGUAGES: Dict[str, Language] = {language.name: language for language in (
+    # fm's knots all end in the center, so its grammar is only asked for all of them.
+    Language("fm", "classical knots", lambda final: grammars.fm_grammar(),
+             lambda n: (w + "U" for m in range(2, n + 1) for w in pattern_texts(m)
+                       if final_region_of(w) is Region.CENTER),
+             patterns=(Region.CENTER,), series={"fm": None}, checked_to=9),
+    # The paper's winding grammar for every knot, the region grammars by final region.
+    Language("single", "single-tuck knots",
+             lambda final: grammars.single_tuck_tw_grammar() if final is None
+             else grammars.single_tuck_clr_grammar(final),
+             lambda n: single_tuck_knots(n),
+             series={"single": None, "l-final": Region.LEFT, "r-final": Region.RIGHT, "c-final": Region.CENTER}),
+    Language("full", "arbitrary-depth knots", lambda final: grammars.full_grammar(final),
+             lambda n: full_language(n), unit="windings", series={"full": None}),
+    Language("hidden", "hidden-tuck knots", lambda final: grammars.hidden_tuck_grammar(final), None, unit="windings"),
+    Language("windings", "winding patterns", None, lambda n: (w for m in range(2, n + 1) for w in pattern_texts(m)),
+             patterns=(Region.LEFT, Region.RIGHT, Region.CENTER),
+             series={"windings-l": Region.LEFT, "windings-c": Region.CENTER, "windings-r": Region.RIGHT}),
+)}
+
+# Each series ``tieknot series`` prints: its language and final region.
+SERIES = {name: (language, final) for language in LANGUAGES.values() for name, final in language.series.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -277,25 +359,25 @@ def census(max_windings: int = 12, include_full: bool = True) -> List[CensusRow]
     """The knot census by winding count (2 windings = 3 moves, up).
 
     Every column is counted, so nothing is listed: the winding-pattern
-    columns by :func:`pattern_count` at each final region's turn, the
-    per-region knot columns from the region-final single-tuck grammars
-    at n + 1 moves, and the total column from the full grammar's
-    counting series, which can be skipped when only the single-tuck side
-    matters.
+    and per-region knot columns are the ``windings`` and ``single``
+    languages' counts by final region, and the total column the ``full``
+    language's, which can be skipped when only the single-tuck side
+    matters.  Each is read at n windings in its language's own unit.
     """
     regions = (Region.LEFT, Region.RIGHT, Region.CENTER)  # the column order
-    knots = [
-        grammars.count_by_size(grammars.single_tuck_clr_grammar(region), max_windings + 1)
-        for region in regions
-    ]
-    if include_full:
-        totals = grammars.count_by_size(grammars.full_grammar(), max_windings)
+
+    def column(name, final=None):  # a language's counts by winding count
+        language = LANGUAGES[name]
+        return language.counts(final, max_windings + language.shift)[language.shift:]
+
+    windings = [column("windings", region) for region in regions]
+    knots = [column("single", region) for region in regions]
+    totals = column("full") if include_full else None
     rows = []
     for n in range(2, max_windings + 1):
-        windings = [pattern_count(n, TURN_OF_REGION[region]) for region in regions]
-        per_region = [series[n + 1] for series in knots]
+        per_region = [series[n] for series in knots]
         total = totals[n] if include_full else 0
-        rows.append(CensusRow(n, n + 1, *windings, *per_region, sum(per_region), total))
+        rows.append(CensusRow(n, n + 1, *(series[n] for series in windings), *per_region, sum(per_region), total))
     return rows
 
 
@@ -304,10 +386,10 @@ def hidden_tuck_counts(max_windings: int) -> Dict[int, int]:
 
     Dropping the parity half of T3 (but keeping the window rule) makes
     every equal adjacent pair an optional internal site; the count per
-    winding count n, read from :func:`grammars.hidden_tuck_grammar`'s
-    series, works out to 2 * 3^(n-2).
+    winding count n, read from the ``hidden`` language's grammar
+    (:func:`grammars.hidden_tuck_grammar`), works out to 2 * 3^(n-2).
     """
-    series = grammars.count_by_size(grammars.hidden_tuck_grammar(), max_windings)
+    series = LANGUAGES["hidden"].counts(None, max_windings)
     return {n: series[n] for n in range(2, max_windings + 1)}
 
 
@@ -370,77 +452,54 @@ def _compare_counts(name: str, counted: Series, series: Series) -> CheckLine:
     return CheckLine(name, mismatch is None, detail if mismatch is None else f"{detail}; {mismatch}")
 
 
+def _in_regions(grammar: grammars.Grammar) -> bool:
+    # Whether a grammar writes region text: its walk starts at L.
+    return any(grammars.T("L") in items for alternatives in grammar.productions.values() for items in alternatives)
+
+
 def cross_check(max_moves: int = 13, full_max_windings: int = 13) -> CrossCheckReport:
-    """Compare every enumerator against its grammar, bucket by bucket.
-
-    ``max_moves`` bounds the single-tuck and classical checks by winding
-    length; the arbitrary-depth check is bounded by winding count
-    separately since its language grows about ten-fold every two windings.
+    """Compare each printed series' grammar with its language's listed
+    knots that end in its region (in region text where the grammar
+    writes it), bucket by bucket.  ``max_moves`` bounds the languages
+    counted in moves (the classical knots to at most 9), and
+    ``full_max_windings`` those counted in windings: the arbitrary-depth
+    language grows about ten-fold every two windings.
     """
-    lines = []
+    bounds = {"moves": max_moves, "windings": full_max_windings}
+    lines, listed = [], {}
+    for language in LANGUAGES.values():
+        if language.grammar is None or language.listing is None:
+            continue
+        bound = min(bounds[language.unit], language.checked_to or bounds[language.unit])
+        buckets = _listed(language.listing(bound - language.shift))
+        texts = [text for bucket in buckets.values() for text in bucket]
+        listed[language.name] = buckets, texts
+        by_final = {None: texts, **{region: [] for region in Region}}
+        for text in texts if any(language.series.values()) else ():
+            by_final[final_region_of(text)].append(text)
+        for final in language.series.values():
+            grammar, name = language.grammar(final), f"{language.noun} to {bound} {language.unit}"
+            oracle = by_final[final]
+            if _in_regions(grammar):
+                oracle, size = tw_texts_to_clr(oracle), _letters("LCR", language.shift - 1)
+            else:
+                size = _letters("TW", language.shift)
+            lines.append(_compare_sets(name if final is None else f"{final.name.lower()}-final {name}",
+                                       grammars.generate_with_sizes(grammar, bound), oracle, language.unit, size))
 
-    fm_limit = min(max_moves, 9)
-    fm_members = grammars.generate_with_sizes(grammars.fm_grammar(), fm_limit)
-    lines.append(
-        _compare_sets(f"classical knots to {fm_limit} moves", fm_members, list(fm_knots(fm_limit - 1)),
-                      "moves", _letters("LCR"))
-    )
-
-    single = grammars.generate_with_sizes(
-        grammars.single_tuck_tw_grammar(), max_moves
-    )
-    oracle = list(single_tuck_knots(max_moves - 1))
-    lines.append(
-        _compare_sets(f"single-tuck knots to {max_moves} moves", single, oracle, "moves", _letters("TW", 1))
-    )
-
-    by_region = {Region.LEFT: [], Region.RIGHT: [], Region.CENTER: []}
-    for text in oracle:
-        by_region[final_region_of(text)].append(text)
-    for region, texts in by_region.items():
-        clr = grammars.generate_with_sizes(grammars.single_tuck_clr_grammar(region), max_moves)
-        lines.append(
-            _compare_sets(
-                f"{region.name.lower()}-final single-tuck knots to {max_moves} moves",
-                clr,
-                tw_texts_to_clr(texts),
-                "moves",
-                _letters("LCR"),
-            )
-        )
-
-    full_members = grammars.generate_with_sizes(
-        grammars.full_grammar(), full_max_windings
-    )
-    structural = full_language(full_max_windings)
-    flat = [m for members in structural.values() for m in members]
-    lines.append(
-        _compare_sets(
-            f"arbitrary-depth knots to {full_max_windings} windings",
-            full_members,
-            flat,
-            "windings",
-            _letters("TW"),
-        )
-    )
     # The stream parses the oracle's texts as listed, so each must be canonical: a U on both sides of every '.
+    structural, flat = listed["full"]
     joined = "\n".join(flat)
-    lines.append(
-        CheckLine(
-            "canonical apostrophe placement is lossless",
-            joined.count("'") == joined.count("U'") == joined.count("'U"),
-            f"{len(flat)} canonical forms",
-        )
-    )
+    lossless = joined.count("'") == joined.count("U'") == joined.count("'U")
+    lines.append(CheckLine("canonical apostrophe placement is lossless", lossless, f"{len(flat)} canonical forms"))
 
     counted = Series(len(structural.get(n, ())) for n in range(full_max_windings + 1))
-    series = grammars.count_by_size(grammars.full_grammar(), full_max_windings)
-    lines.append(_compare_counts("arbitrary-depth counts vs grammar series", counted, series))
+    lines.append(_compare_counts("arbitrary-depth counts vs grammar series", counted,
+                                 LANGUAGES["full"].counts(None, full_max_windings)))
 
     rows = census(max_moves - 1, include_full=False)  # by moves, from 3
     column = Series((0, 0, 0, *(row.single_tuck_knots for row in rows)))
-    series = grammars.count_by_size(grammars.single_tuck_tw_grammar(), max_moves)
-    lines.append(_compare_counts("census single-tuck column vs grammar series", column, series))
+    lines.append(_compare_counts("census single-tuck column vs grammar series", column,
+                                 LANGUAGES["single"].counts(None, max_moves)))
 
     return CrossCheckReport(tuple(lines))
-

@@ -44,6 +44,14 @@ def raw_full_grammar(final=None):
     return grammar if final is None else grammars.intersect(grammar, grammars._net_turn_automaton(final))
 
 
+def _tuck_depth_cap(depth):
+    """Accepts the words with at most ``depth`` U's in a row: state q
+    counts the U's just read; T, W and ' go back to 0."""
+    edges = [(q, c, 0) for q in range(depth + 1) for c in "TW'"]
+    edges += [(q, "U", q + 1) for q in range(depth)]
+    return grammars.Automaton(initial=0, accepting=frozenset(range(depth + 1)), transitions=tuple(edges))
+
+
 @pytest.fixture(scope="session")
 def raw_full_members_12():
     """Arbitrary-depth language to 12 windings in raw text, from the referee grammar, with sizes."""

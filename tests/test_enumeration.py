@@ -11,6 +11,7 @@ from tieknot import notation as N
 from tieknot.cli import main
 from tieknot.notation import Region, parse_tw, sort_key
 from tieknot.validity import ValidityOptions, tuck_sites, validate
+from conftest import _tuck_depth_cap
 
 
 def test_oracle_smallest_single_tuck():
@@ -243,6 +244,27 @@ def test_pattern_counts_follow_the_row_recurrence_to_2000_windings():
         assert row == ((b + c, c + a, a + b), (x + a, y + b, z + c))
     assert E.pattern_count(9, -1) == E.pattern_count(9, 2)  # turns are taken mod 3
     assert E.patterns_below(9, 4) == E.patterns_below(9, 1)
+
+
+# A language the table could gain, declared here only: knots whose tucks
+# are at most two deep.  Its row needs no edit anywhere else.
+DEPTH_2 = E.Language(
+    "depth-2", "depth-2 knots", lambda final: G.intersect(G.full_grammar(final), _tuck_depth_cap(2)),
+    lambda n: (text for bucket in E.full_language(n).values() for text in bucket if "UUU" not in text),
+    unit="windings", series={"depth-2": None},
+)
+
+
+@pytest.mark.parametrize("final", [None, *Region], ids=lambda final: getattr(final, "value", "all"))
+@pytest.mark.parametrize("language", [*E.LANGUAGES.values(), DEPTH_2], ids=lambda language: language.name)
+def test_each_language_counts_its_listing_by_final_region_to_11_windings(language, final):
+    if language.listing is None:
+        pytest.skip(f"{language.name}: no grammar-free listing; hidden tucks are listed by their grammar alone")
+    texts = [text for bucket in E._listed(language.listing(11)).values() for text in bucket]
+    sizes = Counter(text.count("T") + text.count("W") + language.shift
+                    for text in texts if final is None or E.final_region_of(text) is final)
+    counts = language.counts(final, 11 + language.shift)
+    assert list(counts) == [sizes[size] for size in range(12 + language.shift)]
 
 
 def test_full_language_matches_grammar(full_members_12, full_oracle_12):

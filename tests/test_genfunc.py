@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from tieknot import genfunc as F
 from tieknot import grammars as G
-from tieknot.cli import _GRAMMAR_SERIES, _PATTERN_SERIES, main
+from tieknot.cli import main
+from tieknot.enumeration import LANGUAGES
 from tieknot.notation import Region
+from conftest import _tuck_depth_cap
 from test_cli import _wall_bound
 
 
@@ -281,7 +283,7 @@ def _table_series(name, capsys):
 
 
 def test_fit_table_covers_every_series_the_cli_prints():
-    printed = {*_GRAMMAR_SERIES, *_PATTERN_SERIES}
+    printed = {name for language in LANGUAGES.values() for name in language.series}
     assert set(FIT_TABLE) == printed | {"hidden", "full-l", "full-c", "full-r"}
 
 
@@ -329,14 +331,6 @@ def test_fit_recurrence_finds_no_rational_full_series_to_order_40_in_bounded_tim
     series = G.count_by_size(G.full_grammar(), 200)
     with _wall_bound(2):
         assert F.fit_recurrence(series, 40) is None
-
-
-def _tuck_depth_cap(depth):
-    """Accepts the words with at most ``depth`` U's in a row: state q
-    counts the U's just read; T, W and ' go back to 0."""
-    edges = [(q, c, 0) for q in range(depth + 1) for c in "TW'"]
-    edges += [(q, "U", q + 1) for q in range(depth)]
-    return G.Automaton(initial=0, accepting=frozenset(range(depth + 1)), transitions=tuple(edges))
 
 
 # The full language with every tuck at most D deep, by windings: D = 1
