@@ -149,8 +149,8 @@ def name_of(knot: KnotWord) -> KnotName:
         raise NamingError(f"cannot name an invalid knot: {report.violations[0]}")
     # Refuse knots outside the scheme before ranking: first a pattern
     # without a final depth-1 site (pattern_rank's own check), then one
-    # whose final site carries no depth-1 tuck.  The windings are the text without its tucks.
-    windings, tucks = knot._text.replace("U", "").replace("'", ""), knot._tucks
+    # whose final site carries no depth-1 tuck.
+    windings, tucks = knot._windings, knot._tucks
     n = len(windings)
     if n < 2 or windings[-1] != windings[-2]:
         raise NamingError(_NO_FINAL_SITE)
@@ -241,7 +241,7 @@ def symmetry(knot: KnotWord) -> int:
 
 def balance(knot: KnotWord) -> int:
     """Changes between runs of T and of W, tucks ignored: the TW and WT pairs, counted."""
-    windings = knot._text.replace("U", "").replace("'", "")
+    windings = knot._windings
     return windings.count("TW") + windings.count("WT")
 
 

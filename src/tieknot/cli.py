@@ -32,7 +32,6 @@ from .notation import (
     KnotWord,
     NotationError,
     Region,
-    Visit,
     classify_final,
     final_region,
     infer_orientations,
@@ -164,12 +163,10 @@ def cmd_convert(args) -> int:
             text = args.string.translate(str.maketrans("LR", "RL")) if args.mirror else args.string
             word = parse_clr(text)
             oriented = infer_orientations(word)
-            for given, forced in zip(word.items, oriented.items):
-                if given.__class__ is Visit and given.orientation and given != forced:  # a wrong mark
-                    wrong = [violation for violation in validity.validate_clr(word).violations
-                             if violation.rule != validity.RULE_NO_REPEAT]  # the marks', in order
-                    print(f"error: {wrong[0]}", file=sys.stderr)
-                    return EXIT_INVALID
+            report = validity.validate_clr(word)
+            if report != validity.validate_clr(oriented):  # only a wrong mark changes the verdict
+                print(f"error: {report.violations[0]}", file=sys.stderr)
+                return EXIT_INVALID
             print(oriented.serialize())
         else:
             knot = parse_tw(args.string, start) if args.to_clr else clr_to_tw(parse_clr(args.string))
@@ -432,7 +429,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crosscheck", help="compare enumerators against grammars")
     p.add_argument("--max-windings", type=int, default=13,
-                   help="winding-length bound for the single-tuck checks")
+                   help="moves bound for the languages counted in moves (default 13)")
     p.add_argument("--full-windings", type=int, default=13,
                    help="winding-count bound for the arbitrary-depth check (default 13)")
 

@@ -247,7 +247,7 @@ class Language:
     listed from the winding patterns ending in ``patterns``, region by
     region, is counted in closed form.  ``series`` names each series
     ``tieknot series`` prints of it, by final region; :func:`cross_check`
-    checks each one's grammar to at most ``checked_to``.
+    checks each one's grammar to the bound it is given for ``unit``.
     """
 
     name: str
@@ -257,7 +257,6 @@ class Language:
     unit: str = "moves"
     patterns: Tuple[Region, ...] = ()
     series: Dict[str, Optional[Region]] = field(default_factory=dict)
-    checked_to: Optional[int] = None
 
     @property
     def shift(self) -> int:
@@ -305,7 +304,7 @@ LANGUAGES: Dict[str, Language] = {language.name: language for language in (
     Language("fm", "classical knots", lambda final: grammars.fm_grammar(),
              lambda n: (w + "U" for m in range(2, n + 1) for w in pattern_texts(m)
                        if final_region_of(w) is Region.CENTER),
-             patterns=(Region.CENTER,), series={"fm": None}, checked_to=9),
+             patterns=(Region.CENTER,), series={"fm": None}),
     # The paper's winding grammar for every knot, the region grammars by final region.
     Language("single", "single-tuck knots",
              lambda final: grammars.single_tuck_tw_grammar() if final is None
@@ -461,7 +460,7 @@ def cross_check(max_moves: int = 13, full_max_windings: int = 13) -> CrossCheckR
     """Compare each printed series' grammar with its language's listed
     knots that end in its region (in region text where the grammar
     writes it), bucket by bucket.  ``max_moves`` bounds the languages
-    counted in moves (the classical knots to at most 9), and
+    counted in moves (the classical and single-tuck knots), and
     ``full_max_windings`` those counted in windings: the arbitrary-depth
     language grows about ten-fold every two windings.
     """
@@ -470,7 +469,7 @@ def cross_check(max_moves: int = 13, full_max_windings: int = 13) -> CrossCheckR
     for language in LANGUAGES.values():
         if language.grammar is None or language.listing is None:
             continue
-        bound = min(bounds[language.unit], language.checked_to or bounds[language.unit])
+        bound = bounds[language.unit]
         buckets = _listed(language.listing(bound - language.shift))
         texts = [text for bucket in buckets.values() for text in bucket]
         listed[language.name] = buckets, texts

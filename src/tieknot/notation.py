@@ -18,11 +18,11 @@ separated by ``'``.
 
 Item model.  A :class:`KnotWord` holds a start region and a tuple of
 items, each a :class:`WindDir` member (a winding, which is itself the
-one-letter string ``"T"`` or ``"W"``) or a :class:`Tuck`.  Its views
-are its windings, its ``(position, depth)`` tucks, its canonical text,
-its :class:`RegionWord` and its final region.  A :class:`RegionWord`
-holds :class:`Visit` and :class:`Tuck` items; its views are the windings
-between its visits, its tucks, its region text and its winding text.
+one-letter string ``"T"`` or ``"W"``) or a :class:`Tuck`.  Its views are
+its winding letters (``"TWWWTTTTT"``), its ``(position, depth)`` tucks, its
+canonical text, its :class:`RegionWord` and its final region.  A :class:`RegionWord`
+holds :class:`Visit` and :class:`Tuck` items; its views are the letters of the
+windings between its visits, its tucks, its region text and its winding text.
 Each notation has one reader whose walk writes all of a word's views:
 :func:`parse_tw` for winding text, which also writes the region word
 and keeps the region of its last visit as the final region, and
@@ -96,17 +96,15 @@ class Orientation(str, Enum):
 # every other transition follows by rotating this cycle.
 _CYCLE = (Region.LEFT, Region.CENTER, Region.RIGHT)
 _CYCLE_INDEX = {r: i for i, r in enumerate(_CYCLE)}
+# Winding text from L ends in the region whose cycle index is its net turn
+# #T - #W mod 3; knots and winding patterns are classed by that turn.
+TURN_OF_REGION = _CYCLE_INDEX
 
 
 def step_region(region: Region, direction: WindDir, times: int = 1) -> Region:
     """Advance ``region`` by ``times`` windings in ``direction``."""
     delta = times if direction == "T" else -times  # a member equals its letter
     return _CYCLE[(_CYCLE_INDEX[region] + delta) % 3]
-
-
-# The final region of winding text is its start L stepped by the net
-# turn #T - #W; knots and winding patterns are classed by that turn mod 3.
-TURN_OF_REGION = {step_region(Region.LEFT, WindDir.T, turn): turn for turn in range(3)}
 
 
 def mirror_region(region: Region) -> Region:
@@ -203,7 +201,8 @@ class KnotWord:
 
     @property
     def windings(self) -> tuple:
-        return self._windings
+        """The windings as :class:`WindDir` members; the word keeps their letters."""
+        return tuple(map(WindDir, self._windings))
 
     @property
     def winding_count(self) -> int:
@@ -293,7 +292,7 @@ class RegionWord:
 _VISITS = tuple(Visit(region) for region in _CYCLE)
 _CYCLE_LETTERS = "".join(region.value for region in _CYCLE)
 _TURN = {WindDir.T: 1, WindDir.W: 2}  # steps along the cycle, mod 3
-_DIRECTION = (None, WindDir.T, WindDir.W) * 2  # by cycle index to - from, -2 to 2
+_DIRECTION = ("", "T", "W") * 2  # by cycle index to - from, -2 to 2; no letter for a repeat
 
 
 def _wind_steps() -> tuple:
@@ -322,8 +321,8 @@ def parse_tw(text: str, start: Region = Region.LEFT) -> KnotWord:
     preceding winding.  The empty string parses to an empty word (which
     is not by itself a valid knot).  A start letter becomes its Region.
 
-    One walk over the characters writes the items, the windings, the
-    ``(position, depth)`` tucks, the region word with its text and the
+    One walk over the characters writes the items, the winding letters,
+    the ``(position, depth)`` tucks, the region word with its text and the
     final region (that of the last visit), and the word keeps them all.
     Every other way of making a word comes here.  Errors carry the index
     in the text.
@@ -343,7 +342,7 @@ def parse_tw(text: str, start: Region = Region.LEFT) -> KnotWord:
         if step is not None and depth >= 0:
             direction, visit, letter, steps = step
             items.append(direction)
-            windings.append(direction)
+            windings.append(ch)
             visits.append(visit)
             letters.append(letter)
             depth = 0
@@ -366,7 +365,7 @@ def parse_tw(text: str, start: Region = Region.LEFT) -> KnotWord:
     if depth < 0:
         raise _misplaced("", len(letters) - 1, True)
     # The input is the canonical text: an apostrophe parses only between two tucks.
-    windings, tucks = tuple(windings), tuple(tucks)
+    windings, tucks = "".join(windings), tuple(tucks)
     region_word = _word(RegionWord, items=tuple(visits), _text="".join(letters),
                         _windings=windings, _tucks=tucks, _tw_text=text)
     return _word(KnotWord, start=start, items=tuple(items), _windings=windings,
@@ -421,9 +420,10 @@ def parse_clr(text: str) -> RegionWord:
     :func:`parse_tw`; whitespace is dropped.  Adjacency violations (a
     repeated region) are a matter for validation, not parsing.
 
-    One walk writes the items, the windings between visits and the winding
-    text (None where a region repeats) and the ``(position, depth)`` tucks;
-    the word keeps them and the text it read.  Errors carry its index.
+    One walk writes the items, the winding letters between visits and the
+    winding text (None, with no letter, where a region repeats) and the
+    ``(position, depth)`` tucks; the word keeps them and the text it read.
+    Errors carry its index.
     """
     text = "".join(text.split())
     items, windings, tucks, letters = [], [], [], []  # letters: of the winding text
@@ -433,7 +433,7 @@ def parse_clr(text: str) -> RegionWord:
         if step is not None and depth >= 0:
             to, visit, marks = step
             if items:
-                direction = _DIRECTION[to - index]
+                direction = _DIRECTION[to - index]  # "" at a repeat, which still counts for tucks
                 windings.append(direction)
                 letters.append(direction)
             items.append(visit)
@@ -457,8 +457,8 @@ def parse_clr(text: str) -> RegionWord:
             raise _misplaced(ch, position, depth < 0, "region visit")
     if depth < 0:
         raise _misplaced("", len(text), True)
-    return _word(RegionWord, items=tuple(items), _text=text, _windings=tuple(windings),
-                 _tucks=tuple(tucks), _tw_text=None if None in windings else "".join(letters))
+    return _word(RegionWord, items=tuple(items), _text=text, _windings="".join(windings),
+                 _tucks=tuple(tucks), _tw_text=None if "" in windings else "".join(letters))
 
 
 # The oriented visits, shared with the marked ones parse_clr reads: for each
@@ -583,7 +583,8 @@ def clr_to_tw(word: RegionWord) -> KnotWord:
         raise NotationError("empty region word has no start region")
     text = word._tw_text
     if text is None:
-        region = word.regions[word._windings.index(None)]
+        regions = word.regions
+        region = next(region for region, after in zip(regions, regions[1:]) if region is after)
         raise NotationError(f"repeated region {region.value} has no winding direction")
     if text.startswith("U"):  # raised here: parse_tw's error would index text never written
         raise NotationError("tuck before any winding")

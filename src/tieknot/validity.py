@@ -169,8 +169,8 @@ def validate(knot: KnotWord, opts: ValidityOptions = DEFAULT_OPTIONS) -> Validit
     return _judge(knot._final, knot._windings, knot._tucks, opts)
 
 
-def _judge(final: Region, windings: Sequence[WindDir], tucks, opts: ValidityOptions) -> ValidityReport:
-    """The rules past T1/T2, for a knot given by its windings, its
+def _judge(final: Region, windings: str, tucks, opts: ValidityOptions) -> ValidityReport:
+    """The rules past T1/T2, for a knot given by its winding letters, its
     ``(position, depth)`` tucks and its final region.  The knot ends on a
     tuck when its last tuck sits after its last winding."""
     violations = []
@@ -223,6 +223,10 @@ def _judge(final: Region, windings: Sequence[WindDir], tucks, opts: ValidityOpti
     return ValidityReport(valid=False, violations=tuple(violations)) if violations else _VALID
 
 
+# The mark a visit must carry, by the parity of its distance from the anchor.
+_FORCED = (Orientation.OUT, Orientation.IN)
+
+
 def validate_clr(word: RegionWord, opts: ValidityOptions = DEFAULT_OPTIONS) -> ValidityReport:
     """Check a region-notation word: T1/T2 explicitly, the rest from its own views.
 
@@ -230,56 +234,39 @@ def validate_clr(word: RegionWord, opts: ValidityOptions = DEFAULT_OPTIONS) -> V
     by backtracking, so every explicit mark is checked against the
     forced assignment; a wrong mark just before a tuck is a T3
     violation, elsewhere a T2 violation.  Without a tuck only mutual
-    alternation between the marks themselves can be checked.  A word
-    with no winding form (empty, or a tuck before any winding) raises
-    :class:`NotationError`, as :func:`~tieknot.notation.clr_to_tw` does.
+    alternation between the marks themselves can be checked, each against
+    the one before.  A word with no winding form (empty, or a tuck before
+    any winding) raises :class:`NotationError`, as :func:`~tieknot.notation.clr_to_tw` does.
 
-    One walk over the items finds the repeats, the marks and the final
-    region (that of the last visit); the last tuck's position anchors the
-    forced orientations, and the windings and tucks the word keeps are
-    judged with that region as :func:`validate` judges a knot.
+    One walk over the items finds the repeats, the wrong marks and the
+    final region (that of the last visit); the last tuck's position anchors
+    the forced marks.  If all hold, the windings and tucks the word keeps
+    are judged with that region as :func:`validate` judges a knot.
     """
     items = word.items
-    repeats, marks = [], []
+    tucks = word._tucks
+    repeats, wrong = [], []
+    anchor = tucks[-1][0] if tucks else None  # a rank whose visit's mark is "out"
     region, rank = None, 0  # of the visit before; visits read
     for i, item in enumerate(items):
         if item.__class__ is Tuck:
             continue
         if item.region is region:
             repeats.append(Violation(RULE_NO_REPEAT, i, f"region {region.value} repeats"))
-        region = item.region
-        if item.orientation is not None:
-            marks.append((i, rank, item.orientation))
+        region, mark = item.region, item.orientation
+        if mark is not None:
+            if anchor is not None and mark is not _FORCED[(anchor - rank) & 1]:
+                if i + 1 < len(items) and items[i + 1].__class__ is Tuck:
+                    message = "the move before a tuck must pass in front of the knot"
+                    wrong.append(Violation(RULE_FRONT_TUCK, i, message))
+                else:
+                    wrong.append(Violation(RULE_ALTERNATE, i, "moves do not alternate direction"))
+            if not tucks:  # the next mark alternates from this one
+                anchor = rank if mark is _FORCED[0] else rank + 1
         rank += 1
 
-    violations = repeats
-    tucks = word._tucks
-    if tucks:
-        anchor = tucks[-1][0]
-        for i, rank, orientation in marks:
-            if orientation is not (Orientation.IN if (anchor - rank) % 2 else Orientation.OUT):
-                before_tuck = i + 1 < len(items) and items[i + 1].__class__ is Tuck
-                rule = RULE_FRONT_TUCK if before_tuck else RULE_ALTERNATE
-                detail = (
-                    "the move before a tuck must pass in front of the knot"
-                    if before_tuck
-                    else "moves do not alternate direction"
-                )
-                violations.append(Violation(rule, i, detail))
-    else:
-        previous = None  # (rank, orientation) of the last marked visit
-        for i, rank, orientation in marks:
-            if previous is not None:
-                gap = rank - previous[0]
-                same = orientation is previous[1]
-                if same == (gap % 2 == 1):
-                    violations.append(
-                        Violation(RULE_ALTERNATE, i, "moves do not alternate direction")
-                    )
-            previous = (rank, orientation)
-
-    if violations:
-        return ValidityReport(valid=False, violations=tuple(violations))
+    if repeats or wrong:
+        return ValidityReport(valid=False, violations=tuple(repeats + wrong))
     if not items:
         raise NotationError("empty region word has no start region")
     if tucks and tucks[0][0] == 0:

@@ -106,6 +106,27 @@ def test_convert_annotate_keeps_the_marks_that_agree(capsys, mirror, annotated):
     assert run(capsys, "convert", "--annotate", *mirror, "LCiRU") == (0, annotated + "\n", "")
 
 
+def test_convert_annotate_agrees_with_validate_clr_on_every_one_mark_flip_to_6_windings(capsys):
+    """An annotated member is annotated again; each one-mark flip of it is
+    refused with the first violation ``validate --clr`` prints for it."""
+    flip = str.maketrans("io", "oi")
+    members = [text for texts in enumeration.full_language(6).values() for text in texts]
+    for text in members:
+        for start in ("L", "R"):
+            annotated = notation.infer_orientations(notation.tw_to_clr(notation.parse_tw(text, start))).serialize()
+            flips = [annotated[:i] + ch.translate(flip) + annotated[i + 1:]
+                     for i, ch in enumerate(annotated) if ch in "io"]
+            for word in [annotated, *flips]:
+                code, out, err = run(capsys, "convert", "--annotate", word)
+                verdict = run(capsys, "validate", "--clr", word)[1].splitlines()
+                if word == annotated:
+                    assert (code, out, err) == (0, annotated + "\n", ""), word
+                else:
+                    assert verdict[0] == "invalid" and verdict[1][:4] in ("[T2]", "[T3]"), (word, verdict)
+                    assert (code, out, err) == (1, "", f"error: {verdict[1]}\n"), word
+    assert len(members) == 258
+
+
 @pytest.mark.parametrize("mirror", [[], ["--mirror"]], ids=["plain", "mirror"])
 @pytest.mark.parametrize("text", ["LLU", "LCLLU"])
 def test_convert_annotate_refuses_a_repeated_region_as_convert_does(capsys, mirror, text):

@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 from collections import Counter
 from dataclasses import astuple, replace
@@ -384,6 +385,20 @@ def test_cross_check_runs_to_14_moves_and_11_windings():
     assert "single-tuck knots to 14 moves: ok (55986 members)" in lines
     assert "arbitrary-depth knots to 11 windings: ok (64290 members)" in lines
     assert elapsed < 3
+
+
+@pytest.mark.parametrize("max_moves, full_windings", [(3, 2), (9, 5), (12, 9)])
+def test_cross_check_lines_name_the_bound_of_their_unit(max_moves, full_windings):
+    bounds = {"moves": max_moves, "windings": full_windings}
+    report = E.cross_check(max_moves, full_windings)
+    assert report.ok, str(report)
+    bounded = [re.fullmatch(r".* to (\d+) (moves|windings)", line.name) for line in report.lines]
+    assert [int(match[1]) for match in bounded if match] == [bounds[match[2]] for match in bounded if match]
+    assert sum(map(bool, bounded)) == 6  # one line per series a language prints and lists
+    classical = [line for line in report.lines if line.name.startswith("classical knots")]
+    members = sum(E.LANGUAGES["fm"].counts(None, max_moves))
+    assert [(line.name, line.detail) for line in classical] == [
+        (f"classical knots to {max_moves} moves", f"{members} members")]
 
 
 def test_cross_check_builds_no_word(monkeypatch):

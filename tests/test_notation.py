@@ -627,8 +627,8 @@ def _referee_clr_items(text):
 
 
 def _referee_clr_views(items):
-    """Windings (None at a repeat), (position, depth) tucks and winding text
-    (None when a region repeats) of region items, each by its own walk."""
+    """Winding letters (none at a repeat), (position, depth) tucks and winding
+    text (None when a region repeats) of region items, each by its own walk."""
     regions = [item.region for item in items if isinstance(item, Visit)]
     windings = tuple(
         None if a is b else WindDir.T if step_region(a, WindDir.T) is b else WindDir.W
@@ -646,7 +646,7 @@ def _referee_clr_views(items):
             text += ("'" if text.endswith("U") else "") + "U" * item.depth
         else:
             text += next(winding) or "?"
-    return windings, tuple(tucks), None if None in windings else text
+    return "".join(filter(None, windings)), tuple(tucks), None if None in windings else text
 
 
 def _views(word):
@@ -678,7 +678,7 @@ def test_region_parse_of_every_member_to_nine_windings_keeps_the_knot_views():
                 knot = parse_tw(text, start)
                 kept = tw_to_clr(knot)
                 word = parse_clr(kept.serialize())
-                assert _views(word) == _views(kept) == (knot.windings, knot.tucks, text)
+                assert _views(word) == _views(kept) == ("".join(knot.windings), knot.tucks, text)
                 built = RegionWord(word.items)
                 assert built == word and built.serialize() == word.serialize()
                 assert _views(built) == _views(word) == _views(infer_orientations(word))

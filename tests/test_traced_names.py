@@ -12,8 +12,10 @@ read with ``ast``, so perfbench is not imported.
 """
 
 import ast
+import enum
 import functools
 import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,6 +48,31 @@ def test_traced_layer_functions_exist():
     names = _layer_functions()
     assert len(names) > 20
     assert [name for name in names if not _resolves(name)] == []
+
+
+def _wrappable(name):
+    """Whether perfbench's tracer wraps ``name``: a public function whose
+    ``__module__`` is its module, or a public function or property of a
+    class defined there that is neither an enum nor an exception.  A
+    re-export, a cache wrapper or a plain attribute is none of these."""
+    module_name, *attributes = name.split(".")
+    module = importlib.import_module(f"tieknot.{module_name}")
+    if any(attribute.startswith("_") for attribute in attributes):
+        return False
+    owner = getattr(module, attributes[0], None)
+    if len(attributes) == 1:
+        return inspect.isfunction(owner) and owner.__module__ == module.__name__
+    if (len(attributes) != 2 or not inspect.isclass(owner) or owner.__module__ != module.__name__
+            or issubclass(owner, (enum.Enum, BaseException))):
+        return False
+    member = vars(owner).get(attributes[1])
+    if isinstance(member, (classmethod, staticmethod)):
+        member = member.__func__
+    return inspect.isfunction(member) or (isinstance(member, property) and member.fget is not None)
+
+
+def test_traced_layer_functions_are_wrappable():
+    assert [name for name in _layer_functions() if not _wrappable(name)] == []
 
 
 def _chain(node):
