@@ -124,10 +124,7 @@ def pattern_rank(windings: str) -> int:
         else:
             at -= 1
     powers = int(head.translate(_BINARY), 2) << 1 if head else 0
-    rank = patterns_below(n, turn) + 1 + (powers + skew) // 3
-    if windings[-2] == "W" and at % 3 == 1:  # a last T is followed by its repeat, turning 1
-        rank += 1
-    return rank
+    return patterns_below(n, turn) + 1 + (powers + skew) // 3
 
 
 _UNCAPPED = validity.ValidityOptions(max_moves=None)
@@ -151,8 +148,8 @@ def name_of(knot: KnotWord) -> KnotName:
     # without a final depth-1 site (pattern_rank's own check), then one
     # whose final site carries no depth-1 tuck.
     windings, tucks = knot._windings, knot._tucks
-    n = len(windings)
-    if n < 2 or windings[-1] != windings[-2]:
+    n = len(windings)  # at least 2: validation (T4, then T5) asks for two windings
+    if windings[-1] != windings[-2]:
         raise NamingError(_NO_FINAL_SITE)
     if (n, 1) not in tucks:
         raise NamingError("no final depth-1 tuck to anchor the pattern name")
@@ -208,7 +205,7 @@ def pattern_of(region: Region, rank: int) -> str:
             left -= with_t
             stem.append("W")
             at += 1
-    stem.append("T" if left == 0 and at % 3 == 1 else "W")  # as in pattern_rank
+    stem.append("T" if at % 3 == 1 else "W")  # the class fixes the last stem letter
     return "".join(stem) + stem[-1]
 
 

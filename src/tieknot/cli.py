@@ -184,26 +184,18 @@ def _report_bucket(windings, knots):
 
 
 def _count_knots(args, language, wanted) -> int:
-    """``--count`` from the language's counts, with the ``--progress``
-    lines the listing writes: each sums one run of a length, in listing
-    order, before the ``--final`` filter.  A pattern language lists region
-    by region, so two regions' runs can share a line; any other by length."""
+    """``--count`` from the language's counts of the knots kept, with the
+    ``--progress`` lines the listing writes: one per winding count that
+    lists a knot, counted before the ``--final`` filter."""
     max_moves = _max_moves(args)
     shift, degree = language.shift, max_moves - 1 + language.shift
-    runs, count = [], 0
-    for region in language.patterns or (None,):  # the knots listed in turn, and those kept
-        listed = language.counts(region, degree) if args.progress or wanted in (None, region) else None
-        kept = listed if wanted in (None, region) else language.counts(wanted, degree) if region is None else None
-        for n in range(2, max_moves):
-            count += kept[n + shift] if kept is not None else 0
-            knots = listed[n + shift] if listed is not None else 0
-            if runs and runs[-1][0] == n:
-                runs[-1][1] += knots
-            elif knots:
-                runs.append([n, knots])
+    kept = language.counts(wanted, degree)
     if args.progress:
-        for n, knots in runs:
-            _report_bucket(n, knots)
+        listed = kept if wanted is None else language.counts(None, degree)
+        for n in range(2, max_moves):
+            if listed[n + shift]:
+                _report_bucket(n, listed[n + shift])
+    count = sum(kept[n + shift] for n in range(2, max_moves))
     print(2 * count if args.both_mirrors else count)  # a mirror starts at R
     return EXIT_OK
 

@@ -194,8 +194,6 @@ class _FullEnumerator(Mapping):
         return out
 
     def members(self, windings: int) -> List[str]:
-        if windings < 2:
-            return []
         if windings % 2 == 0:
             return list(self.tails(windings))
         return [p + tail for p in ("T", "W") for tail in self.tails(windings - 1)]
@@ -244,9 +242,9 @@ class Language:
     ``listing(n)`` is its grammar-free referee to n windings: winding texts
     by winding count (a mapping) or in ascending winding count, or None.
     ``unit`` sizes a member in moves (windings + 1) or windings.  A language
-    listed from the winding patterns ending in ``patterns``, region by
-    region, is counted in closed form.  ``series`` names each series
-    ``tieknot series`` prints of it, by final region; :func:`cross_check`
+    with ``patterns`` is counted in closed form: they name the regions whose
+    winding patterns it counts, in no particular order.  ``series`` names
+    each series ``tieknot series`` prints of it, by final region; :func:`cross_check`
     checks each one's grammar to the bound it is given for ``unit``.
     """
 
@@ -273,13 +271,14 @@ class Language:
 
     def knots(self, max_windings: int) -> Iterator[KnotWord]:
         """Its knots to ``max_windings`` windings, parsed, by winding count
-        and then in text order.  A pattern listing is in that order already,
-        so it streams, region by region; any other is parsed a bucket at a
-        time, so the first knot does not wait for the last bucket (only a
-        grammar builds every bucket first)."""
-        for region in self.patterns:
-            yield from (parse_tw(text) for text in self.listing(max_windings) if final_region_of(text) is region)
-        for bucket in () if self.patterns else self._buckets(max_windings):
+        and then in text order, like every language.  A pattern listing is
+        in that order already, so it streams as listed; any other is sorted
+        and parsed a bucket at a time, so the first knot does not wait for
+        the last bucket (only a grammar builds every bucket first)."""
+        if self.patterns:
+            yield from map(parse_tw, self.listing(max_windings))
+            return
+        for bucket in self._buckets(max_windings):
             bucket.sort(key=sort_key)  # each bucket is a fresh list
             yield from map(parse_tw, bucket)
 
@@ -315,7 +314,7 @@ LANGUAGES: Dict[str, Language] = {language.name: language for language in (
              lambda n: full_language(n), unit="windings", series={"full": None}),
     Language("hidden", "hidden-tuck knots", lambda final: grammars.hidden_tuck_grammar(final), None, unit="windings"),
     Language("windings", "winding patterns", None, lambda n: (w for m in range(2, n + 1) for w in pattern_texts(m)),
-             patterns=(Region.LEFT, Region.RIGHT, Region.CENTER),
+             patterns=tuple(Region),
              series={"windings-l": Region.LEFT, "windings-c": Region.CENTER, "windings-r": Region.RIGHT}),
 )}
 

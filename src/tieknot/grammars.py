@@ -117,14 +117,12 @@ def _nullable(grammar: Grammar) -> set:
     return found
 
 
-def _ways(rows, folds, m):
-    """Derivations of two or more nonterminals with count rows ``rows`` sharing ``m``, convolved
-    pairwise through ``folds``, whose entry at ``m - 1`` is made again now that it is final."""
+def _ways(rows, m):
+    """Derivations of two or more nonterminals with count rows ``rows`` sharing ``m``: the rows
+    convolved in turn, in full but for the last product (no built-in grammar has three parts)."""
     acc = rows[0]
-    for row, fold in zip(rows[1:-1], folds):
-        for i in range(max(m - 1, 0), m + 1):
-            fold[i] = sum(map(mul, acc[: i + 1], row[i::-1]))
-        acc = fold
+    for row in rows[1:-1]:
+        acc = [sum(map(mul, acc[: i + 1], row[i::-1])) for i in range(m + 1)]
     return sum(map(mul, acc[: m + 1], rows[-1][m::-1]))
 
 
@@ -144,12 +142,12 @@ def _count_tables(grammar: Grammar, max_size: int):
     rows, unit = {name: [0] * (max_size + 1) for name in compiled}, [1] + [0] * max_size
     lookups = {name: [(w, rows[names[0]] if names else unit) for w, names, _ in alts if len(names) < 2]
                for name, alts in compiled.items()}
-    products = {name: [(w, [rows[n] for n in names], [[0] * (max_size + 1) for _ in names[2:]])
-                       for w, names, _ in alts if len(names) > 1] for name, alts in compiled.items()}
+    products = {name: [(w, [rows[n] for n in names]) for w, names, _ in alts if len(names) > 1]
+                for name, alts in compiled.items()}
 
     def fill(name):
         total = sum(row[size - w] for w, row in lookups[name] if size >= w)
-        rows[name][size] = total = total + sum(_ways(r, folds, size - w) for w, r, folds in products[name] if size >= w)
+        rows[name][size] = total = total + sum(_ways(r, size - w) for w, r in products[name] if size >= w)
         if total and name in read_early:
             raise GrammarError(f"zero-weight cycle through {name!r} at size {size}")
 

@@ -627,7 +627,7 @@ _FINAL_CLASS = {
 
 def classify_final(knot: KnotWord) -> FinalClass:
     """Classify by the final region (start must be L)."""
-    if knot.start is not Region.LEFT:
+    if knot.start != "L":  # a region equals its letter, read faster than the member Region.LEFT
         raise ValueError("classification assumes the canonical start region L")
     return _FINAL_CLASS[final_region(knot)]
 

@@ -459,7 +459,7 @@ def test_enumerate_windings_streams_its_first_pattern(monkeypatch):
     with _wall_bound(2):
         code = main(["enumerate", "--class", "windings", "--max-windings", "40"])
     assert code == 0
-    assert stdout.getvalue() == "TTT\n"  # the first left-final pattern
+    assert stdout.getvalue() == "TT\n"  # the first pattern by length
 
 
 def test_enumerate_full_streams_its_first_record(monkeypatch):
@@ -540,6 +540,23 @@ def test_enumerate_pattern_count_matches_the_listing(capsys, klass, final, both_
     assert code == 0
     assert counted == f"{len(listed.splitlines())}\n"
     assert progress == listed_progress
+
+
+@pytest.mark.parametrize("cap", range(3, 8))
+@pytest.mark.parametrize("language", [["fm"], ["single"], ["full"], ["windings"], ["single", "--allow-hidden-tucks"]],
+                         ids=["fm", "single", "full", "windings", "hidden"])
+def test_every_class_lists_by_winding_count_then_text_order(capsys, language, cap):
+    # Cap 3 lists only the two 2-winding patterns, which end in different regions.
+    argv = ["enumerate", "--class", *language, "--max-windings", str(cap)]
+    code, out, _ = run(capsys, *argv)
+    lines = out.splitlines()
+    windings = enumeration._letters("TW")  # a line's winding count
+    assert code == 0 and lines
+    assert lines == sorted(lines, key=lambda line: (windings(line), notation.sort_key(line)))
+    per_count = sorted(Counter(map(windings, lines)).items())
+    progress = "".join(f"[{n} windings: {knots} knots]\n" for n, knots in per_count)
+    assert run(capsys, *argv, "--progress") == (0, out, progress)
+    assert run(capsys, *argv, "--count", "--progress") == (0, f"{len(lines)}\n", progress)
 
 
 @functools.cache

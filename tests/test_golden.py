@@ -3,9 +3,13 @@
 Every case runs in-process and is reduced to the sha256 of its stdout,
 the sha256 of its stderr and its exit code; ``tests/data/golden.json``
 holds the recorded values.  A change that alters any byte of output
-fails here.  After an intended output change, re-record with
+fails here.  After an intended output change, re-record the cases it
+changes by name, or every case with no name given:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [CASE_ID ...]
+
+Either way each case whose record changed is printed, and an unknown
+case id exits 2 with nothing written.
 """
 
 import contextlib
@@ -14,6 +18,7 @@ import io
 import json
 import os
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -182,6 +187,34 @@ def test_full_jsonl_stream_to_11_windings_is_unchanged():
     assert observed == {"stdout": FULL_JSONL_11_SHA256, "stderr": _digest(""), "exit": 0}
 
 
+def rerecord(case_ids, path=GOLDEN) -> int:
+    """Re-record the named cases in ``path``, or every case (and no other) for none; print each
+    case whose record changed.  An unknown id exits 2 and writes nothing."""
+    unknown = [case_id for case_id in case_ids if case_id not in CASE_IDS]
+    if unknown:
+        print(f"unknown case id: {' '.join(unknown)}", file=sys.stderr)
+        return 2
+    old = json.loads(path.read_text()) if path.exists() else {}
+    recorded = dict(old) if case_ids else {}
+    for case_id in case_ids or CASE_IDS:
+        recorded[case_id] = _observe(case_id)
+        if recorded[case_id] != old.get(case_id):
+            print(f"changed: {case_id}")
+    path.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+def test_rerecord_takes_in_only_the_named_cases(tmp_path, capsys):
+    path = tmp_path / "golden.json"
+    stale = {case_id: {"stdout": "", "stderr": "", "exit": 0} for case_id in CASE_IDS}
+    path.write_text(json.dumps(stale))
+    assert rerecord(["series-fm", "no-such-case"], path) == 2
+    assert json.loads(path.read_text()) == stale
+    assert rerecord(["series-fm", "name-tw"], path) == 0
+    assert capsys.readouterr().out == "changed: series-fm\nchanged: name-tw\n"
+    assert json.loads(path.read_text()) == {**stale, "series-fm": _observe("series-fm"),
+                                             "name-tw": _observe("name-tw")}
+
+
 if __name__ == "__main__":
-    recorded = {case_id: _observe(case_id) for case_id in CASE_IDS}
-    GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+    sys.exit(rerecord(sys.argv[1:]))
