@@ -27,7 +27,7 @@ import os
 import random
 import sys
 
-from . import catalog, enumeration, grammars, validity
+from . import catalog, enumeration, validity
 from .notation import (
     KnotWord,
     NotationError,
@@ -203,34 +203,28 @@ def _count_knots(args, language, wanted) -> int:
 def cmd_enumerate(args) -> int:
     wanted = None if args.final is None else Region(args.final)
     if args.klass != "single" and args.allow_hidden_tucks:
-        print("error: hidden tucks are only enumerable for the single class", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("hidden tucks are only enumerable for the single class")
     language = enumeration.LANGUAGES["hidden" if args.allow_hidden_tucks else args.klass]
     if args.count:
         return _count_knots(args, language, wanted)
-    bucket = None
-    bucket_count = 0
-    for knot in language.knots(_max_moves(args) - 1):
-        if args.progress and knot.winding_count != bucket:
-            if bucket is not None:
-                _report_bucket(bucket, bucket_count)
-            bucket, bucket_count = knot.winding_count, 0
-        bucket_count += 1
-        if wanted is not None and final_region(knot) is not wanted:
-            continue
-        for variant in (knot, mirror(knot)) if args.both_mirrors else (knot,):
-            if args.format == "jsonl":
-                print(_knot_line(variant))
-            elif args.format == "csv":
-                print(
-                    f"{variant.serialize()},{tw_to_clr(variant).serialize()},{variant.start.value},"
-                    f"{variant.winding_count},{variant.move_count},{final_region(variant).value}"
-                )
-            else:
-                prefix = f"{variant.start.value} " if args.both_mirrors else ""
-                print(prefix + (variant.serialize() or "<empty>"))
-    if args.progress and bucket is not None:
-        _report_bucket(bucket, bucket_count)
+    for windings, texts in language.buckets(_max_moves(args) - 1):
+        listed = 0
+        for listed, knot in enumerate(map(parse_tw, texts), 1):
+            if wanted is not None and final_region(knot) is not wanted:
+                continue
+            for variant in (knot, mirror(knot)) if args.both_mirrors else (knot,):
+                if args.format == "jsonl":
+                    print(_knot_line(variant))
+                elif args.format == "csv":
+                    print(
+                        f"{variant.serialize()},{tw_to_clr(variant).serialize()},{variant.start.value},"
+                        f"{variant.winding_count},{variant.move_count},{final_region(variant).value}"
+                    )
+                else:
+                    prefix = f"{variant.start.value} " if args.both_mirrors else ""
+                    print(prefix + (variant.serialize() or "<empty>"))
+        if args.progress and listed:
+            _report_bucket(windings, listed)
     return EXIT_OK
 
 
@@ -293,16 +287,17 @@ def cmd_aesthetics(args) -> int:
 
 def cmd_sample(args) -> int:
     max_moves = _max_moves(args)
-    grammar = grammars.single_tuck_tw_grammar()
-    population = grammars.count_by_size(grammar, max_moves).total()  # counted, not listed
+    language = enumeration.LANGUAGES["single"]
+    population = language.counts(None, max_moves).total()  # counted, not listed
     knots = f"the single-tuck knots of at most {max_moves} moves"
     if population > SAMPLE_MAX_POPULATION:
         raise UsageError(f"sample draws from at most {SAMPLE_MAX_POPULATION} knots, but {knots} number {population}")
     if not 0 <= args.count <= population:
         raise UsageError(f"sample count must be between 0 and {population} ({knots}), got {args.count}")
-    # Ordered by (moves, text) like the enumeration oracle's list, so a
-    # seed draws the same knots; only the knots drawn are parsed.
-    texts = grammars.generate(grammar, max_moves)
+    # The row's buckets, by moves and then text order, as `enumerate --class
+    # single` lists them, so a seed draws the same knots from the same
+    # listing; only the knots drawn are parsed.
+    texts = [text for _, bucket in language.buckets(max_moves - language.shift) for text in bucket]
     rng = random.Random(args.seed)
     for index in sorted(rng.sample(range(len(texts)), args.count)):
         knot = parse_tw(texts[index])

@@ -117,7 +117,7 @@ def decorate(windings: str, sites) -> str:
 
 def fm_knots(max_windings: int) -> List[str]:
     """Classical knots as region strings, walked from L: the ``fm`` listing."""
-    return tw_texts_to_clr(LANGUAGES["fm"].listing(max_windings))
+    return tw_texts_to_clr(text for _, texts in LANGUAGES["fm"].buckets(max_windings) for text in texts)
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +210,8 @@ def full_language(max_windings: int) -> Mapping[int, List[str]]:
 def oracle_enumerate(
     max_windings: int, opts: ValidityOptions = DEFAULT_OPTIONS
 ) -> Iterator[KnotWord]:
-    """Every valid knot with at most ``max_windings`` windings, parsed by
-    :meth:`Language.knots` from the language the options pick: ``single``
+    """Every valid knot with at most ``max_windings`` windings, parsed from
+    the :meth:`Language.buckets` of the language the options pick: ``single``
     for a depth cap of 1, ``full`` for none, ``hidden`` for hidden tucks
     (depth 1 only).  Knots that need not end on a tuck are not
     enumerable.  A move cap in ``opts`` caps the winding count at one less.
@@ -225,7 +225,8 @@ def oracle_enumerate(
     if opts.allow_hidden_tucks and opts.max_tuck_depth != 1:
         raise NotImplementedError("hidden tucks are only modelled for depth-1 knots")
     name = "hidden" if opts.allow_hidden_tucks else "single" if opts.max_tuck_depth == 1 else "full"
-    yield from LANGUAGES[name].knots(max_windings)
+    for _, texts in LANGUAGES[name].buckets(max_windings):
+        yield from map(parse_tw, texts)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +240,9 @@ class Language:
 
     ``grammar(final)`` builds its counting grammar, in winding or region
     text, for the knots that end in region ``final`` (all for None).
-    ``listing(n)`` is its grammar-free referee to n windings: winding texts
-    by winding count (a mapping) or in ascending winding count, or None.
+    ``listing(n)`` is its grammar-free referee to n windings, or None: it
+    yields (winding count, winding texts) pairs in ascending winding count,
+    and a pattern row's texts are a generator, read once.
     ``unit`` sizes a member in moves (windings + 1) or windings.  A language
     with ``patterns`` is counted in closed form: they name the regions whose
     winding patterns it counts, in no particular order.  ``series`` names
@@ -251,7 +253,7 @@ class Language:
     name: str
     noun: str
     grammar: Optional[Callable[[Optional[Region]], grammars.Grammar]]
-    listing: Optional[Callable[[int], Iterable]]
+    listing: Optional[Callable[[int], Iterable[Tuple[int, Iterable[str]]]]]
     unit: str = "moves"
     patterns: Tuple[Region, ...] = ()
     series: Dict[str, Optional[Region]] = field(default_factory=dict)
@@ -269,51 +271,39 @@ class Language:
         return Series(sum(pattern_count(m - self.shift, turn) for turn in turns) if m - self.shift >= 2 else 0
                       for m in range(order + 1))
 
-    def knots(self, max_windings: int) -> Iterator[KnotWord]:
-        """Its knots to ``max_windings`` windings, parsed, by winding count
-        and then in text order, like every language.  A pattern listing is
-        in that order already, so it streams as listed; any other is sorted
-        and parsed a bucket at a time, so the first knot does not wait for
-        the last bucket (only a grammar builds every bucket first)."""
-        if self.patterns:
-            yield from map(parse_tw, self.listing(max_windings))
-            return
-        for bucket in self._buckets(max_windings):
-            bucket.sort(key=sort_key)  # each bucket is a fresh list
-            yield from map(parse_tw, bucket)
-
-    def _buckets(self, max_windings: int) -> Iterable[List[str]]:
+    def buckets(self, max_windings: int) -> Iterator[Tuple[int, Iterable[str]]]:
+        """Its knots to ``max_windings`` windings as (winding count, texts)
+        pairs, each bucket in text order, like every language.  A pattern
+        bucket is in that order already, so it streams as listed; any other
+        is sorted a bucket at a time, so the first knot does not wait for the
+        last bucket (only a grammar, grouped by size, builds every bucket first)."""
         if self.listing is None:
             sizes = grammars.generate_with_sizes(self.grammar(None), max_windings + self.shift)
-            return (list(texts) for _, texts in itertools.groupby(sizes, sizes.get))
-        listing = self.listing(max_windings)
-        if isinstance(listing, Mapping):
-            return listing.values()
-        return (list(run) for _, run in itertools.groupby(listing, _letters("TW")))
+            listing = ((size - self.shift, texts) for size, texts in itertools.groupby(sizes, sizes.get))
+        else:
+            listing = self.listing(max_windings)
+        for windings, texts in listing:
+            yield windings, (texts if self.patterns else sorted(texts, key=sort_key))
 
 
-def _listed(listing) -> dict:
-    # A listing's buckets by winding count, each read once; a flat listing is one bucket, under None.
-    return dict(listing) if isinstance(listing, Mapping) else {None: list(listing)}
-
-
-# Names are late-bound, so a listing or grammar replaced on its module is the one read.
+# The rows look their names up when called and readers look rows up here when
+# they run, so a row, full_language or _FullEnumerator replaced is the one read.
 LANGUAGES: Dict[str, Language] = {language.name: language for language in (
     # fm's knots all end in the center, so its grammar is only asked for all of them.
     Language("fm", "classical knots", lambda final: grammars.fm_grammar(),
-             lambda n: (w + "U" for m in range(2, n + 1) for w in pattern_texts(m)
-                       if final_region_of(w) is Region.CENTER),
+             lambda n: ((m, (w + "U" for w in pattern_texts(m) if final_region_of(w) is Region.CENTER))
+                        for m in range(2, n + 1)),
              patterns=(Region.CENTER,), series={"fm": None}),
     # The paper's winding grammar for every knot, the region grammars by final region.
     Language("single", "single-tuck knots",
              lambda final: grammars.single_tuck_tw_grammar() if final is None
              else grammars.single_tuck_clr_grammar(final),
-             lambda n: single_tuck_knots(n),
+             lambda n: _FullEnumerator(n, depth_one=True).items(),
              series={"single": None, "l-final": Region.LEFT, "r-final": Region.RIGHT, "c-final": Region.CENTER}),
     Language("full", "arbitrary-depth knots", lambda final: grammars.full_grammar(final),
-             lambda n: full_language(n), unit="windings", series={"full": None}),
+             lambda n: full_language(n).items(), unit="windings", series={"full": None}),
     Language("hidden", "hidden-tuck knots", lambda final: grammars.hidden_tuck_grammar(final), None, unit="windings"),
-    Language("windings", "winding patterns", None, lambda n: (w for m in range(2, n + 1) for w in pattern_texts(m)),
+    Language("windings", "winding patterns", None, lambda n: ((m, pattern_texts(m)) for m in range(2, n + 1)),
              patterns=tuple(Region),
              series={"windings-l": Region.LEFT, "windings-c": Region.CENTER, "windings-r": Region.RIGHT}),
 )}
@@ -469,7 +459,7 @@ def cross_check(max_moves: int = 13, full_max_windings: int = 13) -> CrossCheckR
         if language.grammar is None or language.listing is None:
             continue
         bound = bounds[language.unit]
-        buckets = _listed(language.listing(bound - language.shift))
+        buckets = dict(language.listing(bound - language.shift))
         texts = [text for bucket in buckets.values() for text in bucket]
         listed[language.name] = buckets, texts
         by_final = {None: texts, **{region: [] for region in Region}}

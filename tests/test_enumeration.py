@@ -113,6 +113,15 @@ def test_single_tuck_knots_are_the_depth_one_slice_of_the_full_language(full_ora
     assert set(E.single_tuck_knots(12)) == shallow
 
 
+@pytest.mark.parametrize("moves", range(3, 16))
+def test_the_single_rows_buckets_list_what_its_grammar_generates(moves):
+    # `sample` draws by position from this list, so a seed draws the knots
+    # the grammar's (moves, text) order puts at those positions.
+    row = E.LANGUAGES["single"]
+    listed = [text for _, bucket in row.buckets(moves - row.shift) for text in bucket]
+    assert listed == G.generate(G.single_tuck_tw_grammar(), moves)
+
+
 def test_winding_patterns_small(listed_classes):
     patterns = listed_classes(2)
     assert patterns[Region.RIGHT] == ["TT"]
@@ -251,7 +260,7 @@ def test_pattern_counts_follow_the_row_recurrence_to_2000_windings():
 # are at most two deep.  Its row needs no edit anywhere else.
 DEPTH_2 = E.Language(
     "depth-2", "depth-2 knots", lambda final: G.intersect(G.full_grammar(final), _tuck_depth_cap(2)),
-    lambda n: (text for bucket in E.full_language(n).values() for text in bucket if "UUU" not in text),
+    lambda n: ((m, [text for text in bucket if "UUU" not in text]) for m, bucket in E.full_language(n).items()),
     unit="windings", series={"depth-2": None},
 )
 
@@ -261,7 +270,7 @@ DEPTH_2 = E.Language(
 def test_each_language_counts_its_listing_by_final_region_to_11_windings(language, final):
     if language.listing is None:
         pytest.skip(f"{language.name}: no grammar-free listing; hidden tucks are listed by their grammar alone")
-    texts = [text for bucket in E._listed(language.listing(11)).values() for text in bucket]
+    texts = [text for bucket in dict(language.listing(11)).values() for text in bucket]
     sizes = Counter(text.count("T") + text.count("W") + language.shift
                     for text in texts if final is None or E.final_region_of(text) is final)
     counts = language.counts(final, 11 + language.shift)
@@ -431,11 +440,18 @@ def test_cross_check_reports_a_wrong_region_text(monkeypatch, capsys):
     assert capsys.readouterr().out == f"{report}\n"
 
 
+def _edit_single_buckets(monkeypatch, edit):
+    # The single row, with ``edit(windings, texts)`` applied to each bucket it lists.
+    row = E.LANGUAGES["single"]
+
+    def listing(n):
+        return ((m, edit(m, texts)) for m, texts in row.listing(n))
+
+    monkeypatch.setitem(E.LANGUAGES, "single", replace(row, listing=listing))
+
+
 def test_cross_check_reports_a_dropped_member(monkeypatch):
-    members = E.single_tuck_knots
-    monkeypatch.setattr(
-        E, "single_tuck_knots", lambda *args: (t for t in members(*args) if t != "TTWWU")
-    )
+    _edit_single_buckets(monkeypatch, lambda m, texts: [t for t in texts if t != "TTWWU"])
     broken = [str(line) for line in E.cross_check(9, 6).lines if not line.ok]
     assert broken == [
         "single-tuck knots to 9 moves: MISMATCH "
@@ -490,8 +506,7 @@ def test_a_non_canonical_oracle_text_is_a_mismatch_not_a_crash(monkeypatch, caps
 
 
 def _repeat_one_single_tuck_knot(monkeypatch):
-    members = E.single_tuck_knots
-    monkeypatch.setattr(E, "single_tuck_knots", lambda n: iter([*members(n), "TTWWU"]))
+    _edit_single_buckets(monkeypatch, lambda m, texts: [*texts, "TTWWU"] if m == 4 else texts)
 
 
 def _repeat_each_buckets_first_member(monkeypatch):
@@ -535,11 +550,8 @@ def test_a_repeated_oracle_member_is_a_mismatch_not_a_crash_and_not_a_pass(monke
 
 
 def test_cross_check_lists_examples_in_library_order(monkeypatch):
-    members = E.single_tuck_knots
     dropped = {"TTUWWU", "TTWWU"}  # by code point U < W; in the library's order W < U
-    monkeypatch.setattr(
-        E, "single_tuck_knots", lambda *args: (t for t in members(*args) if t not in dropped)
-    )
+    _edit_single_buckets(monkeypatch, lambda m, texts: [t for t in texts if t not in dropped])
     broken = [str(line) for line in E.cross_check(9, 6).lines if not line.ok]
     assert broken == [
         "single-tuck knots to 9 moves: MISMATCH "
