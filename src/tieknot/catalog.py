@@ -32,7 +32,6 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from typing import List, Optional
 
 from . import validity
@@ -259,8 +258,8 @@ class NamedKnot:
 def registry(extra_path: Optional[str] = None) -> List[NamedKnot]:
     """The named knots shipped with the package, optionally extended.
 
-    The registry file is tab-separated: common name, start region,
-    winding text.  Lines starting with ``#`` are comments.
+    The registry file is tab-separated: common name, start region, winding
+    text; ``#`` starts a comment line, and a malformed line raises ValueError.
     """
     knots = list(_shipped_registry())
     if extra_path is not None:
@@ -272,17 +271,23 @@ def registry(extra_path: Optional[str] = None) -> List[NamedKnot]:
 @lru_cache(maxsize=None)
 def _shipped_registry() -> tuple:
     """The package's own registry, read and parsed once per process."""
+    from importlib import resources
+
     text = resources.files("tieknot").joinpath("data/registry.tsv").read_text()
     return tuple(_parse_registry(text))
 
 
 def _parse_registry(text: str):
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        common_name, start, tw = line.split("\t")
-        yield NamedKnot(common_name, parse_tw(tw, Region(start)))
+        try:
+            common_name, start, tw = line.split("\t")
+            knot = NamedKnot(common_name, parse_tw(tw, Region(start)))
+        except ValueError as exc:
+            raise ValueError(f"registry line {number}: {exc}") from exc
+        yield knot
 
 
 def lookup(common_name: str, extra_path: Optional[str] = None) -> Optional[NamedKnot]:

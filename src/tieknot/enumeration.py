@@ -47,10 +47,8 @@ import itertools
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import astuple, dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from . import grammars
-from .genfunc import Series, compare
 from .notation import (
     _CYCLE,
     _CYCLE_INDEX,
@@ -62,6 +60,10 @@ from .notation import (
     tw_texts_to_clr,
 )
 from .validity import DEFAULT_OPTIONS, ValidityOptions
+
+if TYPE_CHECKING:
+    from . import grammars
+    from .genfunc import Series
 
 
 def pattern_texts(windings: int) -> Iterator[str]:
@@ -266,7 +268,9 @@ class Language:
     def counts(self, final: Optional[Region], order: int) -> Series:
         """Its knots that end in ``final`` (all for None) by size, 0..order."""
         if not self.patterns:
-            return grammars.count_by_size(self.grammar(final), order)
+            return _grammars().count_by_size(self.grammar(final), order)
+        from .genfunc import Series
+
         turns = [TURN_OF_REGION[region] for region in self.patterns if final in (None, region)]
         return Series(sum(pattern_count(m - self.shift, turn) for turn in turns) if m - self.shift >= 2 else 0
                       for m in range(order + 1))
@@ -278,7 +282,7 @@ class Language:
         is sorted a bucket at a time, so the first knot does not wait for the
         last bucket (only a grammar, grouped by size, builds every bucket first)."""
         if self.listing is None:
-            sizes = grammars.generate_with_sizes(self.grammar(None), max_windings + self.shift)
+            sizes = _grammars().generate_with_sizes(self.grammar(None), max_windings + self.shift)
             listing = ((size - self.shift, texts) for size, texts in itertools.groupby(sizes, sizes.get))
         else:
             listing = self.listing(max_windings)
@@ -286,23 +290,29 @@ class Language:
             yield windings, (texts if self.patterns else sorted(texts, key=sort_key))
 
 
+def _grammars():
+    from . import grammars  # the counting stack loads when a row first counts or generates
+
+    return grammars
+
+
 # The rows look their names up when called and readers look rows up here when
 # they run, so a row, full_language or _FullEnumerator replaced is the one read.
 LANGUAGES: Dict[str, Language] = {language.name: language for language in (
     # fm's knots all end in the center, so its grammar is only asked for all of them.
-    Language("fm", "classical knots", lambda final: grammars.fm_grammar(),
+    Language("fm", "classical knots", lambda final: _grammars().fm_grammar(),
              lambda n: ((m, (w + "U" for w in pattern_texts(m) if final_region_of(w) is Region.CENTER))
                         for m in range(2, n + 1)),
              patterns=(Region.CENTER,), series={"fm": None}),
     # The paper's winding grammar for every knot, the region grammars by final region.
     Language("single", "single-tuck knots",
-             lambda final: grammars.single_tuck_tw_grammar() if final is None
-             else grammars.single_tuck_clr_grammar(final),
+             lambda final: _grammars().single_tuck_tw_grammar() if final is None
+             else _grammars().single_tuck_clr_grammar(final),
              lambda n: _FullEnumerator(n, depth_one=True).items(),
              series={"single": None, "l-final": Region.LEFT, "r-final": Region.RIGHT, "c-final": Region.CENTER}),
-    Language("full", "arbitrary-depth knots", lambda final: grammars.full_grammar(final),
+    Language("full", "arbitrary-depth knots", lambda final: _grammars().full_grammar(final),
              lambda n: full_language(n).items(), unit="windings", series={"full": None}),
-    Language("hidden", "hidden-tuck knots", lambda final: grammars.hidden_tuck_grammar(final), None, unit="windings"),
+    Language("hidden", "hidden-tuck knots", lambda final: _grammars().hidden_tuck_grammar(final), None, unit="windings"),
     Language("windings", "winding patterns", None, lambda n: ((m, pattern_texts(m)) for m in range(2, n + 1)),
              patterns=tuple(Region),
              series={"windings-l": Region.LEFT, "windings-c": Region.CENTER, "windings-r": Region.RIGHT}),
@@ -434,7 +444,10 @@ def _letters(letters: str, plus: int = 0):
     return lambda text: sum(map(text.count, letters)) + plus
 
 
-def _compare_counts(name: str, counted: Series, series: Series) -> CheckLine:
+def _compare_counts(name: str, counted: Iterable[int], series: Series) -> CheckLine:
+    from .genfunc import Series, compare
+
+    counted = Series(counted)
     mismatch = compare(counted, series)
     detail = f"total {counted.total()}"
     return CheckLine(name, mismatch is None, detail if mismatch is None else f"{detail}; {mismatch}")
@@ -442,7 +455,8 @@ def _compare_counts(name: str, counted: Series, series: Series) -> CheckLine:
 
 def _in_regions(grammar: grammars.Grammar) -> bool:
     # Whether a grammar writes region text: its walk starts at L.
-    return any(grammars.T("L") in items for alternatives in grammar.productions.values() for items in alternatives)
+    start = _grammars().T("L")
+    return any(start in items for alternatives in grammar.productions.values() for items in alternatives)
 
 
 def cross_check(max_moves: int = 13, full_max_windings: int = 13) -> CrossCheckReport:
@@ -473,7 +487,7 @@ def cross_check(max_moves: int = 13, full_max_windings: int = 13) -> CrossCheckR
             else:
                 size = _letters("TW", language.shift)
             lines.append(_compare_sets(name if final is None else f"{final.name.lower()}-final {name}",
-                                       grammars.generate_with_sizes(grammar, bound), oracle, language.unit, size))
+                                       _grammars().generate_with_sizes(grammar, bound), oracle, language.unit, size))
 
     # The stream parses the oracle's texts as listed, so each must be canonical: a U on both sides of every '.
     structural, flat = listed["full"]
@@ -481,12 +495,12 @@ def cross_check(max_moves: int = 13, full_max_windings: int = 13) -> CrossCheckR
     lossless = joined.count("'") == joined.count("U'") == joined.count("'U")
     lines.append(CheckLine("canonical apostrophe placement is lossless", lossless, f"{len(flat)} canonical forms"))
 
-    counted = Series(len(structural.get(n, ())) for n in range(full_max_windings + 1))
+    counted = (len(structural.get(n, ())) for n in range(full_max_windings + 1))
     lines.append(_compare_counts("arbitrary-depth counts vs grammar series", counted,
                                  LANGUAGES["full"].counts(None, full_max_windings)))
 
     rows = census(max_moves - 1, include_full=False)  # by moves, from 3
-    column = Series((0, 0, 0, *(row.single_tuck_knots for row in rows)))
+    column = (0, 0, 0, *(row.single_tuck_knots for row in rows))
     lines.append(_compare_counts("census single-tuck column vs grammar series", column,
                                  LANGUAGES["single"].counts(None, max_moves)))
 

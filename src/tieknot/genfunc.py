@@ -24,7 +24,6 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 from operator import mul
@@ -183,6 +182,8 @@ def fit_recurrence(series: Series, max_order: int) -> Optional[RationalGF]:
         raise ValueError(
             f"need at least {2 * max_order + lead} coefficients to fit order {max_order}"
         )
+    from fractions import Fraction
+
     # den is 1 - q_1 z - ... - q_r z^r; before is den as it was before the
     # last change of order r, last the discrepancy there, gap the steps since.
     terms = coeffs[lead:]

@@ -362,6 +362,20 @@ def test_registry_extension_file(tmp_path):
     assert names == ["Eldredge", "Trinity", "Onassis test"]
 
 
+@pytest.mark.parametrize("line, reason", [
+    ("Two fields\tTTU", "not enough values to unpack"),
+    ("Bad start\tX\tTTU", "'X' is not a valid Region"),
+    ("Bad text\tL\tTTQ", "unexpected character"),
+])
+def test_a_malformed_registry_line_is_named_by_its_number(tmp_path, line, reason):
+    extra = tmp_path / "more.tsv"
+    extra.write_text(f"# name, start, winding text\nGood\tL\tTTU\n\n{line}\n")
+    for read in (lambda: C.registry(str(extra)), lambda: C.lookup("Good", str(extra))):
+        with pytest.raises(ValueError, match=r"^registry line 4: ") as caught:
+            read()
+        assert reason in str(caught.value)
+
+
 def test_shipped_registry_is_parsed_once(monkeypatch, tmp_path):
     parsed = []
 
